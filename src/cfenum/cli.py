@@ -8,7 +8,6 @@ verification failure, 2 usage or I/O error.
 """
 
 import json
-import os
 import re
 import sys
 import time
@@ -16,10 +15,7 @@ import time
 import click
 
 from . import __version__
-from .mpoly import Indeterminate, MultiPoly, ParseError, as_poly, \
-    from_text, to_text
-from .series import SFractionSpec, JFractionSpec, expand_sfraction, \
-    expand_jfraction
+from .mpoly import Indeterminate, ParseError, as_poly, from_text, to_text
 from .permstats import Permutation, NotABijection, perm_index_profile, \
     perm_stat_totals, enumerate_perm_polynomial
 from .setpartstats import SetPartition, NotAPartition, setpart_from_blocks, \
@@ -127,8 +123,8 @@ def _parse_pairs(text):
 
 def _workers_option(f):
     return click.option(
-        "--workers", type=click.IntRange(min=1),
-        default=lambda: int(os.environ.get("CFENUM_WORKERS", "1")),
+        "--workers", type=click.IntRange(min=1), default=1,
+        envvar="CFENUM_WORKERS",
         help="Worker count (output is identical for any value).")(f)
 
 
@@ -156,8 +152,10 @@ def _run_verify(tid, n, order, seed):
 
 @main.command()
 @click.argument("theorem_id")
-@click.option("--n", type=int, default=None, help="Largest n to check.")
-@click.option("--order", type=int, default=None, help="Truncation order.")
+@click.option("--n", type=click.IntRange(min=0), default=None,
+              help="Largest n to check.")
+@click.option("--order", type=click.IntRange(min=0), default=None,
+              help="Truncation order.")
 @click.option("--seed", type=int, default=0, help="Seed for witnesses.")
 @_workers_option
 @_FMT
@@ -200,8 +198,10 @@ def verify_all(budget, seed, workers, fmt):
 
 
 @main.command()
-@click.option("--n", type=int, default=None, help="Largest n to check.")
-@click.option("--order", type=int, default=None, help="Truncation order.")
+@click.option("--n", type=click.IntRange(min=0), default=None,
+              help="Largest n to check.")
+@click.option("--order", type=click.IntRange(min=0), default=None,
+              help="Truncation order.")
 @_workers_option
 @_FMT
 def conjecture(n, order, workers, fmt):
@@ -219,12 +219,11 @@ def conjecture(n, order, workers, fmt):
 @main.command()
 @click.option("--theorem", "theorem_id", required=True,
               help="Registered fraction id.")
-@click.option("--order", type=int, default=8, help="Truncation order.")
+@click.option("--order", type=click.IntRange(min=0), default=8,
+              help="Truncation order.")
 @_FMT
 def expand(theorem_id, order, fmt):
     """Expand a registered continued fraction to a truncation order."""
-    if order < 0:
-        _fail_usage("order must be nonnegative")
     try:
         coeffs = thm.expand_registered(theorem_id, order)
     except thm.UnknownTheorem as exc:
@@ -237,7 +236,7 @@ def expand(theorem_id, order, fmt):
 @main.command()
 @click.option("--object", "obj", required=True,
               type=click.Choice(sorted(_ENUMERATORS)))
-@click.option("--n", type=int, required=True,
+@click.option("--n", type=click.IntRange(min=0), required=True,
               help="Object size (pairs for matchings).")
 @click.option("--family", default="all", help="Object family.")
 @click.option("--weight", default="unit", help="Registered weight map id.")
@@ -248,8 +247,6 @@ def expand(theorem_id, order, fmt):
 @_FMT
 def enumerate(obj, n, family, weight, subst_path, zeta, fmt):
     """Exact weighted enumeration as a polynomial."""
-    if n < 0:
-        _fail_usage("n must be nonnegative")
     subst = load_substitution(subst_path) if subst_path else None
     try:
         poly = _ENUMERATORS[obj](n, family=family, weight=weight,

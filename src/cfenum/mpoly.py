@@ -319,26 +319,6 @@ class MultiPoly:
         return bool(self.terms)
 
 
-ZERO = MultiPoly.zero()
-ONE = MultiPoly.one()
-
-
-def poly_add(p, q):
-    return as_poly(p) + q
-
-
-def poly_mul(p, q):
-    return as_poly(p) * q
-
-
-def poly_substitute(p, subs):
-    return as_poly(p).substitute(subs)
-
-
-def coeff_of(p, m):
-    return as_poly(p).coeff_of(m)
-
-
 # ---------------------------------------------------------------------------
 # Canonical text form: `5*x1^2*w[3] + -1*a[0,2]`, terms in monomial order.
 

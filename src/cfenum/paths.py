@@ -1,6 +1,6 @@
-"""Labeled colored Motzkin paths, possibility functions, direct weighted
-path summation, and the six bijections between permutations / set
-partitions and labeled paths, with their inverses.
+"""Labeled colored Motzkin paths, possibility functions, and the six
+bijections between permutations / set partitions and labeled paths, with
+their inverses.
 
 Steps are Rise ("R"), Fall ("F") and Level ("L"); level steps carry a
 positive color.  Labels are either a single positive integer per step or
@@ -96,10 +96,6 @@ class LabeledMotzkinPath:
                                                list(self.labels))
 
 
-def path_heights(p):
-    return p.heights()
-
-
 class PossibilityFunction:
     """Label bounds per step kind.
 
@@ -146,61 +142,6 @@ def path_validate(p, pf):
             if not 1 <= l <= b:
                 return False
     return True
-
-
-def weighted_path_sum(pf, step_weights, n):
-    """Sum of step-weight products over all valid labeled paths of
-    length n starting and ending at height 0.
-
-    `step_weights` maps (kind, color, height, label) to a weight; the
-    label is an int for singly labeled bounds and a tuple for doubly
-    labeled ones.  Equals the t^n coefficient of the associated
-    J-fraction.
-    """
-    from itertools import product as iproduct
-    from .mpoly import MultiPoly
-
-    def step_sum(kind, color, height):
-        """Sum of weights over all labels for one step."""
-        step = ColoredStep(kind, color)
-        bounds = _bound_tuple(pf.bound(step, height))
-        if any(b < 1 for b in bounds):
-            return None
-        total = MultiPoly.zero()
-        for label in iproduct(*(range(1, b + 1) for b in bounds)):
-            arg = label[0] if len(label) == 1 else label
-            total = total + step_weights(kind, color, height, arg)
-        return total
-
-    cache = {}
-    ncolors = pf.colors()
-
-    def rest(i, h):
-        """Weighted sum over suffixes of length n-i starting at height h."""
-        if n - i < h:
-            return MultiPoly.zero()
-        if i == n:
-            return MultiPoly.one() if h == 0 else MultiPoly.zero()
-        key = (i, h)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        total = MultiPoly.zero()
-        w = step_sum(RISE, 1, h)
-        if w is not None:
-            total = total + w * rest(i + 1, h + 1)
-        if h > 0:
-            w = step_sum(FALL, 1, h)
-            if w is not None:
-                total = total + w * rest(i + 1, h - 1)
-        for c in range(1, ncolors + 1):
-            w = step_sum(LEVEL, c, h)
-            if w is not None:
-                total = total + w * rest(i + 1, h)
-        cache[key] = total
-        return total
-
-    return rest(0, 0)
 
 
 # ---------------------------------------------------------------------------

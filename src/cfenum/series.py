@@ -2,12 +2,13 @@
 expansion/extraction of Stieltjes- and Jacobi-type continued fractions.
 
 An S-fraction is 1/(1 - a1 t/(1 - a2 t/(1 - ...))); a J-fraction is
-1/(1 - g0 t - b1 t^2/(1 - g1 t - b2 t^2/(1 - ...))).  Contraction turns an
-S-fraction into the J-fraction with g0 = a1, g_n = a_{2n} + a_{2n+1},
-b_n = a_{2n-1} a_{2n}.
+1/(1 - g0 t - b1 t^2/(1 - g1 t - b2 t^2/(1 - ...))).  Both are expanded by
+Flajolet's reading of a continued fraction as a sum over weighted lattice
+paths (Dyck paths for S, Motzkin paths for J), one height at a time.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from .mpoly import MultiPoly, as_poly
 
@@ -42,43 +43,13 @@ class PowerSeries:
     def one(order):
         return PowerSeries([MultiPoly.one()], order)
 
-    @staticmethod
-    def zero(order):
-        return PowerSeries([], order)
-
     def __eq__(self, other):
         return (self.order == other.order and self.coeffs == other.coeffs)
-
-    def __add__(self, other):
-        n = min(self.order, other.order)
-        return PowerSeries([self.coeffs[k] + other.coeffs[k]
-                            for k in range(n + 1)], n)
 
     def __sub__(self, other):
         n = min(self.order, other.order)
         return PowerSeries([self.coeffs[k] - other.coeffs[k]
                             for k in range(n + 1)], n)
-
-    def __mul__(self, other):
-        if not isinstance(other, PowerSeries):
-            return PowerSeries([c * other for c in self.coeffs], self.order)
-        n = min(self.order, other.order)
-        out = []
-        for k in range(n + 1):
-            acc = MultiPoly.zero()
-            for j in range(k + 1):
-                a = self.coeffs[j]
-                b = other.coeffs[k - j]
-                if a.terms and b.terms:
-                    acc = acc + a * b
-            out.append(acc)
-        return PowerSeries(out, n)
-
-    __rmul__ = __mul__
-
-    def shift(self, k=1):
-        """Multiply by t^k (same truncation order)."""
-        return PowerSeries([MultiPoly.zero()] * k + self.coeffs, self.order)
 
     def reciprocal(self):
         """Series r with self*r = 1; requires constant coefficient 1."""
@@ -99,90 +70,57 @@ class PowerSeries:
         return "PowerSeries(order=%d, %r)" % (self.order, self.coeffs)
 
 
-def series_reciprocal(s):
-    return s.reciprocal()
+# Both expansions run a dynamic programme over path heights: state[h] is
+# the weighted sum of the path prefixes of the current length that end at
+# height h.  Unlike nested series reciprocals, the intermediate polynomial
+# sizes are bounded by the weighted counts of path prefixes, which keeps
+# symbolic master weights tractable.
+
+def expand_sfraction(alpha, order):
+    """Taylor coefficients of the S-fraction through t^order: Dyck paths
+    of semilength n with falls from height h weighted alpha(h)."""
+    a = cache(lambda h: as_poly(alpha(h)))
+    coeffs = [MultiPoly.one()]
+    state = {0: MultiPoly.one()}
+    for j in range(1, 2 * order + 1):
+        nxt = {}
+        for h, w in state.items():
+            if h <= 2 * order - j - 1:
+                nxt[h + 1] = nxt.get(h + 1, MultiPoly.zero()) + w
+            if h > 0:
+                nxt[h - 1] = nxt.get(h - 1, MultiPoly.zero()) + w * a(h)
+        state = {h: w for h, w in nxt.items() if w}
+        if j % 2 == 0:
+            coeffs.append(state.get(0, MultiPoly.zero()))
+    return PowerSeries(coeffs, order)
 
 
-class SFractionSpec:
-    """Coefficient formula n >= 1 -> MultiPoly for an S-fraction."""
-
-    def __init__(self, alpha):
-        self._alpha = alpha
-
-    def alpha(self, n):
-        return as_poly(self._alpha(n))
-
-
-class JFractionSpec:
-    """Coefficient formulas gamma (n >= 0) and beta (n >= 1)."""
-
-    def __init__(self, gamma, beta):
-        self._gamma = gamma
-        self._beta = beta
-
-    def gamma(self, n):
-        return as_poly(self._gamma(n))
-
-    def beta(self, n):
-        return as_poly(self._beta(n))
+def expand_jfraction(gamma, beta, order):
+    """Taylor coefficients of the J-fraction through t^order: Motzkin
+    paths with level steps at height h weighted gamma(h) and falls from
+    height h weighted beta(h)."""
+    g = cache(lambda h: as_poly(gamma(h)))
+    b = cache(lambda h: as_poly(beta(h)))
+    coeffs = [MultiPoly.one()]
+    state = {0: MultiPoly.one()}
+    for j in range(1, order + 1):
+        nxt = {}
+        for h, w in state.items():
+            nxt[h] = nxt.get(h, MultiPoly.zero()) + w * g(h)
+            nxt[h + 1] = nxt.get(h + 1, MultiPoly.zero()) + w
+            if h > 0:
+                nxt[h - 1] = nxt.get(h - 1, MultiPoly.zero()) + w * b(h)
+        # a path above height order - j cannot return to 0 in time
+        state = {h: w for h, w in nxt.items() if w and h <= order - j}
+        coeffs.append(state.get(0, MultiPoly.zero()))
+    return PowerSeries(coeffs, order)
 
 
-def expand_sfraction(spec, order, depth=None):
-    """Taylor coefficients of the S-fraction through t^order.
-
-    Nested evaluation from the innermost level (replaced by 1) upward;
-    depth >= order+1 levels suffice because each level contributes t.
-    """
-    if depth is None:
-        depth = order + 1
-    f = PowerSeries.one(order)
-    for k in range(depth, 0, -1):
-        # f <- 1/(1 - alpha_k t f)
-        inner = PowerSeries.one(order) - (f * spec.alpha(k)).shift()
-        f = inner.reciprocal()
-    return f
-
-
-def expand_jfraction(spec, order, depth=None):
-    """Taylor coefficients of the J-fraction through t^order.
-
-    Each beta level contributes t^2, so depth >= order//2 + 1 suffices.
-    """
-    if depth is None:
-        depth = order // 2 + 1
-    f = PowerSeries.one(order)
-    for k in range(depth - 1, -1, -1):
-        # f <- 1/(1 - gamma_k t - beta_{k+1} t^2 f)
-        inner = (PowerSeries.one(order)
-                 - PowerSeries([MultiPoly.zero(), spec.gamma(k)], order)
-                 - (f * spec.beta(k + 1)).shift(2))
-        f = inner.reciprocal()
-    return f
-
-
-def contract_s_to_j(spec):
-    """J-fraction equivalent of an S-fraction."""
-    def gamma(n):
-        if n == 0:
-            return spec.alpha(1)
-        return spec.alpha(2 * n) + spec.alpha(2 * n + 1)
-
-    def beta(n):
-        return spec.alpha(2 * n - 1) * spec.alpha(2 * n)
-
-    return JFractionSpec(gamma, beta)
-
-
-def attach_component_weight(spec, zeta):
-    """Weight each connected component by zeta: multiply alpha_1 (S-case)
-    or gamma_0 and beta_1 (J-case) by zeta."""
+def attach_component_weight(alpha, zeta):
+    """Weight each connected component by zeta: the S-fraction coefficient
+    function with alpha_1 multiplied by zeta."""
     zeta = as_poly(zeta)
-    if isinstance(spec, SFractionSpec):
-        return SFractionSpec(
-            lambda n: zeta * spec.alpha(1) if n == 1 else spec.alpha(n))
-    return JFractionSpec(
-        lambda n: zeta * spec.gamma(0) if n == 0 else spec.gamma(n),
-        lambda n: zeta * spec.beta(1) if n == 1 else spec.beta(n))
+    return lambda n: zeta * as_poly(alpha(1)) if n == 1 else alpha(n)
 
 
 def indecomposable_series(f):

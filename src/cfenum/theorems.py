@@ -12,8 +12,7 @@ import random
 import time
 
 from .mpoly import Indeterminate, Monomial, MultiPoly, as_poly, var
-from .series import (SFractionSpec, JFractionSpec,
-                     expand_sfraction, expand_jfraction,
+from .series import (expand_sfraction, expand_jfraction,
                      attach_component_weight, indecomposable_series,
                      RationalSeries, jfraction_from_series,
                      TerminatedFraction, NonUnitConstantTerm)
@@ -191,71 +190,6 @@ def _poly(obj, family="all", weight="unit", subst=None, zeta=False,
 
 
 # ---------------------------------------------------------------------------
-# Taylor coefficients of S- and J-fractions via weighted lattice-path
-# sums.  Unlike nested series reciprocals, the intermediate polynomial
-# sizes here are bounded by the weighted counts of path prefixes, which
-# keeps symbolic master weights tractable.
-
-def _jfraction_coeffs(gamma, beta, order):
-    """[t^0..t^order] of the J-fraction: Motzkin paths with level steps
-    at height h weighted gamma(h) and falls from height h weighted
-    beta(h)."""
-    coeffs = [as_poly(1)]
-    gcache = {}
-    bcache = {}
-
-    def g(h):
-        if h not in gcache:
-            gcache[h] = as_poly(gamma(h))
-        return gcache[h]
-
-    def b(h):
-        if h not in bcache:
-            bcache[h] = as_poly(beta(h))
-        return bcache[h]
-
-    state = {0: as_poly(1)}
-    for j in range(1, order + 1):
-        nxt = {}
-        for h, w in state.items():
-            # a path at height h must still be able to return to 0
-            if h > order - j + 1:
-                continue
-            nxt[h] = nxt.get(h, as_poly(0)) + w * g(h)
-            nxt[h + 1] = nxt.get(h + 1, as_poly(0)) + w
-            if h > 0:
-                nxt[h - 1] = nxt.get(h - 1, as_poly(0)) + w * b(h)
-        state = {h: w for h, w in nxt.items() if w and h <= order - j}
-        coeffs.append(state.get(0, as_poly(0)))
-    return coeffs
-
-
-def _sfraction_coeffs(alpha, order):
-    """[t^0..t^order] of the S-fraction: Dyck paths of semilength n with
-    falls from height h weighted alpha(h)."""
-    coeffs = [as_poly(1)]
-    acache = {}
-
-    def a(h):
-        if h not in acache:
-            acache[h] = as_poly(alpha(h))
-        return acache[h]
-
-    state = {0: as_poly(1)}
-    for j in range(1, 2 * order + 1):
-        nxt = {}
-        for h, w in state.items():
-            if h <= 2 * order - j - 1:
-                nxt[h + 1] = nxt.get(h + 1, as_poly(0)) + w
-            if h > 0:
-                nxt[h - 1] = nxt.get(h - 1, as_poly(0)) + w * a(h)
-        state = {h: w for h, w in nxt.items() if w}
-        if j % 2 == 0:
-            coeffs.append(state.get(0, as_poly(0)))
-    return coeffs
-
-
-# ---------------------------------------------------------------------------
 # Master-formula coefficient builders (for coherence checks)
 
 def _star(f, m):
@@ -415,12 +349,7 @@ def verify_theorem(tid, n_max=None, order=None, seed=0):
                     first = e
     else:
         order = n_max if order is None else max(order, n_max)
-        if case.series is not None:
-            coeffs = case.series(order).coeffs
-        elif case.alpha is not None:
-            coeffs = _sfraction_coeffs(case.alpha, order)
-        else:
-            coeffs = _jfraction_coeffs(case.gamma, case.beta, order)
+        coeffs = _expand(case, order).coeffs
         for n in range(n_max + 1):
             expected = as_poly(case.poly(n))
             got = coeffs[n]
@@ -475,16 +404,20 @@ def test_conjecture_v2(n_max=None, order=None):
     return verify_theorem("conj.v2.full", n_max=n_max, order=order)
 
 
+def _expand(case, order):
+    """The PowerSeries through t^order of a fraction entry."""
+    if case.series is not None:
+        return case.series(order)
+    if case.alpha is not None:
+        return expand_sfraction(case.alpha, order)
+    if case.gamma is not None:
+        return expand_jfraction(case.gamma, case.beta, order)
+    raise UnknownTheorem("%s is not a fraction entry" % (case.id,))
+
+
 def expand_registered(tid, order):
     """Taylor coefficients [t^0..t^order] of a registered fraction."""
-    case = _get(tid)
-    if case.series is not None:
-        return list(case.series(order).coeffs)
-    if case.alpha is not None:
-        return _sfraction_coeffs(case.alpha, order)
-    if case.gamma is not None:
-        return _jfraction_coeffs(case.gamma, case.beta, order)
-    raise UnknownTheorem("%s is not a fraction entry" % (tid,))
+    return _expand(_get(tid), order).coeffs
 
 
 def _alt(odd, even):
@@ -1149,17 +1082,13 @@ _register(TheoremCase(
 # ===========================================================================
 # Permutations: connected components
 
-def _fourvar_spec():
-    return SFractionSpec(_fourvar_alpha)
-
-
 _register(TheoremCase(
     "perm.cc.zeta", "SFraction",
     "Insert zeta^cc into the four-variable polynomial: multiply alpha_1 "
     "by zeta.",
     6,
     poly=_poly("perm", weight="four-var-arec", zeta=True),
-    alpha=lambda m: ZETA * _fourvar_alpha(1) if m == 1 else _fourvar_alpha(m),
+    alpha=attach_component_weight(_fourvar_alpha, ZETA),
 ))
 
 _register(TheoremCase(
@@ -1169,7 +1098,7 @@ _register(TheoremCase(
     poly=lambda n: as_poly(0) if n == 0 else
         _enum("perm", n, "indecomposable", "four-var-arec"),
     series=lambda order: indecomposable_series(
-        expand_sfraction(_fourvar_spec(), order)),
+        expand_sfraction(_fourvar_alpha, order)),
 ))
 
 
@@ -1477,7 +1406,7 @@ _register(TheoremCase(
     "by zeta.",
     8,
     poly=_poly("setpart", weight="three-var", zeta=True),
-    alpha=lambda m: ZETA * _spS_alpha(1) if m == 1 else _spS_alpha(m),
+    alpha=attach_component_weight(_spS_alpha, ZETA),
 ))
 
 _register(TheoremCase(
@@ -1487,7 +1416,7 @@ _register(TheoremCase(
     poly=lambda n: as_poly(0) if n == 0 else
         _enum("setpart", n, "indecomposable", "three-var"),
     series=lambda order: indecomposable_series(
-        expand_sfraction(SFractionSpec(_spS_alpha), order)),
+        expand_sfraction(_spS_alpha, order)),
 ))
 
 
@@ -1582,20 +1511,9 @@ _register(TheoremCase(
 ))
 
 
-_touchard_series_cache = {}
-
-
-def _touchard_series(order):
-    s = _touchard_series_cache.get(order)
-    if s is None:
-        s = expand_sfraction(SFractionSpec(lambda m: qint(m, P_)), order)
-        _touchard_series_cache[order] = s
-    return s
-
-
 def _touchard_identity(n):
     tr = touchard_riordan(n)
-    ok = tr == _touchard_series(8 if n <= 8 else n).coeffs[n]
+    ok = tr == expand_sfraction(lambda m: qint(m, P_), n).coeffs[n]
     if ok and n <= 6:
         ok = tr == _enum("match", n, "all", "cr")
     return ok, None
@@ -1622,18 +1540,6 @@ _MATCH_CC_TABLE = {
     8: [1708394, 273064, 38886, 5696, 850, 120, 14, 1],
 }
 
-_match_cc_series_cache = {}
-
-
-def _match_cc_series(order):
-    s = _match_cc_series_cache.get(order)
-    if s is None:
-        spec = attach_component_weight(SFractionSpec(lambda m: m), ZETA)
-        s = expand_sfraction(spec, order)
-        _match_cc_series_cache[order] = s
-    return s
-
-
 def _match_cc_table_identity(n):
     row = _MATCH_CC_TABLE.get(n)
     if row is None:
@@ -1643,7 +1549,8 @@ def _match_cc_table_identity(n):
         expected = expected + c * as_poly(ZETA) ** k
     if n == 0:
         expected = as_poly(1)
-    got = _match_cc_series(max(n, 8)).coeffs[n]
+    got = expand_sfraction(attach_component_weight(lambda m: m, ZETA),
+                           n).coeffs[n]
     ok = expected == got
     if ok and n <= 6:
         ok = expected == _enum("match", n, "all", "zeta-cc")
@@ -1663,7 +1570,7 @@ _register(TheoremCase(
     "Insert zeta^cc into the four-variable matching polynomial.",
     6,
     poly=_poly("match", weight="four-var-cp", zeta=True),
-    alpha=lambda m: ZETA * _match4_alpha(1) if m == 1 else _match4_alpha(m),
+    alpha=attach_component_weight(_match4_alpha, ZETA),
 ))
 
 _register(TheoremCase(
@@ -1673,7 +1580,7 @@ _register(TheoremCase(
     poly=lambda n: as_poly(0) if n == 0 else
         _enum("match", n, "indecomposable", "four-var-cp"),
     series=lambda order: indecomposable_series(
-        expand_sfraction(SFractionSpec(_match4_alpha), order)),
+        expand_sfraction(_match4_alpha, order)),
 ))
 
 

@@ -11,8 +11,8 @@ from cfenum.matchstats import enumerate_matching_polynomial, touchard_riordan
 from cfenum.mpoly import Monomial, var
 from cfenum.permstats import (enumerate_perm_polynomial, iter_permutations,
                               perm_stat_totals)
-from cfenum.series import (JFractionSpec, attach_component_weight,
-                           expand_jfraction, indecomposable_series)
+from cfenum.series import (attach_component_weight, expand_jfraction,
+                           expand_sfraction, indecomposable_series)
 from cfenum.theorems import REGISTRY, check_identity, list_theorems, \
     verify_theorem
 from cfenum.theorems import test_conjecture_v2 as conjecture_v2
@@ -134,12 +134,15 @@ def test_criterion_10_cc_and_indecomposable():
         _ok(verify_theorem(tid), tid)
     # attach_component_weight / indecomposable_series against direct
     # enumeration in the unweighted (counting) case
+    # n! is the S-fraction alpha_n = ceil(n/2) and its contraction, the
+    # J-fraction gamma_n = 2n+1, beta_n = n^2
     z = var("zeta")
-    perm_j = JFractionSpec(lambda n: 2 * n + 1, lambda n: n * n)
-    f = expand_jfraction(attach_component_weight(perm_j, z), 6)
+    f = expand_sfraction(attach_component_weight(lambda n: (n + 1) // 2, z),
+                         6)
     for n in range(7):
         assert f.coeffs[n] == enumerate_perm_polynomial(n, weight="zeta-cc")
-    g = indecomposable_series(expand_jfraction(perm_j, 6))
+    g = indecomposable_series(
+        expand_jfraction(lambda n: 2 * n + 1, lambda n: n * n, 6))
     for n in range(1, 7):
         assert g.coeffs[n].constant_term() == sum(
             1 for sg in iter_permutations(n)

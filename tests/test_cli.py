@@ -182,3 +182,29 @@ def test_workers_option_is_deterministic(runner):
     da, db = json.loads(base), json.loads(alt)
     da["wall_time"] = db["wall_time"] = None
     assert da == db
+
+
+def test_negative_n_or_order_is_usage_error(runner):
+    for args in (["verify", "perm.euler.factorial", "--n", "-1"],
+                 ["verify", "perm.euler.factorial", "--order", "-1"],
+                 ["conjecture", "--n", "-2"],
+                 ["conjecture", "--order", "-1"],
+                 ["enumerate", "--object", "perm", "--n", "-1"]):
+        res = _run(runner, args)
+        assert res.exit_code == 2, args
+        assert "is not in the range" in res.output
+        assert '"ok"' not in res.output
+
+
+def test_workers_from_environment(runner):
+    base = _run(runner, ["verify", "sp.bell.classic", "--n", "5"]).output
+    alt = _run(runner, ["verify", "sp.bell.classic", "--n", "5"],
+               env={"CFENUM_WORKERS": "3"}).output
+    da, db = json.loads(base), json.loads(alt)
+    da["wall_time"] = db["wall_time"] = None
+    assert da == db
+    for bad in ("abc", "0"):
+        res = _run(runner, ["verify", "sp.bell.classic", "--n", "5"],
+                   env={"CFENUM_WORKERS": bad})
+        assert res.exit_code == 2
+        assert "--workers" in res.output

@@ -8,7 +8,7 @@ from cfenum.matchstats import (Matching, NotAMatching,
                                matching_stat_totals, touchard_riordan)
 from cfenum.mpoly import Monomial, MultiPoly, as_poly, var
 from cfenum.permstats import enumerate_perm_polynomial
-from cfenum.series import SFractionSpec, expand_sfraction
+from cfenum.series import expand_sfraction
 
 
 def _pqint(n, p, q):
@@ -78,7 +78,7 @@ def test_four_var_sfraction():
             return x + (2 * k - 2) * u
         return y + (2 * k - 1) * v
 
-    f = expand_sfraction(SFractionSpec(alpha), 6)
+    f = expand_sfraction(alpha, 6)
     for n in range(7):
         assert f.coeffs[n] \
             == enumerate_matching_polynomial(n, weight="four-var-cp")
@@ -100,7 +100,7 @@ def test_six_var_sfraction():
             return (x + (2 * k - 2) * u) * xb
         return (y + (2 * k - 1) * v) * yb
 
-    f = expand_sfraction(SFractionSpec(alpha), 5)
+    f = expand_sfraction(alpha, 5)
     for n in range(6):
         assert f.coeffs[n] \
             == enumerate_matching_polynomial(n, weight="six-var")
@@ -118,7 +118,7 @@ def test_pq_sfraction():
         return (as_poly(pp) ** (2 * k - 1) * y
                 + qp * _pqint(2 * k - 1, pp, qp) * v)
 
-    f = expand_sfraction(SFractionSpec(alpha), 5)
+    f = expand_sfraction(alpha, 5)
     for n in range(6):
         assert f.coeffs[n] == enumerate_matching_polynomial(n, weight="pq")
         assert f.coeffs[n] == enumerate_matching_polynomial(n, weight="pq-cv")
@@ -131,7 +131,7 @@ def test_master_sfraction():
                     as_poly(0))
         return astar * var("b", k)
 
-    f = expand_sfraction(SFractionSpec(alpha), 5)
+    f = expand_sfraction(alpha, 5)
     for n in range(6):
         assert f.coeffs[n] == enumerate_matching_polynomial(n, weight="master")
 

@@ -1,5 +1,7 @@
 """Unit tests for labeled Motzkin paths and the six bijections."""
 
+from itertools import product
+
 import pytest
 
 from cfenum.mpoly import Indeterminate, as_poly
@@ -7,11 +9,12 @@ from cfenum.paths import (BIJECTION_PFS, ColoredStep, InvalidPath,
                           LabeledMotzkinPath, PF_FZ, PossibilityFunction,
                           TypeMismatch, decode, encode, path_from_json,
                           path_to_json, path_validate,
-                          sp_reversed_index_stats, weighted_path_sum)
+                          sp_reversed_index_stats)
 from cfenum.paths import _SP_MODES
 from cfenum.permstats import (Permutation, enumerate_perm_polynomial,
                               iter_permutations, perm_index_profile,
                               perm_stat_totals)
+from cfenum.series import expand_jfraction
 from cfenum.setpartstats import (SetPartition, iter_set_partitions,
                                  sp_index_profile, sp_reverse)
 
@@ -233,11 +236,38 @@ def test_reversed_stats_against_reversal_map():
     check_reversed_stats(6)
 
 
+def _step_sum(pf, step_weights, kind, color, height):
+    """Sum of step_weights(kind, color, height, label) over every label the
+    possibility function allows for one step starting at height."""
+    bounds = pf.bound(ColoredStep(kind, color), height)
+    bounds = bounds if isinstance(bounds, tuple) else (bounds,)
+    total = as_poly(0)
+    for label in product(*(range(1, b + 1) for b in bounds)):
+        arg = label[0] if len(label) == 1 else label
+        total = total + step_weights(kind, color, height, arg)
+    return total
+
+
+def _weighted_path_sums(pf, step_weights, order):
+    """Weighted labelled Motzkin paths of length 0..order, as the
+    J-fraction with gamma(h) = all level steps at height h and
+    beta(h) = rise(h-1) * fall(h)."""
+    def gamma(h):
+        return sum((_step_sum(pf, step_weights, "L", c, h)
+                    for c in range(1, pf.colors() + 1)), as_poly(0))
+
+    def beta(h):
+        return _step_sum(pf, step_weights, "R", 1, h - 1) \
+            * _step_sum(pf, step_weights, "F", 1, h)
+
+    return expand_jfraction(gamma, beta, order).coeffs
+
+
 def test_weighted_path_sum_motzkin():
     pf = PossibilityFunction(lambda k: 1, lambda k: 1, (lambda k: 1,))
     unit = lambda kind, color, height, label: as_poly(1)
-    assert weighted_path_sum(pf, unit, 0) == as_poly(1)
-    assert weighted_path_sum(pf, unit, 4) == as_poly(9)
+    assert _weighted_path_sums(pf, unit, 4) \
+        == [as_poly(c) for c in (1, 1, 2, 4, 9)]
 
 
 def test_weighted_path_sum_matches_master_enumeration():
@@ -253,9 +283,9 @@ def test_weighted_path_sum_matches_master_enumeration():
             return as_poly(Indeterminate("d", k - xi, xi - 1))
         return as_poly(Indeterminate("e", k))
 
+    sums = _weighted_path_sums(PF_FZ, fz_weights, 4)
     for n in range(5):
-        assert weighted_path_sum(PF_FZ, fz_weights, n) \
-            == enumerate_perm_polynomial(n, weight="master1")
+        assert sums[n] == enumerate_perm_polynomial(n, weight="master1")
 
 
 def test_json_round_trip():

@@ -5,32 +5,57 @@ from fractions import Fraction
 import pytest
 
 from cfenum.mpoly import MultiPoly, as_poly, var
-from cfenum.series import (InsufficientOrder, JFractionSpec,
-                           NonUnitConstantTerm, PowerSeries, RationalSeries,
-                           SFractionSpec, TerminatedFraction,
-                           attach_component_weight, contract_s_to_j,
-                           expand_jfraction, expand_sfraction,
-                           indecomposable_series, jfraction_from_series)
+from cfenum.series import (InsufficientOrder, NonUnitConstantTerm,
+                           PowerSeries, RationalSeries, TerminatedFraction,
+                           attach_component_weight, expand_jfraction,
+                           expand_sfraction, indecomposable_series,
+                           jfraction_from_series)
 
 
 def _ints(series):
     return [c.constant_term() for c in series.coeffs]
 
 
-def test_series_arithmetic_and_shift():
+# Nested reciprocals, innermost level first: the independent oracle for
+# the path DP of expand_sfraction / expand_jfraction.
+
+def nested_sfraction(alpha, order):
+    """[t^0..t^order] of 1/(1 - alpha_1 t/(1 - alpha_2 t/(1 - ...)))."""
+    f = [as_poly(1)]
+    for k in range(order + 1, 0, -1):
+        # f <- 1/(1 - alpha_k t f)
+        inner = [as_poly(1)] + [-as_poly(alpha(k)) * c for c in f[:order]]
+        f = PowerSeries(inner, order).reciprocal().coeffs
+    return f
+
+
+def nested_jfraction(gamma, beta, order):
+    """[t^0..t^order] of 1/(1 - g_0 t - b_1 t^2/(1 - g_1 t - ...))."""
+    f = [as_poly(1)]
+    for k in range(order // 2, -1, -1):
+        # f <- 1/(1 - gamma_k t - beta_{k+1} t^2 f)
+        inner = [as_poly(1), -as_poly(gamma(k))] \
+            + [-as_poly(beta(k + 1)) * c for c in f[:order - 1]]
+        f = PowerSeries(inner, order).reciprocal().coeffs
+    return f
+
+
+def test_series_padding_and_subtraction():
     s = PowerSeries([1, 2, 3], 5)
     t = PowerSeries([1, 1], 5)
-    assert _ints(s + t) == [2, 3, 3, 0, 0, 0]
+    assert _ints(s) == [1, 2, 3, 0, 0, 0]
+    assert _ints(PowerSeries([1, 2, 3], 1)) == [1, 2]
     assert _ints(s - t) == [0, 1, 3, 0, 0, 0]
-    assert _ints(s * t) == [1, 3, 5, 3, 0, 0]
-    assert _ints(s.shift(2)) == [0, 0, 1, 2, 3, 0]
-    assert _ints(s * 2) == [2, 4, 6, 0, 0, 0]
+    assert s - s == PowerSeries([], 5)
+    assert PowerSeries.one(3) == PowerSeries([1], 3)
 
 
 def test_reciprocal_geometric():
     s = PowerSeries([1, -1], 6)
     assert _ints(s.reciprocal()) == [1] * 7
-    assert s.reciprocal() * s == PowerSeries.one(6)
+    # 1/(1 - t - t^2) gives the Fibonacci numbers.
+    assert _ints(PowerSeries([1, -1, -1], 7).reciprocal()) \
+        == [1, 1, 2, 3, 5, 8, 13, 21]
 
 
 def test_reciprocal_requires_unit_constant():
@@ -40,63 +65,57 @@ def test_reciprocal_requires_unit_constant():
 
 def test_sfraction_all_ones_is_catalan():
     # alpha_n = 1 gives the Catalan generating function.
-    f = expand_sfraction(SFractionSpec(lambda n: 1), 8)
+    f = expand_sfraction(lambda n: 1, 8)
     assert _ints(f) == [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
 
 def test_sfraction_double_factorials_and_factorials():
     # alpha_n = n gives the odd double factorials (2n-1)!!.
-    f = expand_sfraction(SFractionSpec(lambda n: n), 6)
+    f = expand_sfraction(lambda n: n, 6)
     assert _ints(f) == [1, 1, 3, 15, 105, 945, 10395]
     # alpha_n = ceil(n/2) gives n!.
-    f = expand_sfraction(SFractionSpec(lambda n: (n + 1) // 2), 7)
+    f = expand_sfraction(lambda n: (n + 1) // 2, 7)
     assert _ints(f) == [1, 1, 2, 6, 24, 120, 720, 5040]
 
 
 def test_jfraction_motzkin_and_bell():
     # gamma_n = 1, beta_n = 1: Motzkin numbers.
-    f = expand_jfraction(JFractionSpec(lambda n: 1, lambda n: 1), 7)
+    f = expand_jfraction(lambda n: 1, lambda n: 1, 7)
     assert _ints(f) == [1, 1, 2, 4, 9, 21, 51, 127]
     # gamma_n = n+1, beta_n = n: Bell numbers.
-    f = expand_jfraction(JFractionSpec(lambda n: n + 1, lambda n: n), 7)
+    f = expand_jfraction(lambda n: n + 1, lambda n: n, 7)
     assert _ints(f) == [1, 1, 2, 5, 15, 52, 203, 877]
 
 
 def test_contraction_matches_direct_expansion():
+    # Contraction: the S-fraction equals the J-fraction with g_0 = a_1,
+    # g_n = a_{2n} + a_{2n+1} and b_n = a_{2n-1} a_{2n}.
     x, y = var("x"), var("y")
-    spec = SFractionSpec(lambda n: x + n * y)
-    f = expand_sfraction(spec, 8)
-    g = expand_jfraction(contract_s_to_j(spec), 8)
-    assert f == g
-
-
-def test_contraction_formulas():
-    spec = SFractionSpec(lambda n: as_poly(10 * n))
-    j = contract_s_to_j(spec)
-    assert j.gamma(0) == as_poly(10)
-    assert j.gamma(2) == as_poly(40 + 50)
-    assert j.beta(2) == as_poly(30 * 40)
+    for alpha in (lambda n: x + n * y, lambda n: 10 * n):
+        gamma = lambda n, a=alpha: a(1) if n == 0 else a(2 * n) + a(2 * n + 1)
+        beta = lambda n, a=alpha: a(2 * n - 1) * a(2 * n)
+        assert expand_sfraction(alpha, 8) == expand_jfraction(gamma, beta, 8)
 
 
 def test_attach_component_weight():
     z = var("z")
+    alpha = lambda n: n
+    weighted = attach_component_weight(alpha, z)
+    assert [weighted(n) for n in (1, 2, 3)] == [as_poly(z), 2, 3]
     # Each connected component weighted by z; at z=1 nothing changes.
-    spec = SFractionSpec(lambda n: n)
-    f = expand_sfraction(attach_component_weight(spec, z), 6)
+    f = expand_sfraction(weighted, 6)
     assert [c.substitute({"z": 1}) for c in f.coeffs] \
-        == expand_sfraction(spec, 6).coeffs
-    jspec = JFractionSpec(lambda n: n + 1, lambda n: n)
-    g = expand_jfraction(attach_component_weight(jspec, z), 6)
-    assert [c.substitute({"z": 1}) for c in g.coeffs] \
-        == expand_jfraction(jspec, 6).coeffs
+        == expand_sfraction(alpha, 6).coeffs
     # z=0 kills every nonempty object.
-    assert [c.substitute({"z": 0}) for c in g.coeffs[1:]] \
+    assert [c.substitute({"z": 0}) for c in f.coeffs[1:]] \
         == [MultiPoly.zero()] * 6
+    # Matchings of [4]: two with one component, one with two.
+    assert f.coeffs[2] == 2 * as_poly(z) + as_poly(z) ** 2
 
 
 def test_indecomposable_series():
     # For factorials, indecomposable counts are 1,1,3,13,71,461,...
-    f = expand_sfraction(SFractionSpec(lambda n: (n + 1) // 2), 6)
+    f = expand_sfraction(lambda n: (n + 1) // 2, 6)
     g = indecomposable_series(f)
     assert _ints(g) == [0, 1, 1, 3, 13, 71, 461]
 
@@ -113,8 +132,7 @@ def test_rational_series_reciprocal():
 def test_jfraction_from_series_round_trip():
     gam = [3, 1, 4, 1, 5, 9]
     bet = [0, 2, 7, 1, 8, 2]  # bet[0] unused
-    spec = JFractionSpec(lambda n: gam[n], lambda n: bet[n])
-    f = expand_jfraction(spec, 9)
+    f = expand_jfraction(lambda n: gam[n], lambda n: bet[n], 9)
     s = RationalSeries(_ints(f), 9)
     gammas, betas = jfraction_from_series(s, 4)
     assert gammas == gam[:5]
