@@ -16,21 +16,12 @@ import click
 
 from . import __version__
 from .mpoly import Indeterminate, ParseError, as_poly, from_text, to_text
-from .permstats import Permutation, NotABijection, perm_index_profile, \
-    perm_stat_totals, enumerate_perm_polynomial
-from .setpartstats import SetPartition, NotAPartition, setpart_from_blocks, \
-    sp_stat_totals, enumerate_sp_polynomial
-from .matchstats import Matching, NotAMatching, matching_stat_totals, \
-    enumerate_matching_polynomial
+from .permstats import Permutation, NotABijection, UnknownWeightMap, \
+    perm_index_profile, perm_stat_totals
+from .setpartstats import NotAPartition, setpart_from_blocks, sp_stat_totals
+from .matchstats import Matching, NotAMatching, matching_stat_totals
 from . import paths as pathmod
 from . import theorems as thm
-
-
-_ENUMERATORS = {
-    "perm": enumerate_perm_polynomial,
-    "setpart": enumerate_sp_polynomial,
-    "match": enumerate_matching_polynomial,
-}
 
 _INDET_KEY = re.compile(
     r"^([A-Za-z_][A-Za-z0-9_]*?)(?:\[(\d+(?:,\d+)*)\])?$")
@@ -121,13 +112,6 @@ def _parse_pairs(text):
         _fail_usage("bad pair list %r: %s" % (text, exc))
 
 
-def _workers_option(f):
-    return click.option(
-        "--workers", type=click.IntRange(min=1), default=1,
-        envvar="CFENUM_WORKERS",
-        help="Worker count (output is identical for any value).")(f)
-
-
 _FMT = click.option("--format", "fmt", type=click.Choice(["json", "text"]),
                     default="json", help="Output format.")
 
@@ -157,9 +141,8 @@ def _run_verify(tid, n, order, seed):
 @click.option("--order", type=click.IntRange(min=0), default=None,
               help="Truncation order.")
 @click.option("--seed", type=int, default=0, help="Seed for witnesses.")
-@_workers_option
 @_FMT
-def verify(theorem_id, n, order, seed, workers, fmt):
+def verify(theorem_id, n, order, seed, fmt):
     """Verify one registered theorem, corollary, identity, or witness."""
     report = _run_verify(theorem_id, n, order, seed)
     out = _stamp(report.to_dict(), theorem_id=report.theorem_id,
@@ -169,19 +152,20 @@ def verify(theorem_id, n, order, seed, workers, fmt):
 
 
 @main.command("verify-all")
-@click.option("--budget", type=float, default=600.0,
-              help="Wall-time budget in seconds.")
+@click.option("--budget", type=click.FloatRange(min=0), default=600.0,
+              help="Wall-time budget in seconds; entries reached after it "
+                   "runs out are skipped and the run is not ok.")
 @click.option("--seed", type=int, default=0, help="Seed for witnesses.")
-@_workers_option
 @_FMT
-def verify_all(budget, seed, workers, fmt):
+def verify_all(budget, seed, fmt):
     """Verify every registered entry at its default n_max."""
     t0 = time.time()
     results = []
     all_ok = True
     for tid in thm.list_theorems():
-        if time.time() - t0 > budget:
+        if time.time() - t0 >= budget:
             results.append({"id": tid, "skipped": True})
+            all_ok = False
             continue
         report = thm.verify_theorem(tid, seed=seed)
         all_ok = all_ok and report.ok
@@ -202,9 +186,8 @@ def verify_all(budget, seed, workers, fmt):
               help="Largest n to check.")
 @click.option("--order", type=click.IntRange(min=0), default=None,
               help="Truncation order.")
-@_workers_option
 @_FMT
-def conjecture(n, order, workers, fmt):
+def conjecture(n, order, fmt):
     """Forward-check the conjectured second J-fraction."""
     report = thm.test_conjecture_v2(n_max=n, order=order)
     out = _stamp(report.to_dict(), theorem_id=report.theorem_id,
@@ -235,7 +218,7 @@ def expand(theorem_id, order, fmt):
 
 @main.command()
 @click.option("--object", "obj", required=True,
-              type=click.Choice(sorted(_ENUMERATORS)))
+              type=click.Choice(sorted(thm.ENUMERATORS)))
 @click.option("--n", type=click.IntRange(min=0), required=True,
               help="Object size (pairs for matchings).")
 @click.option("--family", default="all", help="Object family.")
@@ -249,12 +232,12 @@ def enumerate(obj, n, family, weight, subst_path, zeta, fmt):
     """Exact weighted enumeration as a polynomial."""
     subst = load_substitution(subst_path) if subst_path else None
     try:
-        poly = _ENUMERATORS[obj](n, family=family, weight=weight,
-                                 substitution=subst, with_cc_zeta=zeta)
-    except KeyError as exc:
+        poly = thm.ENUMERATORS[obj](n, family=family, weight=weight,
+                                    with_cc_zeta=zeta)
+    except UnknownWeightMap as exc:
         _fail_usage("unknown weight or family: %s" % exc)
-    except Exception as exc:
-        _fail_usage(str(exc))
+    if subst:
+        poly = poly.substitute(subst)
     out = _stamp({"object": obj, "n": n, "family": family,
                   "weight": weight, "zeta": zeta,
                   "polynomial": to_text(poly)}, n_max=n)

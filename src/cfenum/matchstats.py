@@ -7,8 +7,8 @@ A matching is viewed both as a partition of [2n] into pairs and as a
 fixed-point-free involution.
 """
 
-from .mpoly import Indeterminate, Monomial, MultiPoly, as_poly
-from .permstats import UnknownWeightMap
+from .mpoly import Indeterminate, Monomial, MultiPoly, monomial
+from .permstats import lookup, weighted_sum
 
 
 class NotAMatching(ValueError):
@@ -243,56 +243,46 @@ def touchard_riordan(n):
 # ---------------------------------------------------------------------------
 # Named weight maps.  Each maps (m, totals) to a Monomial.
 
-def _mono(pairs):
-    exps = {}
-    for fam_idx, e in pairs:
-        if e:
-            v = Indeterminate(*fam_idx) if isinstance(fam_idx, tuple) \
-                else Indeterminate(fam_idx)
-            exps[v] = exps.get(v, 0) + e
-    return Monomial(exps)
-
-
 def _w_unit(m, t):
     return Monomial()
 
 
 def _w_four_var_cp(m, t):
-    return _mono([("x", t.ecpar), ("y", t.ocpar),
-                  ("u", t.ecpnar), ("v", t.ocpnar)])
+    return monomial([("x", t.ecpar), ("y", t.ocpar),
+                     ("u", t.ecpnar), ("v", t.ocpnar)])
 
 
 def _w_four_var_cv(m, t):
-    return _mono([("x", t.ocvr), ("y", t.ecvr),
-                  ("u", t.ocvnr), ("v", t.ecvnr)])
+    return monomial([("x", t.ocvr), ("y", t.ecvr),
+                     ("u", t.ocvnr), ("v", t.ecvnr)])
 
 
 def _w_six_var(m, t):
-    return _mono([("x", t.ecpar), ("y", t.ocpar),
-                  ("u", t.ecpnar), ("v", t.ocpnar),
-                  ("xb", t.ocvr + t.ocvnr), ("yb", t.ecvr + t.ecvnr)])
+    return monomial([("x", t.ecpar), ("y", t.ocpar),
+                     ("u", t.ecpnar), ("v", t.ocpnar),
+                     ("xb", t.ocvr + t.ocvnr), ("yb", t.ecvr + t.ecvnr)])
 
 
 def _w_pq(m, t):
-    return _mono([("x", t.ecpar), ("y", t.ocpar),
-                  ("u", t.ecpnar), ("v", t.ocpnar),
-                  ("pp", t.ocrc), ("pm", t.ecrc),
-                  ("qp", t.onec), ("qm", t.enec)])
+    return monomial([("x", t.ecpar), ("y", t.ocpar),
+                     ("u", t.ecpnar), ("v", t.ocpnar),
+                     ("pp", t.ocrc), ("pm", t.ecrc),
+                     ("qp", t.onec), ("qm", t.enec)])
 
 
 def _w_pq_cv(m, t):
-    return _mono([("x", t.ocvr), ("y", t.ecvr),
-                  ("u", t.ocvnr), ("v", t.ecvnr),
-                  ("pp", t.ecr), ("pm", t.ocr),
-                  ("qp", t.ene), ("qm", t.one)])
+    return monomial([("x", t.ocvr), ("y", t.ecvr),
+                     ("u", t.ocvnr), ("v", t.ecvnr),
+                     ("pp", t.ecr), ("pm", t.ocr),
+                     ("qp", t.ene), ("qm", t.one)])
 
 
 def _w_cr(m, t):
-    return _mono([("p", t.cr)])
+    return monomial([("p", t.cr)])
 
 
 def _w_cr_ne(m, t):
-    return _mono([("p", t.cr), ("q", t.ne)])
+    return monomial([("p", t.cr), ("q", t.ne)])
 
 
 def _w_master(m, t):
@@ -300,7 +290,7 @@ def _w_master(m, t):
 
 
 def _w_zeta_cc(m, t):
-    return _mono([("zeta", t.cc)])
+    return monomial([("zeta", t.cc)])
 
 
 MATCH_WEIGHTS = {
@@ -336,44 +326,24 @@ def iter_matchings(n):
         yield Matching(plist, _trusted=True)
 
 
+def _match_stats(m):
+    return m, matching_stat_totals(m)
+
+
+MATCH_FAMILIES = {
+    "all": None,
+    "indecomposable": lambda m, t: t.cc == 1,
+}
+
+
 def enumerate_matching_polynomial(n, family="all", weight="unit",
-                                  substitution=None, with_cc_zeta=False):
+                                  with_cc_zeta=False):
     """Exact weighted sum over matchings of [2n].
 
     `weight` is a registered weight-map id or a callable
     (m, totals) -> Monomial/MultiPoly.  `family` is "all" or
-    "indecomposable".  `substitution`, if given, is applied to the final
-    polynomial.  `with_cc_zeta` multiplies every weight by zeta^cc.
+    "indecomposable".  `with_cc_zeta` multiplies every weight by zeta^cc.
     """
-    if callable(weight):
-        wfun = weight
-    else:
-        try:
-            wfun = MATCH_WEIGHTS[weight]
-        except KeyError:
-            raise UnknownWeightMap(weight) from None
-    if family == "all":
-        ffun = None
-    elif family == "indecomposable":
-        ffun = lambda m, t: t.cc == 1
-    else:
-        raise UnknownWeightMap("unknown family %r" % (family,))
-    acc = {}
-    zeta = Indeterminate("zeta")
-    for m in iter_matchings(n):
-        totals = matching_stat_totals(m)
-        if ffun is not None and not ffun(m, totals):
-            continue
-        wt = wfun(m, totals)
-        if with_cc_zeta and totals.cc:
-            wt = wt * Monomial({zeta: totals.cc})
-        if isinstance(wt, Monomial):
-            acc[wt] = acc.get(wt, 0) + 1
-        else:
-            for mon, c in as_poly(wt).terms.items():
-                acc[mon] = acc.get(mon, 0) + c
-    acc = {mon: c for mon, c in acc.items() if c}
-    result = MultiPoly(acc)
-    if substitution:
-        result = result.substitute(substitution)
-    return result
+    return weighted_sum(iter_matchings(n), _match_stats,
+                        lookup(MATCH_WEIGHTS, weight),
+                        lookup(MATCH_FAMILIES, family), with_cc_zeta)

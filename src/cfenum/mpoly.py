@@ -125,6 +125,19 @@ class Monomial:
 _ONE_MONO = Monomial()
 
 
+def monomial(pairs):
+    """Monomial from (family, exponent) pairs.  A family is a name like
+    "x" or a tuple like ("w", 3); zero exponents are dropped and repeated
+    families add up."""
+    exps = {}
+    for fam_idx, e in pairs:
+        if e:
+            v = Indeterminate(*fam_idx) if isinstance(fam_idx, tuple) \
+                else Indeterminate(fam_idx)
+            exps[v] = exps.get(v, 0) + e
+    return Monomial(exps)
+
+
 def as_poly(obj):
     """Coerce an int, Indeterminate, Monomial, or MultiPoly to MultiPoly."""
     if isinstance(obj, MultiPoly):

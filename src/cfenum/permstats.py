@@ -8,7 +8,7 @@ A permutation is stored in one-line notation.  Indices are 1-based.
 
 from itertools import permutations as _itperms
 
-from .mpoly import Indeterminate, Monomial, MultiPoly, as_poly
+from .mpoly import Indeterminate, Monomial, MultiPoly, as_poly, monomial
 
 
 class NotABijection(ValueError):
@@ -17,6 +17,42 @@ class NotABijection(ValueError):
 
 class UnknownWeightMap(KeyError):
     """No weight map registered under that id."""
+
+
+def lookup(table, key):
+    """The weight map or family filter registered under `key` in `table`.
+    A callable `key` is returned as it is: a caller's own weight map."""
+    if callable(key):
+        return key
+    try:
+        return table[key]
+    except KeyError:
+        raise UnknownWeightMap(key) from None
+
+
+def weighted_sum(objects, stats, weight, keep=None, zeta=False):
+    """Exact weighted sum over objects: the one enumeration loop.
+
+    `stats(x)` returns the weight-map arguments of object x, ending with
+    its statistic totals.  Objects for which `keep(*args)` is false are
+    skipped (`keep=None` keeps all).  `weight(*args)` returns a Monomial or
+    polynomial; with `zeta` it is multiplied by zeta^cc.
+    """
+    acc = {}
+    zvar = Indeterminate("zeta")
+    for x in objects:
+        args = stats(x)
+        if keep is not None and not keep(*args):
+            continue
+        wt = weight(*args)
+        if zeta and args[-1].cc:
+            wt = wt * Monomial({zvar: args[-1].cc})
+        if isinstance(wt, Monomial):
+            acc[wt] = acc.get(wt, 0) + 1
+        else:
+            for m, c in as_poly(wt).terms.items():
+                acc[m] = acc.get(m, 0) + c
+    return MultiPoly({m: c for m, c in acc.items() if c})
 
 
 class Permutation:
@@ -347,40 +383,30 @@ def perm_master_weight_second(sigma, profiles=None, totals=None):
 # ---------------------------------------------------------------------------
 # Named weight maps.  Each maps (sigma, profiles, totals) to a Monomial.
 
-def _mono(pairs):
-    exps = {}
-    for fam_idx, e in pairs:
-        if e:
-            v = Indeterminate(*fam_idx) if isinstance(fam_idx, tuple) \
-                else Indeterminate(fam_idx)
-            exps[v] = exps.get(v, 0) + e
-    return Monomial(exps)
-
-
 def _w_four_var_arec(sigma, profiles, t):
-    return _mono([("x", t.arec), ("y", t.erec),
-                  ("u", t.n - t.exc - t.arec), ("v", t.exc - t.erec)])
+    return monomial([("x", t.arec), ("y", t.erec),
+                     ("u", t.n - t.exc - t.arec), ("v", t.exc - t.erec)])
 
 
 def _w_four_var_cyc(sigma, profiles, t):
-    return _mono([("x", t.cyc), ("y", t.erec),
-                  ("u", t.n - t.exc - t.cyc), ("v", t.exc - t.erec)])
+    return monomial([("x", t.cyc), ("y", t.erec),
+                     ("u", t.n - t.exc - t.cyc), ("v", t.exc - t.erec)])
 
 
 def _w_two_var(sigma, profiles, t):
-    return _mono([("x", t.arec), ("y", t.erec)])
+    return monomial([("x", t.arec), ("y", t.erec)])
 
 
 def _w_two_var_cyc(sigma, profiles, t):
-    return _mono([("x", t.arec), ("y", t.erec), ("lam", t.cyc)])
+    return monomial([("x", t.arec), ("y", t.erec), ("lam", t.cyc)])
 
 
 def _w_two_var_inv(sigma, profiles, t):
-    return _mono([("x", t.arec), ("y", t.erec), ("q", t.inv)])
+    return monomial([("x", t.arec), ("y", t.erec), ("q", t.inv)])
 
 
 def _w_inv_cyc(sigma, profiles, t):
-    return _mono([("q", t.inv), ("lam", t.cyc)])
+    return monomial([("q", t.inv), ("lam", t.cyc)])
 
 
 def _ten_var_pairs(t):
@@ -395,11 +421,11 @@ def _ten_var_pairs(t):
 
 
 def _w_ten_var(sigma, profiles, t):
-    return _mono(_ten_var_pairs(t))
+    return monomial(_ten_var_pairs(t))
 
 
 def _w_ten_var_cyc(sigma, profiles, t):
-    return _mono(_ten_var_pairs(t) + [("lam", t.cyc)])
+    return monomial(_ten_var_pairs(t) + [("lam", t.cyc)])
 
 
 def _pq_pairs(t):
@@ -412,29 +438,29 @@ def _pq_pairs(t):
 
 
 def _w_pq_eleven(sigma, profiles, t):
-    return _mono(_pq_pairs(t) + [("rp", t.ujoin), ("rm", t.ljoin)])
+    return monomial(_pq_pairs(t) + [("rp", t.ujoin), ("rm", t.ljoin)])
 
 
 def _w_big(sigma, profiles, t):
-    return _mono(_ten_var_pairs(t) + _pq_pairs(t))
+    return monomial(_ten_var_pairs(t) + _pq_pairs(t))
 
 
 def _w_big_cyc(sigma, profiles, t):
-    return _mono(_ten_var_pairs(t) + _pq_pairs(t) + [("lam", t.cyc)])
+    return monomial(_ten_var_pairs(t) + _pq_pairs(t) + [("lam", t.cyc)])
 
 
 def _w_eight_var_pq(sigma, profiles, t):
-    return _mono([("x", t.arec), ("y", t.erec),
-                  ("u", t.n - t.exc - t.arec), ("v", t.exc - t.erec),
-                  ("pp", t.ucross), ("pm", t.lcross + t.ljoin),
-                  ("qp", t.unest), ("qm", t.lnest + t.psnest)])
+    return monomial([("x", t.arec), ("y", t.erec),
+                     ("u", t.n - t.exc - t.arec), ("v", t.exc - t.erec),
+                     ("pp", t.ucross), ("pm", t.lcross + t.ljoin),
+                     ("qp", t.unest), ("qm", t.lnest + t.psnest)])
 
 
 def _w_seven_var_cyc(sigma, profiles, t):
-    return _mono([("x", t.earec), ("y", t.wex),
-                  ("u", t.n - t.earec - t.wex),
-                  ("pp", t.ucross + t.unest + t.cdrise + t.psnest),
-                  ("pm", t.lcross), ("qm", t.lnest), ("lam", t.cyc)])
+    return monomial([("x", t.earec), ("y", t.wex),
+                     ("u", t.n - t.earec - t.wex),
+                     ("pp", t.ucross + t.unest + t.cdrise + t.psnest),
+                     ("pm", t.lcross), ("qm", t.lnest), ("lam", t.cyc)])
 
 
 def _w_master1(sigma, profiles, t):
@@ -450,7 +476,7 @@ def _w_unit(sigma, profiles, t):
 
 
 def _w_zeta_cc(sigma, profiles, t):
-    return _mono([("zeta", t.cc)])
+    return monomial([("zeta", t.cc)])
 
 
 PERM_WEIGHTS = {
@@ -510,43 +536,19 @@ def iter_permutations(n):
         yield Permutation(word, _trusted=True)
 
 
+def _perm_stats(sigma):
+    profiles = perm_index_profile(sigma)
+    return sigma, profiles, perm_stat_totals(sigma, profiles)
+
+
 def enumerate_perm_polynomial(n, family="all", weight="unit",
-                              substitution=None, with_cc_zeta=False):
+                              with_cc_zeta=False):
     """Exact weighted sum over a family of permutations of [n].
 
     `weight` is a registered weight-map id or a callable
-    (sigma, profiles, totals) -> Monomial/MultiPoly.  `substitution`, if
-    given, is applied to the final polynomial.  `with_cc_zeta` multiplies
-    every weight by zeta^cc.
+    (sigma, profiles, totals) -> Monomial/MultiPoly.  `with_cc_zeta`
+    multiplies every weight by zeta^cc.
     """
-    if callable(weight):
-        wfun = weight
-    else:
-        try:
-            wfun = PERM_WEIGHTS[weight]
-        except KeyError:
-            raise UnknownWeightMap(weight) from None
-    try:
-        ffun = PERM_FAMILIES[family]
-    except KeyError:
-        raise UnknownWeightMap("unknown family %r" % (family,)) from None
-    acc = {}
-    zeta = Indeterminate("zeta")
-    for sigma in iter_permutations(n):
-        profiles = perm_index_profile(sigma)
-        totals = perm_stat_totals(sigma, profiles)
-        if ffun is not None and not ffun(sigma, profiles, totals):
-            continue
-        wt = wfun(sigma, profiles, totals)
-        if with_cc_zeta and totals.cc:
-            wt = wt * Monomial({zeta: totals.cc})
-        if isinstance(wt, Monomial):
-            acc[wt] = acc.get(wt, 0) + 1
-        else:
-            for m, c in as_poly(wt).terms.items():
-                acc[m] = acc.get(m, 0) + c
-    acc = {m: c for m, c in acc.items() if c}
-    result = MultiPoly(acc)
-    if substitution:
-        result = result.substitute(substitution)
-    return result
+    return weighted_sum(iter_permutations(n), _perm_stats,
+                        lookup(PERM_WEIGHTS, weight),
+                        lookup(PERM_FAMILIES, family), with_cc_zeta)

@@ -6,8 +6,9 @@ reversal, and weighted enumeration via restricted-growth words.
 Elements are 1-based; the arc graph joins consecutive elements of a block.
 """
 
-from .mpoly import Indeterminate, Monomial, MultiPoly, as_poly
-from .permstats import UnknownWeightMap
+from .mpoly import Indeterminate, Monomial, monomial
+from .permstats import UnknownWeightMap, is_indecomposable, lookup, \
+    weighted_sum
 
 
 class NotAPartition(ValueError):
@@ -304,27 +305,17 @@ def sp_master_weight(pi, variant=1, profiles=None):
 # ---------------------------------------------------------------------------
 # Named weight maps.  Each maps (pi, profiles, totals) to a Monomial.
 
-def _mono(pairs):
-    exps = {}
-    for fam_idx, e in pairs:
-        if e:
-            v = Indeterminate(*fam_idx) if isinstance(fam_idx, tuple) \
-                else Indeterminate(fam_idx)
-            exps[v] = exps.get(v, 0) + e
-    return Monomial(exps)
-
-
 def _w_unit(pi, profiles, t):
     return Monomial()
 
 
 def _w_block_count(pi, profiles, t):
-    return _mono([("x", t.blocks)])
+    return monomial([("x", t.blocks)])
 
 
 def _w_three_var(pi, profiles, t):
-    return _mono([("x", t.blocks), ("y", t.erec),
-                  ("v", t.n - t.blocks - t.erec)])
+    return monomial([("x", t.blocks), ("y", t.erec),
+                     ("v", t.n - t.blocks - t.erec)])
 
 
 def _six_var_pairs(t):
@@ -334,41 +325,41 @@ def _six_var_pairs(t):
 
 
 def _w_six_var(pi, profiles, t):
-    return _mono(_six_var_pairs(t))
+    return monomial(_six_var_pairs(t))
 
 
 def _w_pq_eleven(pi, profiles, t):
-    return _mono(_six_var_pairs(t)
-                 + [("p1", t.crin), ("p2", t.crop),
-                    ("q1", t.nein), ("q2", t.neop), ("r", t.psne)])
+    return monomial(_six_var_pairs(t)
+                    + [("p1", t.crin), ("p2", t.crop),
+                       ("q1", t.nein), ("q2", t.neop), ("r", t.psne)])
 
 
 def _w_ovcov_eleven(pi, profiles, t):
-    return _mono([("x1", t.m1), ("x2", t.mge2),
-                  ("y1", t.brecin), ("y2", t.brecop),
-                  ("v1", t.nbrecin), ("v2", t.nbrecop),
-                  ("p1", t.ovin), ("p2", t.ov),
-                  ("q1", t.covin), ("q2", t.cov), ("r", t.pscov)])
+    return monomial([("x1", t.m1), ("x2", t.mge2),
+                     ("y1", t.brecin), ("y2", t.brecop),
+                     ("v1", t.nbrecin), ("v2", t.nbrecop),
+                     ("p1", t.ovin), ("p2", t.ov),
+                     ("q1", t.covin), ("q2", t.cov), ("r", t.pscov)])
 
 
 def _w_mixed_three(pi, profiles, t):
     # insiders by crossings/nestings/exclusive records,
     # openers by overlaps/coverings/block records
-    return _mono([("x1", t.m1), ("x2", t.mge2),
-                  ("y1", t.erecin), ("y2", t.brecop),
-                  ("v1", t.nerecin), ("v2", t.nbrecop),
-                  ("p1", t.crin), ("p2", t.ov),
-                  ("q1", t.nein), ("q2", t.cov), ("r", t.psne)])
+    return monomial([("x1", t.m1), ("x2", t.mge2),
+                     ("y1", t.erecin), ("y2", t.brecop),
+                     ("v1", t.nerecin), ("v2", t.nbrecop),
+                     ("p1", t.crin), ("p2", t.ov),
+                     ("q1", t.nein), ("q2", t.cov), ("r", t.psne)])
 
 
 def _w_mixed_four(pi, profiles, t):
     # openers by crossings/nestings/exclusive records,
     # insiders by overlaps/coverings/block records
-    return _mono([("x1", t.m1), ("x2", t.mge2),
-                  ("y1", t.brecin), ("y2", t.erecop),
-                  ("v1", t.nbrecin), ("v2", t.nerecop),
-                  ("p1", t.ovin), ("p2", t.crop),
-                  ("q1", t.covin), ("q2", t.neop), ("r", t.psne)])
+    return monomial([("x1", t.m1), ("x2", t.mge2),
+                     ("y1", t.brecin), ("y2", t.erecop),
+                     ("v1", t.nbrecin), ("v2", t.nerecop),
+                     ("p1", t.ovin), ("p2", t.crop),
+                     ("q1", t.covin), ("q2", t.neop), ("r", t.psne)])
 
 
 def _w_master(variant):
@@ -378,43 +369,43 @@ def _w_master(variant):
 
 
 def _w_x_lb(pi, profiles, t):
-    return _mono([("x", t.blocks), ("q", t.lb)])
+    return monomial([("x", t.blocks), ("q", t.lb)])
 
 
 def _w_x_ls(pi, profiles, t):
-    return _mono([("x", t.blocks), ("q", t.ls)])
+    return monomial([("x", t.blocks), ("q", t.ls)])
 
 
 def _w_x_lsprime(pi, profiles, t):
-    return _mono([("x", t.blocks), ("q", t.lsprime)])
+    return monomial([("x", t.blocks), ("q", t.lsprime)])
 
 
 def _w_x_rb(pi, profiles, t):
-    return _mono([("x", t.blocks), ("q", t.rb)])
+    return monomial([("x", t.blocks), ("q", t.rb)])
 
 
 def _w_x_rs(pi, profiles, t):
-    return _mono([("x", t.blocks), ("q", t.rs)])
+    return monomial([("x", t.blocks), ("q", t.rs)])
 
 
 def _w_lb_ls(pi, profiles, t):
-    return _mono([("x", t.blocks), ("a", t.lb), ("b", t.ls)])
+    return monomial([("x", t.blocks), ("a", t.lb), ("b", t.ls)])
 
 
 def _w_rs_rb(pi, profiles, t):
-    return _mono([("x", t.blocks), ("a", t.rs), ("b", t.rb)])
+    return monomial([("x", t.blocks), ("a", t.rs), ("b", t.rb)])
 
 
 def _w_x_iota(pi, profiles, t):
-    return _mono([("x", t.blocks), ("q", t.iota)])
+    return monomial([("x", t.blocks), ("q", t.iota)])
 
 
 def _w_x_iota_prime(pi, profiles, t):
-    return _mono([("x", t.blocks), ("q", t.iota_prime)])
+    return monomial([("x", t.blocks), ("q", t.iota_prime)])
 
 
 def _w_zeta_cc(pi, profiles, t):
-    return _mono([("zeta", t.cc)])
+    return monomial([("zeta", t.cc)])
 
 
 SP_WEIGHTS = {
@@ -483,50 +474,37 @@ def iter_set_partitions(n):
         yield setpart_from_rgs(word)
 
 
+def _sp_stats(pi):
+    profiles = sp_index_profile(pi)
+    return pi, profiles, sp_stat_totals(pi, profiles)
+
+
+SP_FAMILIES = {
+    "all": None,
+    "indecomposable": is_indecomposable,
+}
+
+
+def _sp_family(family):
+    """Family filter for an id in SP_FAMILIES or "blocks:k"."""
+    if isinstance(family, str) and family.startswith("blocks:"):
+        try:
+            block_count = int(family.split(":", 1)[1])
+        except ValueError:
+            raise UnknownWeightMap(family) from None
+        return lambda pi, profiles, t: t.blocks == block_count
+    return lookup(SP_FAMILIES, family)
+
+
 def enumerate_sp_polynomial(n, family="all", weight="unit",
-                            substitution=None, with_cc_zeta=False):
+                            with_cc_zeta=False):
     """Exact weighted sum over a family of partitions of [n].
 
     `family` is "all", "indecomposable", or "blocks:k" for a fixed block
     count k.  `weight` is a registered weight-map id or a callable
-    (pi, profiles, totals) -> Monomial/MultiPoly.  `substitution`, if
-    given, is applied to the final polynomial.  `with_cc_zeta` multiplies
-    every weight by zeta^cc.
+    (pi, profiles, totals) -> Monomial/MultiPoly.  `with_cc_zeta`
+    multiplies every weight by zeta^cc.
     """
-    if callable(weight):
-        wfun = weight
-    else:
-        try:
-            wfun = SP_WEIGHTS[weight]
-        except KeyError:
-            raise UnknownWeightMap(weight) from None
-    block_count = None
-    if family == "all":
-        ffun = None
-    elif family == "indecomposable":
-        ffun = lambda pi, profiles, t: t.cc == 1
-    elif isinstance(family, str) and family.startswith("blocks:"):
-        block_count = int(family.split(":", 1)[1])
-        ffun = lambda pi, profiles, t: t.blocks == block_count
-    else:
-        raise UnknownWeightMap("unknown family %r" % (family,))
-    acc = {}
-    zeta = Indeterminate("zeta")
-    for pi in iter_set_partitions(n):
-        profiles = sp_index_profile(pi)
-        totals = sp_stat_totals(pi, profiles)
-        if ffun is not None and not ffun(pi, profiles, totals):
-            continue
-        wt = wfun(pi, profiles, totals)
-        if with_cc_zeta and totals.cc:
-            wt = wt * Monomial({zeta: totals.cc})
-        if isinstance(wt, Monomial):
-            acc[wt] = acc.get(wt, 0) + 1
-        else:
-            for m, c in as_poly(wt).terms.items():
-                acc[m] = acc.get(m, 0) + c
-    acc = {m: c for m, c in acc.items() if c}
-    result = MultiPoly(acc)
-    if substitution:
-        result = result.substitute(substitution)
-    return result
+    return weighted_sum(iter_set_partitions(n), _sp_stats,
+                        lookup(SP_WEIGHTS, weight), _sp_family(family),
+                        with_cc_zeta)

@@ -11,7 +11,7 @@ from math import comb, factorial
 import random
 import time
 
-from .mpoly import Indeterminate, Monomial, MultiPoly, as_poly, var
+from .mpoly import as_poly, monomial, var
 from .series import (expand_sfraction, expand_jfraction,
                      attach_component_weight, indecomposable_series,
                      RationalSeries, jfraction_from_series,
@@ -133,30 +133,21 @@ def _w(ell):
     return var("w", ell)
 
 
-def _mono(pairs):
-    exps = {}
-    for fam, e in pairs:
-        if e:
-            v = var(fam)
-            exps[v] = exps.get(v, 0) + e
-    return Monomial(exps)
-
-
 # custom weight maps used only by registry entries
 def _w_inv_sixstat(sigma, profiles, t):
-    return _mono([("a", t.cval), ("b", t.cdrise), ("c", t.cpeak),
-                  ("d", t.cdfall), ("w", t.fix), ("q", t.inv)])
+    return monomial([("a", t.cval), ("b", t.cdrise), ("c", t.cpeak),
+                     ("d", t.cdfall), ("w", t.fix), ("q", t.inv)])
 
 
 def _w_q_inv(sigma, profiles, t):
-    return _mono([("q", t.inv)])
+    return monomial([("q", t.inv)])
 
 
 # ---------------------------------------------------------------------------
 # Cached enumeration
 
 _ENUM_CACHE = {}
-_ENUMERATORS = {
+ENUMERATORS = {
     "perm": enumerate_perm_polynomial,
     "setpart": enumerate_sp_polynomial,
     "match": enumerate_matching_polynomial,
@@ -164,13 +155,12 @@ _ENUMERATORS = {
 
 
 def _enum(obj, n, family="all", weight="unit", zeta=False):
-    wkey = weight if isinstance(weight, str) else \
-        "callable:" + getattr(weight, "__name__", str(id(weight)))
-    key = (obj, n, family, wkey, zeta)
+    # a callable weight is keyed by identity: two lambdas never share
+    key = (obj, n, family, weight, zeta)
     hit = _ENUM_CACHE.get(key)
     if hit is None:
-        hit = _ENUMERATORS[obj](n, family=family, weight=weight,
-                                with_cc_zeta=zeta)
+        hit = ENUMERATORS[obj](n, family=family, weight=weight,
+                               with_cc_zeta=zeta)
         _ENUM_CACHE[key] = hit
     return hit
 
@@ -428,17 +418,6 @@ def _alt(odd, even):
     return alpha
 
 
-def _cmp_extra(label, lhs, rhs, n_lo=0):
-    """Extra check comparing two n-indexed polynomial callables."""
-    def extra(n_max):
-        out = []
-        for n in range(n_lo, n_max + 1):
-            ok = as_poly(lhs(n)) == as_poly(rhs(n))
-            out.append({"check": "%s: n=%d" % (label, n), "ok": ok})
-        return out
-    return extra
-
-
 def _merge_extras(*extras):
     def extra(n_max):
         out = []
@@ -446,12 +425,6 @@ def _merge_extras(*extras):
             if e is not None:
                 out.extend(e(n_max))
         return out
-    return extra
-
-
-def _const_extra(checks):
-    def extra(n_max):
-        return checks
     return extra
 
 

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from cfenum.cli import main
+from cfenum.permstats import PERM_WEIGHTS
 
 
 @pytest.fixture
@@ -175,15 +176,6 @@ def test_encode_errors(runner):
     assert res.exit_code == 2
 
 
-def test_workers_option_is_deterministic(runner):
-    base = _run(runner, ["verify", "sp.bell.classic", "--n", "5"]).output
-    alt = _run(runner, ["verify", "sp.bell.classic", "--n", "5",
-                        "--workers", "4"]).output
-    da, db = json.loads(base), json.loads(alt)
-    da["wall_time"] = db["wall_time"] = None
-    assert da == db
-
-
 def test_negative_n_or_order_is_usage_error(runner):
     for args in (["verify", "perm.euler.factorial", "--n", "-1"],
                  ["verify", "perm.euler.factorial", "--order", "-1"],
@@ -196,15 +188,35 @@ def test_negative_n_or_order_is_usage_error(runner):
         assert '"ok"' not in res.output
 
 
-def test_workers_from_environment(runner):
-    base = _run(runner, ["verify", "sp.bell.classic", "--n", "5"]).output
-    alt = _run(runner, ["verify", "sp.bell.classic", "--n", "5"],
-               env={"CFENUM_WORKERS": "3"}).output
-    da, db = json.loads(base), json.loads(alt)
-    da["wall_time"] = db["wall_time"] = None
-    assert da == db
-    for bad in ("abc", "0"):
-        res = _run(runner, ["verify", "sp.bell.classic", "--n", "5"],
-                   env={"CFENUM_WORKERS": bad})
-        assert res.exit_code == 2
-        assert "--workers" in res.output
+def test_verify_all_negative_budget_is_usage_error(runner):
+    res = _run(runner, ["verify-all", "--budget", "-1"])
+    assert res.exit_code == 2
+    assert "is not in the range" in res.output
+    assert '"ok"' not in res.output
+
+
+def test_verify_all_skipped_entries_are_not_ok(runner):
+    res = _run(runner, ["verify-all", "--budget", "0"])
+    assert res.exit_code == 1
+    report = json.loads(res.output)
+    assert report["ok"] is False
+    assert len(report["results"]) == 78
+    assert all(r["skipped"] for r in report["results"])
+
+
+def test_enumerate_malformed_block_family(runner):
+    res = _run(runner, ["enumerate", "--object", "setpart", "--n", "3",
+                        "--family", "blocks:abc"])
+    assert res.exit_code == 2
+    assert "error: unknown weight or family" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_enumerate_internal_error_is_not_usage_error(runner, monkeypatch):
+    def broken(sigma, profiles, totals):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setitem(PERM_WEIGHTS, "unit", broken)
+    res = runner.invoke(main, ["enumerate", "--object", "perm", "--n", "2"])
+    assert res.exit_code != 2
+    assert isinstance(res.exception, RuntimeError)

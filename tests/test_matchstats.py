@@ -170,7 +170,6 @@ def test_matching_to_perm_identity():
     u, v, y = var("u"), var("v"), var("y")
     for n in range(6):
         mn = enumerate_matching_polynomial(n, weight="four-var-cp")
-        pn = enumerate_perm_polynomial(
-            n, weight="four-var-arec",
-            substitution={"y": y + v, "u": 2 * u, "v": 2 * v})
+        pn = enumerate_perm_polynomial(n, weight="four-var-arec") \
+            .substitute({"y": y + v, "u": 2 * u, "v": 2 * v})
         assert mn == pn

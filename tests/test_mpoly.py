@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfenum.mpoly import (Indeterminate, Monomial, MultiPoly, ParseError,
-                          as_poly, from_json, from_text, to_json, to_text,
-                          var)
+                          as_poly, from_json, from_text, monomial, to_json,
+                          to_text, var)
 
 
 def test_indeterminate_interning():
@@ -84,6 +84,13 @@ def test_evaluate_fractions():
 def test_monomial_ordering_is_stable():
     p = var("b") + var("a") + var("a", 1)
     assert to_text(p) == to_text(from_text(to_text(p)))
+
+
+def test_monomial_from_pairs():
+    # plain and indexed families; zero exponents drop, repeats add up
+    m = monomial([("x", 2), (("w", 3), 1), ("y", 0), ("x", 1)])
+    assert m == Monomial({var("x"): 3, var("w", 3): 1})
+    assert monomial([("z", 0)]) == Monomial()
 
 
 _small = st.integers(min_value=-4, max_value=4)

@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from cfenum.mpoly import var
+from cfenum.matchstats import MATCH_WEIGHTS
+from cfenum.mpoly import monomial, var
+from cfenum.permstats import PERM_WEIGHTS
 from cfenum.series import expand_jfraction, expand_sfraction
-from cfenum.theorems import (ALIASES, REGISTRY, UnknownIdentity,
+from cfenum.setpartstats import SP_WEIGHTS
+from cfenum.theorems import (ALIASES, ENUMERATORS, REGISTRY, UnknownIdentity,
                              UnknownTheorem, check_identity, expand_registered,
                              list_identities, list_theorems, pqint, qint,
-                             verify_theorem)
+                             verify_theorem, _poly)
 from cfenum.theorems import test_conjecture_v2 as conjecture_v2
 
 from test_series import nested_jfraction, nested_sfraction
@@ -165,3 +168,25 @@ def test_registry_expansions_match_nested_oracle():
         else:
             want = nested_jfraction(c.gamma, c.beta, 3)
         assert expand_registered(c.id, 3) == want, c.id
+
+
+@pytest.mark.parametrize("obj, table, counts", [
+    ("perm", PERM_WEIGHTS, [1, 1, 2, 6, 24, 120]),      # n!
+    ("setpart", SP_WEIGHTS, [1, 1, 2, 5, 15, 52]),      # Bell numbers
+    ("match", MATCH_WEIGHTS, [1, 1, 3, 15]),            # (2n-1)!!
+])
+def test_every_weight_map_counts_all_objects(obj, table, counts):
+    for weight in table:
+        for n, count in enumerate(counts):
+            poly = ENUMERATORS[obj](n, family="all", weight=weight)
+            assert poly.evaluate({}, default=1) == count, (weight, n)
+
+
+def test_enum_cache_keys_callable_weights_by_identity():
+    x, y = var("x"), var("y")
+    by_cycles = _poly("perm", weight=lambda sigma, profiles, t:
+                      monomial([("x", t.cyc)]))
+    by_excedances = _poly("perm", weight=lambda sigma, profiles, t:
+                          monomial([("y", t.exc)]))
+    assert by_cycles(3) == 2 * x + 3 * x ** 2 + x ** 3
+    assert by_excedances(3) == 1 + 4 * y + y ** 2
