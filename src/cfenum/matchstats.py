@@ -7,8 +7,14 @@ A matching is viewed both as a partition of [2n] into pairs and as a
 fixed-point-free involution.
 """
 
+from bisect import bisect_left, insort
+from collections import namedtuple
+from functools import partial
+from itertools import chain
+
 from .mpoly import Indeterminate, Monomial, MultiPoly, monomial
-from .permstats import lookup, weighted_sum
+from .permstats import ObjectKind, enumerate_polynomial, is_indecomposable, \
+    lookup
 
 
 class NotAMatching(ValueError):
@@ -67,6 +73,54 @@ def matching_from_pairs(pairs):
     return Matching(pairs)
 
 
+ArcProfile = namedtuple("ArcProfile",
+                        "opener_parity closer_parity cr ne qne")
+ArcProfile.__doc__ = """Per-arc profile of an arc (j, l) of a matching:
+the parities j % 2 and l % 2, cr = #{arcs (a,b) : a < j < b < l},
+ne = #{arcs (a,b) : a < j, b > l} and qne = #{arcs (a,b) : a < l < b}."""
+
+
+def _match_records(m):
+    """Per-arc profile records [2 * (j % 2) + l % 2, cr, ne, qne], in
+    closer order, and the number of connected components, from one sweep
+    over the positions with the arcs open there."""
+    w = m.partner
+    open_closers = []  # closers of the arcs open here, ascending
+    pending = [None] * len(w)
+    records = []
+    cc = 0
+    for i in range(1, len(w)):
+        l = w[i]
+        if l > i:
+            cr = bisect_left(open_closers, l)
+            pending[l] = [2 * (i % 2), cr, len(open_closers) - cr]
+            insort(open_closers, l)
+        else:
+            del open_closers[0]  # i is the smallest open closer
+            rec = pending[i]
+            rec[0] += i % 2
+            rec.append(len(open_closers))
+            records.append(rec)
+            if not open_closers:
+                cc += 1
+    return records, cc
+
+
+def match_signature(m):
+    """Signature of a matching: bytes of cc followed by the sorted arc
+    profile records, four bytes each."""
+    records, cc = _match_records(m)
+    return bytes([cc, *chain.from_iterable(sorted(records))])
+
+
+def match_decode(sig):
+    """(profiles, totals) of a matching signature."""
+    records = iter(sig[1:])
+    profiles = [ArcProfile(par >> 1, par & 1, cr, ne, qne)
+                for par, cr, ne, qne in zip(*[records] * 4)]
+    return profiles, _match_totals(profiles, sig[0])
+
+
 class MatchStatTotals:
     """All whole-matching statistic totals."""
 
@@ -89,107 +143,56 @@ def matching_stat_totals(m):
     ecrc/ocrc/enec/onec classify by the parity of k instead, which is the
     refinement that pairs with the cycle-peak classes.
     """
-    n2 = 2 * m.n
-    w = m.partner
+    return match_decode(match_signature(m))[1]
+
+
+def _match_totals(profiles, cc):
+    """Totals from the arc profiles (in any order) and cc.
+
+    An arc (j, l) nested under no arc makes j a record and l an
+    antirecord; otherwise neither is.  The arc is the second arc of cr
+    crossings (classified by j) and the inner arc of ne nestings
+    (classified by j, and by l for enec/onec); it is the first arc of
+    qne - ne crossings, whose third element is l (ecrc/ocrc).
+    """
     t = MatchStatTotals()
-    t.n = m.n
-    t.ecpar = t.ocpar = t.ecpnar = t.ocpnar = 0
-    t.ecvr = t.ocvr = t.ecvnr = t.ocvnr = 0
-    t.ecr = t.ocr = t.ene = t.one = 0
-    t.ecrc = t.ocrc = t.enec = t.onec = 0
-    prefix_max = 0
-    suffix_min = [0] * (n2 + 2)
-    suffix_min[n2 + 1] = n2 + 1
-    for i in range(n2, 0, -1):
-        suffix_min[i] = min(w[i], suffix_min[i + 1])
-    pairs = m.pairs
-    for i in range(1, n2 + 1):
-        si = w[i]
-        if si > i:
-            # cycle valley (opener)
-            is_rec = si > prefix_max
-            even = i % 2 == 0
-            if is_rec:
-                if even:
-                    t.ecvr += 1
-                else:
-                    t.ocvr += 1
-            else:
-                if even:
-                    t.ecvnr += 1
-                else:
-                    t.ocvnr += 1
+    t.n = len(profiles)
+    # indexed by parity: 0 even, 1 odd
+    cpar, cpnar, cvr, cvnr = [0, 0], [0, 0], [0, 0], [0, 0]
+    crs, nes, crc, nec = [0, 0], [0, 0], [0, 0], [0, 0]
+    for jp, lp, cr, ne, qne in profiles:
+        if ne:
+            cvnr[jp] += 1
+            cpnar[lp] += 1
         else:
-            # cycle peak (closer)
-            is_arec = si < suffix_min[i + 1]
-            even = i % 2 == 0
-            if is_arec:
-                if even:
-                    t.ecpar += 1
-                else:
-                    t.ocpar += 1
-            else:
-                if even:
-                    t.ecpnar += 1
-                else:
-                    t.ocpnar += 1
-        prefix_max = max(prefix_max, si)
-    # crossings a<c<b<d and nestings a<c<d<b over ordered arc pairs
-    for ia in range(len(pairs)):
-        a, b = pairs[ia]
-        for ib in range(ia + 1, len(pairs)):
-            c, d = pairs[ib]
-            if c >= b:
-                continue
-            if b < d:
-                # crossing a<c<b<d: opener c in second position, closer b
-                if c % 2 == 0:
-                    t.ecr += 1
-                else:
-                    t.ocr += 1
-                if b % 2 == 0:
-                    t.ecrc += 1
-                else:
-                    t.ocrc += 1
-            else:
-                # nesting a<c<d<b: opener c in second position, closer d
-                if c % 2 == 0:
-                    t.ene += 1
-                else:
-                    t.one += 1
-                if d % 2 == 0:
-                    t.enec += 1
-                else:
-                    t.onec += 1
+            cvr[jp] += 1
+            cpar[lp] += 1
+        crs[jp] += cr
+        nes[jp] += ne
+        crc[lp] += qne - ne
+        nec[lp] += ne
+    t.ecpar, t.ocpar = cpar
+    t.ecpnar, t.ocpnar = cpnar
+    t.ecvr, t.ocvr = cvr
+    t.ecvnr, t.ocvnr = cvnr
+    t.ecr, t.ocr = crs
+    t.ene, t.one = nes
+    t.ecrc, t.ocrc = crc
+    t.enec, t.onec = nec
     t.cr = t.ecr + t.ocr
     t.ne = t.ene + t.one
-    # dividers of the involution
-    cc = 0
-    pmax = 0
-    for i in range(1, n2 + 1):
-        pmax = max(pmax, w[i])
-        if pmax == i:
-            cc += 1
     t.cc = cc
     return t
 
 
-def matching_master_weight(m):
-    """Product over openers of a[cr,ne] and over closers of b[qne]."""
-    pairs = m.pairs
+def matching_master_weight(profiles, totals=None):
+    """Product over arcs (j, l) of a[cr,ne] for the opener j and b[qne]
+    for the closer l."""
     exps = {}
-    for (j, l) in pairs:
-        cr = ne = qne_cl = 0
-        for (a, b) in pairs:
-            if a < j < b < l:
-                cr += 1
-            elif a < j and b > l:
-                ne += 1
-            if a < l < b:
-                qne_cl += 1
-        va = Indeterminate("a", cr, ne)
+    for p in profiles:
+        va = Indeterminate("a", p.cr, p.ne)
         exps[va] = exps.get(va, 0) + 1
-        vb = Indeterminate("b", qne_cl)
+        vb = Indeterminate("b", p.qne)
         exps[vb] = exps.get(vb, 0) + 1
     return Monomial(exps)
 
@@ -241,55 +244,51 @@ def touchard_riordan(n):
 
 
 # ---------------------------------------------------------------------------
-# Named weight maps.  Each maps (m, totals) to a Monomial.
+# Named weight maps.  Each maps (profiles, totals) to a Monomial.
 
-def _w_unit(m, t):
+def _w_unit(profiles, t):
     return Monomial()
 
 
-def _w_four_var_cp(m, t):
+def _w_four_var_cp(profiles, t):
     return monomial([("x", t.ecpar), ("y", t.ocpar),
                      ("u", t.ecpnar), ("v", t.ocpnar)])
 
 
-def _w_four_var_cv(m, t):
+def _w_four_var_cv(profiles, t):
     return monomial([("x", t.ocvr), ("y", t.ecvr),
                      ("u", t.ocvnr), ("v", t.ecvnr)])
 
 
-def _w_six_var(m, t):
+def _w_six_var(profiles, t):
     return monomial([("x", t.ecpar), ("y", t.ocpar),
                      ("u", t.ecpnar), ("v", t.ocpnar),
                      ("xb", t.ocvr + t.ocvnr), ("yb", t.ecvr + t.ecvnr)])
 
 
-def _w_pq(m, t):
+def _w_pq(profiles, t):
     return monomial([("x", t.ecpar), ("y", t.ocpar),
                      ("u", t.ecpnar), ("v", t.ocpnar),
                      ("pp", t.ocrc), ("pm", t.ecrc),
                      ("qp", t.onec), ("qm", t.enec)])
 
 
-def _w_pq_cv(m, t):
+def _w_pq_cv(profiles, t):
     return monomial([("x", t.ocvr), ("y", t.ecvr),
                      ("u", t.ocvnr), ("v", t.ecvnr),
                      ("pp", t.ecr), ("pm", t.ocr),
                      ("qp", t.ene), ("qm", t.one)])
 
 
-def _w_cr(m, t):
+def _w_cr(profiles, t):
     return monomial([("p", t.cr)])
 
 
-def _w_cr_ne(m, t):
+def _w_cr_ne(profiles, t):
     return monomial([("p", t.cr), ("q", t.ne)])
 
 
-def _w_master(m, t):
-    return matching_master_weight(m)
-
-
-def _w_zeta_cc(m, t):
+def _w_zeta_cc(profiles, t):
     return monomial([("zeta", t.cc)])
 
 
@@ -302,7 +301,7 @@ MATCH_WEIGHTS = {
     "pq-cv": _w_pq_cv,
     "cr": _w_cr,
     "cr-ne": _w_cr_ne,
-    "master": _w_master,
+    "master": matching_master_weight,
     "zeta-cc": _w_zeta_cc,
 }
 
@@ -313,37 +312,45 @@ MATCH_WEIGHTS = {
 def iter_matchings(n):
     """All perfect matchings of [2n]: pair the smallest unmatched element
     with each larger unmatched element, recursively."""
+    partner = [0] * (2 * n + 1)
+
     def rec(free):
         if not free:
-            yield []
+            # the pairs come out sorted, so skip Matching's normalisation
+            m = Matching.__new__(Matching)
+            m.n = n
+            m.partner = tuple(partner)
+            m.pairs = tuple((i, j) for i, j in enumerate(m.partner) if i < j)
+            yield m
             return
         first = free[0]
         for idx in range(1, len(free)):
-            rest = free[1:idx] + free[idx + 1:]
-            for tail in rec(rest):
-                yield [(first, free[idx])] + tail
-    for plist in rec(list(range(1, 2 * n + 1))):
-        yield Matching(plist, _trusted=True)
-
-
-def _match_stats(m):
-    return m, matching_stat_totals(m)
+            second = free[idx]
+            partner[first] = second
+            partner[second] = first
+            yield from rec(free[1:idx] + free[idx + 1:])
+    return rec(list(range(1, 2 * n + 1)))
 
 
 MATCH_FAMILIES = {
     "all": None,
-    "indecomposable": lambda m, t: t.cc == 1,
+    "indecomposable": is_indecomposable,
 }
 
 
+MATCH = ObjectKind("match", iter_matchings, match_signature, match_decode,
+                   MATCH_WEIGHTS, partial(lookup, MATCH_FAMILIES))
+
+
 def enumerate_matching_polynomial(n, family="all", weight="unit",
-                                  with_cc_zeta=False):
+                                  with_cc_zeta=False, cache=None):
     """Exact weighted sum over matchings of [2n].
 
     `weight` is a registered weight-map id or a callable
-    (m, totals) -> Monomial/MultiPoly.  `family` is "all" or
+    (profiles, totals) -> Monomial/MultiPoly.  `family` is "all" or
     "indecomposable".  `with_cc_zeta` multiplies every weight by zeta^cc.
+    `cache` is an optional dict that keeps the signature histograms (see
+    permstats.histogram).
     """
-    return weighted_sum(iter_matchings(n), _match_stats,
-                        lookup(MATCH_WEIGHTS, weight),
-                        lookup(MATCH_FAMILIES, family), with_cc_zeta)
+    return enumerate_polynomial(MATCH, n, family, weight, with_cc_zeta,
+                                cache)

@@ -22,7 +22,7 @@ class Indeterminate:
     indices) pair is what identifies the indeterminate.
     """
 
-    __slots__ = ("family", "indices", "_key", "_hash")
+    __slots__ = ("family", "indices", "_key", "_hash", "_text")
 
     def __new__(cls, family, *indices):
         key = (family, tuple(indices))
@@ -34,6 +34,8 @@ class Indeterminate:
         self.indices = key[1]
         self._key = key
         self._hash = hash(key)
+        self._text = ("%s[%s]" % (family, ",".join(map(str, key[1])))
+                      if key[1] else family)
         _registry[key] = self
         return self
 
@@ -47,9 +49,7 @@ class Indeterminate:
         return self._key < other._key
 
     def __repr__(self):
-        if self.indices:
-            return "%s[%s]" % (self.family, ",".join(map(str, self.indices)))
-        return self.family
+        return self._text
 
     # Arithmetic promotes to MultiPoly so formulas read naturally.
     def __add__(self, other):
@@ -104,7 +104,7 @@ class Monomial:
         return self.sort_key() < other.sort_key()
 
     def sort_key(self):
-        return tuple((v._key[0], v._key[1], e) for v, e in self.exps)
+        return tuple([(v._key, e) for v, e in self.exps])
 
     def __mul__(self, other):
         d = dict(self.exps)
@@ -118,8 +118,8 @@ class Monomial:
     def __repr__(self):
         if not self.exps:
             return "1"
-        return "*".join(repr(v) + ("^%d" % e if e > 1 else "")
-                        for v, e in self.exps)
+        return "*".join(["%s^%d" % (v._text, e) if e > 1 else v._text
+                         for v, e in self.exps])
 
 
 _ONE_MONO = Monomial()

@@ -1,12 +1,15 @@
 """Permutation statistics: record and cycle classifications, per-index
 crossing/nesting counts, fixed-point levels, inversions, connected
 components, master weights, and weighted enumeration over permutation
-families.
+families.  Also the enumeration core that all three object types share:
+a signature histogram per object set, weighted once per signature.
 
 A permutation is stored in one-line notation.  Indices are 1-based.
 """
 
-from itertools import permutations as _itperms
+from collections import Counter, namedtuple
+from functools import partial
+from itertools import chain, permutations as _itperms
 
 from .mpoly import Indeterminate, Monomial, MultiPoly, as_poly, monomial
 
@@ -30,29 +33,76 @@ def lookup(table, key):
         raise UnknownWeightMap(key) from None
 
 
-def weighted_sum(objects, stats, weight, keep=None, zeta=False):
-    """Exact weighted sum over objects: the one enumeration loop.
+ObjectKind = namedtuple(
+    "ObjectKind", "name objects signature decode weights family")
+ObjectKind.__doc__ = """One object type as the enumeration core sees it.
 
-    `stats(x)` returns the weight-map arguments of object x, ending with
-    its statistic totals.  Objects for which `keep(*args)` is false are
-    skipped (`keep=None` keeps all).  `weight(*args)` returns a Monomial or
-    polynomial; with `zeta` it is multiplied by zeta^cc.
+`objects(n)` yields the objects of size n.  `signature(x)` is the compact
+hashable key of object x: bytes holding the totals no profile gives and
+the sorted per-index profile records that the weights read (every field
+is below 256 at any size that can be enumerated).  `decode(sig)` returns
+the (profiles, totals) pair that every weight map and family filter
+takes.  `weights` maps weight-map ids to weight maps, and `family(key)`
+resolves a family id to its filter (None keeps every object).
+"""
+
+
+def histogram(kind, n, family="all", cache=None):
+    """Signature histogram of the objects of size n in `family`: a Counter
+    mapping each signature to the number of objects that have it.
+
+    The signature kernel runs once per object of size n; a family's
+    histogram is the "all" histogram restricted signature by signature.
+    With a `cache` dict, every histogram is kept under (kind.name, n,
+    family) and later requests for that set read it.
+    """
+    key = (kind.name, n, family)
+    hist = None if cache is None else cache.get(key)
+    if hist is None:
+        keep = kind.family(family)
+        if keep is None:
+            hist = Counter(map(kind.signature, kind.objects(n)))
+        else:
+            hist = Counter({sig: count for sig, count
+                            in histogram(kind, n, "all", cache).items()
+                            if keep(*kind.decode(sig))})
+        if cache is not None:
+            cache[key] = hist
+    return hist
+
+
+def weighted_sum(hist, decode, weight, zeta=False):
+    """Exact weighted sum over a signature histogram: the one enumeration
+    loop.
+
+    `weight(profiles, totals)` returns a Monomial or polynomial; it is
+    applied once per distinct signature and multiplied by the number of
+    objects with that signature.  With `zeta` it is multiplied by zeta^cc.
     """
     acc = {}
     zvar = Indeterminate("zeta")
-    for x in objects:
-        args = stats(x)
-        if keep is not None and not keep(*args):
-            continue
-        wt = weight(*args)
-        if zeta and args[-1].cc:
-            wt = wt * Monomial({zvar: args[-1].cc})
+    for sig, count in hist.items():
+        profiles, totals = decode(sig)
+        wt = weight(profiles, totals)
+        if zeta and totals.cc:
+            wt = wt * Monomial({zvar: totals.cc})
         if isinstance(wt, Monomial):
-            acc[wt] = acc.get(wt, 0) + 1
+            acc[wt] = acc.get(wt, 0) + count
         else:
             for m, c in as_poly(wt).terms.items():
-                acc[m] = acc.get(m, 0) + c
+                acc[m] = acc.get(m, 0) + c * count
     return MultiPoly({m: c for m, c in acc.items() if c})
+
+
+def enumerate_polynomial(kind, n, family="all", weight="unit", zeta=False,
+                         cache=None):
+    """Exact weighted sum over the objects of size n in `family`: the
+    histogram of `histogram`, weighted by `weighted_sum`.  `weight` is a
+    weight-map id of `kind` or a callable (profiles, totals) ->
+    Monomial/MultiPoly."""
+    weight = lookup(kind.weights, weight)
+    return weighted_sum(histogram(kind, n, family, cache), kind.decode,
+                        weight, zeta)
 
 
 class Permutation:
@@ -97,35 +147,88 @@ def perm_from_oneline(word):
     return Permutation(word)
 
 
-class IndexProfile:
-    """Per-index classification and crossing/nesting counts."""
+IndexProfile = namedtuple(
+    "IndexProfile", "cycle_class record_class ucross unest lcross lnest lev "
+    "pred_unest")
+IndexProfile.__doc__ = """Per-index classification and crossing/nesting
+counts (see perm_index_profile).  Counts that do not apply to the cycle
+class are 0; lev is None except at fixed points and pred_unest is None
+except at cycle double rises."""
 
-    __slots__ = ("index", "cycle_class", "record_class",
-                 "ucross", "unest", "lcross", "lnest", "lev")
+_CYCLE_CLASSES = ("cval", "cpeak", "cdrise", "cdfall", "fix")
+_RECORD_CLASSES = ("rar", "erec", "earec", "nrar")
+_CVAL, _CPEAK, _CDRISE, _CDFALL, _FIX = range(5)
 
-    def __init__(self, index, cycle_class, record_class,
-                 ucross, unest, lcross, lnest, lev):
-        self.index = index
-        self.cycle_class = cycle_class
-        self.record_class = record_class
-        self.ucross = ucross
-        self.unest = unest
-        self.lcross = lcross
-        self.lnest = lnest
-        self.lev = lev
 
-    def to_dict(self):
-        d = {"index": self.index, "cycle_class": self.cycle_class,
-             "record_class": self.record_class, "ucross": self.ucross,
-             "unest": self.unest, "lcross": self.lcross,
-             "lnest": self.lnest}
-        if self.lev is not None:
-            d["lev"] = self.lev
-        return d
+def _perm_records(sigma):
+    """Per-index profile records in index order, as small-int lists
+    [class code, x, y, z]: the class code is 4 * cycle class + record
+    class (indices into _CYCLE_CLASSES and _RECORD_CLASSES); x, y are
+    (ucross, unest) at cycle valleys and double rises, (lcross, lnest) at
+    cycle peaks and double falls, (lev, 0) at fixed points; z is the unest
+    of the cycle predecessor at double rises, else 0."""
+    n = sigma.n
+    w = sigma.oneline
+    inv = sigma.inv_oneline
+    # antirecord test: suffix minima
+    suffix_min = [0] * (n + 2)
+    suffix_min[n + 1] = n + 1
+    for i in range(n, 0, -1):
+        suffix_min[i] = min(w[i - 1], suffix_min[i + 1])
+    records = []
+    unest = [0] * (n + 1)
+    prefix_max = 0
+    for i in range(1, n + 1):
+        si = w[i - 1]
+        is_rec = si > prefix_max
+        if is_rec:
+            prefix_max = si
+        if si < suffix_min[i + 1]:
+            rc = 0 if is_rec else 2
+        else:
+            rc = 1 if is_rec else 3
+        x = y = 0
+        if si == i:
+            cc = _FIX
+            x = sum(1 for j in range(i - 1) if w[j] > i)
+        elif si > i:
+            cc = _CVAL if inv[i - 1] > i else _CDRISE
+            for j in range(i - 1):
+                sj = w[j]
+                if i < sj < si:
+                    x += 1
+                elif sj > si:  # then sj > si > i
+                    y += 1
+            unest[i] = y
+        else:
+            cc = _CPEAK if inv[i - 1] < i else _CDFALL
+            for l in range(i, n):
+                sl = w[l]
+                if si < sl < i:
+                    x += 1
+                elif sl < si:  # then sl < si < i
+                    y += 1
+        records.append([4 * cc + rc, x, y, 0])
+    for i, rec in enumerate(records, start=1):
+        if rec[0] >> 2 == _CDRISE:
+            rec[3] = unest[inv[i - 1]]
+    return records
+
+
+def _profile(code, x, y, z):
+    cc = _CYCLE_CLASSES[code >> 2]
+    rc = _RECORD_CLASSES[code & 3]
+    if cc == "cval":
+        return IndexProfile(cc, rc, x, y, 0, 0, None, None)
+    if cc == "cdrise":
+        return IndexProfile(cc, rc, x, y, 0, 0, None, z)
+    if cc == "fix":
+        return IndexProfile(cc, rc, 0, 0, 0, 0, x, None)
+    return IndexProfile(cc, rc, 0, 0, x, y, None, None)
 
 
 def perm_index_profile(sigma):
-    """Full per-index profile of a permutation.
+    """Full per-index profile of a permutation, in index order.
 
     Cycle classes: a fixed point has sigma(i) = i; otherwise i is a cycle
     valley (both neighbors in the cycle are larger), cycle peak (both
@@ -142,63 +245,42 @@ def perm_index_profile(sigma):
       unest(j)  = #{i < j : j < sigma(j) < sigma(i)}
       lcross(k) = #{l > k : sigma(k) < sigma(l) < k}
       lnest(k)  = #{l > k : sigma(l) < sigma(k) < k}
-    and lev(i) = #{j < i : sigma(j) > i} for fixed points i.
+    lev(i) = #{j < i : sigma(j) > i} for fixed points i, and pred_unest(i)
+    is unest(sigma^-1(i)) for cycle double rises i.
     """
+    return [_profile(*r) for r in _perm_records(sigma)]
+
+
+def _perm_counts(sigma):
+    """(cyc, inv, cc): the totals that no index profile gives."""
     n = sigma.n
     w = sigma.oneline
-    inv = sigma.inv_oneline
-    profiles = []
-    prefix_max = 0
-    # antirecord test: suffix minima
-    suffix_min = [0] * (n + 2)
-    suffix_min[n + 1] = n + 1
-    for i in range(n, 0, -1):
-        suffix_min[i] = min(w[i - 1], suffix_min[i + 1])
+    seen = [False] * (n + 1)
+    cyc = 0
     for i in range(1, n + 1):
-        si = w[i - 1]
-        ii = inv[i - 1]
-        is_rec = si > prefix_max
-        prefix_max = max(prefix_max, si)
-        is_arec = si < suffix_min[i + 1]
-        if is_rec and is_arec:
-            rc = "rar"
-        elif is_rec:
-            rc = "erec"
-        elif is_arec:
-            rc = "earec"
-        else:
-            rc = "nrar"
-        if si == i:
-            cc = "fix"
-        elif ii > i and si > i:
-            cc = "cval"
-        elif ii < i and si < i:
-            cc = "cpeak"
-        elif ii < i < si:
-            cc = "cdrise"
-        else:
-            cc = "cdfall"
-        ucross = unest = lcross = lnest = 0
-        lev = None
-        if cc in ("cval", "cdrise"):
-            for j in range(1, i):
-                sj = w[j - 1]
-                if i < sj < si:
-                    ucross += 1
-                elif sj > si:  # then sj > si > i
-                    unest += 1
-        elif cc in ("cpeak", "cdfall"):
-            for l in range(i + 1, n + 1):
-                sl = w[l - 1]
-                if si < sl < i:
-                    lcross += 1
-                elif sl < si:  # then sl < si < i
-                    lnest += 1
-        else:
-            lev = sum(1 for j in range(1, i) if w[j - 1] > i)
-        profiles.append(IndexProfile(i, cc, rc, ucross, unest,
-                                     lcross, lnest, lev))
-    return profiles
+        if not seen[i]:
+            cyc += 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = w[j - 1]
+    inv = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+    return cyc, inv, len(perm_dividers(sigma))
+
+
+def perm_signature(sigma):
+    """Signature of a permutation: bytes of (cyc, inv, cc) followed by the
+    sorted index profile records, four bytes each."""
+    return bytes([*_perm_counts(sigma),
+                  *chain.from_iterable(sorted(_perm_records(sigma)))])
+
+
+def perm_decode(sig):
+    """(profiles, totals) of a permutation signature; the profiles come
+    in record order, not index order."""
+    records = iter(sig[3:])
+    profiles = [_profile(*r) for r in zip(*[records] * 4)]
+    return profiles, _perm_totals(profiles, sig[0], sig[1], sig[2])
 
 
 _TEN_WAY = ("ereccval", "ereccdrise", "eareccpeak", "eareccdfall", "rar",
@@ -234,27 +316,18 @@ def perm_stat_totals(sigma, profiles=None):
     """Compute every statistic total; consistent with perm_index_profile."""
     if profiles is None:
         profiles = perm_index_profile(sigma)
-    n = sigma.n
-    w = sigma.oneline
+    return _perm_totals(profiles, *_perm_counts(sigma))
+
+
+def _perm_totals(profiles, cyc, inv, components):
+    """Totals from the index profiles (in any order), cyc, inv and cc."""
     t = PermStatTotals()
-    t.n = n
-    t.exc = sum(1 for i in range(1, n + 1) if w[i - 1] > i)
-    t.aexc = sum(1 for i in range(1, n + 1) if w[i - 1] < i)
-    t.fix = n - t.exc - t.aexc
-    t.wex = t.exc + t.fix
-    # cycles
-    seen = [False] * (n + 1)
-    cyc = 0
-    for i in range(1, n + 1):
-        if not seen[i]:
-            cyc += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = w[j - 1]
+    t.n = len(profiles)
     t.cyc = cyc
+    t.inv = inv
+    t.cc = components
     counts = {k: 0 for k in ("erec", "earec", "rar", "nrar",
-                             "cval", "cpeak", "cdrise", "cdfall")}
+                             "cval", "cpeak", "cdrise", "cdfall", "fix")}
     ten = {k: 0 for k in _TEN_WAY}
     refined = {k: 0 for k in ("ucrosscval", "ucrosscdrise",
                               "unestcval", "unestcdrise",
@@ -263,10 +336,9 @@ def perm_stat_totals(sigma, profiles=None):
     fix_by_level = {}
     psnest = 0
     for p in profiles:
-        counts[p.record_class] = counts.get(p.record_class, 0) + 1
-        if p.cycle_class != "fix":
-            counts[p.cycle_class] += 1
         rc, cc = p.record_class, p.cycle_class
+        counts[rc] += 1
+        counts[cc] += 1
         if rc == "rar":
             ten["rar"] += 1
         elif rc == "nrar":
@@ -290,6 +362,10 @@ def perm_stat_totals(sigma, profiles=None):
     t.arec = t.earec + t.rar
     t.cval, t.cpeak = counts["cval"], counts["cpeak"]
     t.cdrise, t.cdfall = counts["cdrise"], counts["cdfall"]
+    t.fix = counts["fix"]
+    t.exc = t.cval + t.cdrise
+    t.aexc = t.cpeak + t.cdfall
+    t.wex = t.exc + t.fix
     t.ten_way = ten
     t.refined = refined
     t.ucross = refined["ucrosscval"] + refined["ucrosscdrise"]
@@ -300,16 +376,6 @@ def perm_stat_totals(sigma, profiles=None):
     t.ljoin = t.cdfall
     t.psnest = psnest
     t.fix_by_level = fix_by_level
-    t.inv = sum(1 for i in range(n) for j in range(i + 1, n)
-                if w[i] > w[j])
-    # a divider is a prefix [1,i] mapped onto itself
-    cc_count = 0
-    pmax = 0
-    for i in range(1, n + 1):
-        pmax = max(pmax, w[i - 1])
-        if pmax == i:
-            cc_count += 1
-    t.cc = cc_count
     return t
 
 
@@ -327,13 +393,11 @@ def perm_dividers(sigma):
 # ---------------------------------------------------------------------------
 # Master weights
 
-def perm_master_weight_first(sigma, profiles=None):
+def perm_master_weight_first(profiles, totals=None):
     """Product over indices of a/b/c/d/e indeterminates: cycle valleys get
     a[ucross,unest], cycle peaks b[lcross,lnest], cycle double falls
     c[lcross,lnest], cycle double rises d[ucross,unest], fixed points
     e[lev]."""
-    if profiles is None:
-        profiles = perm_index_profile(sigma)
     exps = {}
     for p in profiles:
         cc = p.cycle_class
@@ -351,14 +415,10 @@ def perm_master_weight_first(sigma, profiles=None):
     return Monomial(exps)
 
 
-def perm_master_weight_second(sigma, profiles=None, totals=None):
+def perm_master_weight_second(profiles, totals):
     """lam^cyc times the product where cycle valleys get the single-indexed
     a[ucross+unest], cycle double rises get d[ucross+unest, unest of the
     cycle predecessor], and b, c, e are as in the first master weight."""
-    if profiles is None:
-        profiles = perm_index_profile(sigma)
-    if totals is None:
-        totals = perm_stat_totals(sigma, profiles)
     exps = {}
     for p in profiles:
         cc = p.cycle_class
@@ -369,8 +429,7 @@ def perm_master_weight_second(sigma, profiles=None, totals=None):
         elif cc == "cdfall":
             v = Indeterminate("c", p.lcross, p.lnest)
         elif cc == "cdrise":
-            pred = profiles[sigma.inverse_at(p.index) - 1]
-            v = Indeterminate("d", p.ucross + p.unest, pred.unest)
+            v = Indeterminate("d", p.ucross + p.unest, p.pred_unest)
         else:
             v = Indeterminate("e", p.lev)
         exps[v] = exps.get(v, 0) + 1
@@ -381,31 +440,31 @@ def perm_master_weight_second(sigma, profiles=None, totals=None):
 
 
 # ---------------------------------------------------------------------------
-# Named weight maps.  Each maps (sigma, profiles, totals) to a Monomial.
+# Named weight maps.  Each maps (profiles, totals) to a Monomial.
 
-def _w_four_var_arec(sigma, profiles, t):
+def _w_four_var_arec(profiles, t):
     return monomial([("x", t.arec), ("y", t.erec),
                      ("u", t.n - t.exc - t.arec), ("v", t.exc - t.erec)])
 
 
-def _w_four_var_cyc(sigma, profiles, t):
+def _w_four_var_cyc(profiles, t):
     return monomial([("x", t.cyc), ("y", t.erec),
                      ("u", t.n - t.exc - t.cyc), ("v", t.exc - t.erec)])
 
 
-def _w_two_var(sigma, profiles, t):
+def _w_two_var(profiles, t):
     return monomial([("x", t.arec), ("y", t.erec)])
 
 
-def _w_two_var_cyc(sigma, profiles, t):
+def _w_two_var_cyc(profiles, t):
     return monomial([("x", t.arec), ("y", t.erec), ("lam", t.cyc)])
 
 
-def _w_two_var_inv(sigma, profiles, t):
+def _w_two_var_inv(profiles, t):
     return monomial([("x", t.arec), ("y", t.erec), ("q", t.inv)])
 
 
-def _w_inv_cyc(sigma, profiles, t):
+def _w_inv_cyc(profiles, t):
     return monomial([("q", t.inv), ("lam", t.cyc)])
 
 
@@ -420,11 +479,11 @@ def _ten_var_pairs(t):
     return pairs
 
 
-def _w_ten_var(sigma, profiles, t):
+def _w_ten_var(profiles, t):
     return monomial(_ten_var_pairs(t))
 
 
-def _w_ten_var_cyc(sigma, profiles, t):
+def _w_ten_var_cyc(profiles, t):
     return monomial(_ten_var_pairs(t) + [("lam", t.cyc)])
 
 
@@ -437,45 +496,37 @@ def _pq_pairs(t):
             ("s", t.psnest)]
 
 
-def _w_pq_eleven(sigma, profiles, t):
+def _w_pq_eleven(profiles, t):
     return monomial(_pq_pairs(t) + [("rp", t.ujoin), ("rm", t.ljoin)])
 
 
-def _w_big(sigma, profiles, t):
+def _w_big(profiles, t):
     return monomial(_ten_var_pairs(t) + _pq_pairs(t))
 
 
-def _w_big_cyc(sigma, profiles, t):
+def _w_big_cyc(profiles, t):
     return monomial(_ten_var_pairs(t) + _pq_pairs(t) + [("lam", t.cyc)])
 
 
-def _w_eight_var_pq(sigma, profiles, t):
+def _w_eight_var_pq(profiles, t):
     return monomial([("x", t.arec), ("y", t.erec),
                      ("u", t.n - t.exc - t.arec), ("v", t.exc - t.erec),
                      ("pp", t.ucross), ("pm", t.lcross + t.ljoin),
                      ("qp", t.unest), ("qm", t.lnest + t.psnest)])
 
 
-def _w_seven_var_cyc(sigma, profiles, t):
+def _w_seven_var_cyc(profiles, t):
     return monomial([("x", t.earec), ("y", t.wex),
                      ("u", t.n - t.earec - t.wex),
                      ("pp", t.ucross + t.unest + t.cdrise + t.psnest),
                      ("pm", t.lcross), ("qm", t.lnest), ("lam", t.cyc)])
 
 
-def _w_master1(sigma, profiles, t):
-    return perm_master_weight_first(sigma, profiles)
-
-
-def _w_master2(sigma, profiles, t):
-    return perm_master_weight_second(sigma, profiles, t)
-
-
-def _w_unit(sigma, profiles, t):
+def _w_unit(profiles, t):
     return Monomial()
 
 
-def _w_zeta_cc(sigma, profiles, t):
+def _w_zeta_cc(profiles, t):
     return monomial([("zeta", t.cc)])
 
 
@@ -493,8 +544,8 @@ PERM_WEIGHTS = {
     "big-cyc": _w_big_cyc,
     "eight-var-pq": _w_eight_var_pq,
     "seven-var-cyc": _w_seven_var_cyc,
-    "master1": _w_master1,
-    "master2": _w_master2,
+    "master1": perm_master_weight_first,
+    "master2": perm_master_weight_second,
     "unit": _w_unit,
     "zeta-cc": _w_zeta_cc,
 }
@@ -503,22 +554,21 @@ PERM_WEIGHTS = {
 # ---------------------------------------------------------------------------
 # Families and enumeration
 
-def is_avoid321(sigma, profiles, totals):
+def is_avoid321(profiles, totals):
     """No index is a neither-record-antirecord."""
     return totals.nrar == 0
 
 
-def is_cycle_alternating(sigma, profiles, totals):
+def is_cycle_alternating(profiles, totals):
     return totals.cdrise == 0 and totals.cdfall == 0 and totals.fix == 0
 
 
-def is_fpf_involution(sigma, profiles, totals):
-    return totals.fix == 0 and all(
-        sigma.oneline[sigma.oneline[i] - 1] == i + 1
-        for i in range(sigma.n))
+def is_fpf_involution(profiles, totals):
+    """Every cycle is a 2-cycle: no fixed points, and n = 2 cyc."""
+    return totals.fix == 0 and 2 * totals.cyc == totals.n
 
 
-def is_indecomposable(sigma, profiles, totals):
+def is_indecomposable(profiles, totals):
     return totals.cc == 1
 
 
@@ -536,19 +586,17 @@ def iter_permutations(n):
         yield Permutation(word, _trusted=True)
 
 
-def _perm_stats(sigma):
-    profiles = perm_index_profile(sigma)
-    return sigma, profiles, perm_stat_totals(sigma, profiles)
+PERM = ObjectKind("perm", iter_permutations, perm_signature, perm_decode,
+                  PERM_WEIGHTS, partial(lookup, PERM_FAMILIES))
 
 
 def enumerate_perm_polynomial(n, family="all", weight="unit",
-                              with_cc_zeta=False):
+                              with_cc_zeta=False, cache=None):
     """Exact weighted sum over a family of permutations of [n].
 
     `weight` is a registered weight-map id or a callable
-    (sigma, profiles, totals) -> Monomial/MultiPoly.  `with_cc_zeta`
-    multiplies every weight by zeta^cc.
+    (profiles, totals) -> Monomial/MultiPoly.  `with_cc_zeta` multiplies
+    every weight by zeta^cc.  `cache` is an optional dict that keeps the
+    signature histograms (see `histogram`).
     """
-    return weighted_sum(iter_permutations(n), _perm_stats,
-                        lookup(PERM_WEIGHTS, weight),
-                        lookup(PERM_FAMILIES, family), with_cc_zeta)
+    return enumerate_polynomial(PERM, n, family, weight, with_cc_zeta, cache)

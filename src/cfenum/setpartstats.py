@@ -6,9 +6,12 @@ reversal, and weighted enumeration via restricted-growth words.
 Elements are 1-based; the arc graph joins consecutive elements of a block.
 """
 
+from collections import namedtuple
+from itertools import chain
+
 from .mpoly import Indeterminate, Monomial, monomial
-from .permstats import UnknownWeightMap, is_indecomposable, lookup, \
-    weighted_sum
+from .permstats import ObjectKind, UnknownWeightMap, enumerate_polynomial, \
+    is_indecomposable, lookup
 
 
 class NotAPartition(ValueError):
@@ -72,46 +75,19 @@ def sp_reverse(pi):
                         _trusted=True)
 
 
-class SPIndexProfile:
-    """Per-element class, crossing/nesting/overlap/covering counts, and
-    record flags (record flags are None for closers and singletons)."""
+SPIndexProfile = namedtuple(
+    "SPIndexProfile", "element_class cr ne qne ov cov erec_flag brec_flag")
+SPIndexProfile.__doc__ = """Per-element class, crossing/nesting/overlap/
+covering counts, and record flags (record flags are None for closers and
+singletons); see sp_index_profile."""
 
-    __slots__ = ("index", "element_class", "cr", "ne", "qne", "ov", "cov",
-                 "erec_flag", "brec_flag")
-
-    def __init__(self, index, element_class, cr, ne, qne, ov, cov,
-                 erec_flag, brec_flag):
-        self.index = index
-        self.element_class = element_class
-        self.cr = cr
-        self.ne = ne
-        self.qne = qne
-        self.ov = ov
-        self.cov = cov
-        self.erec_flag = erec_flag
-        self.brec_flag = brec_flag
-
-    def to_dict(self):
-        return {"index": self.index, "element_class": self.element_class,
-                "cr": self.cr, "ne": self.ne, "qne": self.qne,
-                "ov": self.ov, "cov": self.cov,
-                "erec": self.erec_flag, "brec": self.brec_flag}
+_ELEMENT_CLASSES = ("opener", "closer", "insider", "singleton")
 
 
-def sp_index_profile(pi):
-    """Full per-element profile.
-
-    With the arc graph G (consecutive elements within a block):
-      cr(j)  = #{i<j<k<l : (i,k) in G and (j,l) in G}
-      ne(j)  = #{i<j<k<l : (i,l) in G and (j,k) in G}
-      qne(j) = #{i<j<l   : (i,l) in G}
-    and with block spans:
-      ov(j)  = #{B : j not in B, min B < j < max B < max of j's block}
-      cov(j) = #{B : j not in B, min B < j and j < max of j's block < max B}
-
-    j is an exclusive record iff it is an opener or insider with ne(j)=0,
-    and a block record iff it is an opener or insider with cov(j)=0.
-    """
+def _sp_records(pi):
+    """Per-element profile records in element order, as small-int lists
+    [class, cr, ne, qne, ov, cov] with the class an index into
+    _ELEMENT_CLASSES."""
     n = pi.n
     arcs = pi.arcs
     spans = [(b[0], b[-1]) for b in pi.blocks]
@@ -122,17 +98,17 @@ def sp_index_profile(pi):
             block_of[e] = bi
             if i + 1 < len(b):
                 nxt[e] = b[i + 1]
-    profiles = []
+    records = []
     for j in range(1, n + 1):
         b = pi.blocks[block_of[j]]
         if len(b) == 1:
-            cls = "singleton"
+            cls = 3
         elif j == b[0]:
-            cls = "opener"
+            cls = 0
         elif j == b[-1]:
-            cls = "closer"
+            cls = 1
         else:
-            cls = "insider"
+            cls = 2
         cr = ne = qne = 0
         k = nxt[j]
         for (i, l) in arcs:
@@ -152,14 +128,67 @@ def sp_index_profile(pi):
                 ov += 1
             elif lo < j < mx < hi:
                 cov += 1
-        if cls in ("opener", "insider"):
-            erec = ne == 0
-            brec = cov == 0
-        else:
-            erec = brec = None
-        profiles.append(SPIndexProfile(j, cls, cr, ne, qne, ov, cov,
-                                       erec, brec))
-    return profiles
+        records.append([cls, cr, ne, qne, ov, cov])
+    return records
+
+
+def _profile(cls, cr, ne, qne, ov, cov):
+    name = _ELEMENT_CLASSES[cls]
+    if name in ("opener", "insider"):
+        return SPIndexProfile(name, cr, ne, qne, ov, cov, ne == 0, cov == 0)
+    return SPIndexProfile(name, cr, ne, qne, ov, cov, None, None)
+
+
+def sp_index_profile(pi):
+    """Full per-element profile, in element order.
+
+    With the arc graph G (consecutive elements within a block):
+      cr(j)  = #{i<j<k<l : (i,k) in G and (j,l) in G}
+      ne(j)  = #{i<j<k<l : (i,l) in G and (j,k) in G}
+      qne(j) = #{i<j<l   : (i,l) in G}
+    and with block spans:
+      ov(j)  = #{B : j not in B, min B < j < max B < max of j's block}
+      cov(j) = #{B : j not in B, min B < j and j < max of j's block < max B}
+
+    j is an exclusive record iff it is an opener or insider with ne(j)=0,
+    and a block record iff it is an opener or insider with cov(j)=0.
+    """
+    return [_profile(*r) for r in _sp_records(pi)]
+
+
+def _sp_counts(pi):
+    """(lb, ls, rb, rs, iota, cc): the Wachs-White, intertwining and
+    component totals, which no element profile gives."""
+    # Wachs-White statistics over ordered block pairs (by minimum)
+    lb = ls = rb = rs = iota = 0
+    bl = pi.blocks
+    for i1 in range(len(bl)):
+        for i2 in range(i1 + 1, len(bl)):
+            b1, b2 = bl[i1], bl[i2]  # min b1 < min b2
+            lb += sum(1 for k in b1 if k > b2[0])
+            ls += len(b2)
+            rb += sum(1 for k in b1 if k < b2[-1])
+            rs += sum(1 for k in b2 if k < b1[-1])
+            # intertwining: pairs (b,c) from the two blocks that are
+            # adjacent in the sorted union of the two blocks
+            union = sorted([(e, 0) for e in b1] + [(e, 1) for e in b2])
+            iota += sum(1 for a, b in zip(union, union[1:]) if a[1] != b[1])
+    return lb, ls, rb, rs, iota, len(sp_dividers(pi))
+
+
+def sp_signature(pi):
+    """Signature of a partition: bytes of (lb, ls, rb, rs, iota, cc)
+    followed by the sorted element profile records, six bytes each."""
+    return bytes([*_sp_counts(pi),
+                  *chain.from_iterable(sorted(_sp_records(pi)))])
+
+
+def sp_decode(sig):
+    """(profiles, totals) of a partition signature; the profiles come in
+    record order, not element order."""
+    records = iter(sig[6:])
+    profiles = [_profile(*r) for r in zip(*[records] * 6)]
+    return profiles, _sp_totals(profiles, *sig[:6])
 
 
 class SPStatTotals:
@@ -181,17 +210,22 @@ def sp_stat_totals(pi, profiles=None):
     """Compute every statistic total; consistent with sp_index_profile."""
     if profiles is None:
         profiles = sp_index_profile(pi)
+    return _sp_totals(profiles, *_sp_counts(pi))
+
+
+def _sp_totals(profiles, lb, ls, rb, rs, iota, cc):
+    """Totals from the element profiles (in any order) and the counts of
+    _sp_counts."""
     t = SPStatTotals()
-    t.n = pi.n
-    t.blocks = len(pi.blocks)
-    t.m1 = sum(1 for b in pi.blocks if len(b) == 1)
-    t.mge2 = t.blocks - t.m1
+    t.n = len(profiles)
+    t.m1 = t.mge2 = 0
     t.crop = t.crin = t.neop = t.nein = t.psne = 0
     t.ov = t.cov = t.ovin = t.covin = 0
     t.erecop = t.erecin = t.nerecop = t.nerecin = 0
     t.brecop = t.brecin = t.nbrecop = t.nbrecin = 0
     for p in profiles:
         if p.element_class == "opener":
+            t.mge2 += 1
             t.crop += p.cr
             t.neop += p.ne
             t.ov += p.ov
@@ -218,39 +252,22 @@ def sp_stat_totals(pi, profiles=None):
             else:
                 t.nbrecin += 1
         elif p.element_class == "singleton":
+            t.m1 += 1
             t.psne += p.qne
+    t.blocks = t.m1 + t.mge2
     t.cr = t.crop + t.crin
     t.ne = t.neop + t.nein
     t.pscov = t.psne
     t.erec = t.erecop + t.erecin
     t.brec = t.brecop + t.brecin
-    # Wachs-White statistics over ordered block pairs (by minimum)
-    lb = ls = rb = rs = 0
-    bl = pi.blocks
-    for i1 in range(len(bl)):
-        for i2 in range(i1 + 1, len(bl)):
-            b1, b2 = bl[i1], bl[i2]  # min b1 < min b2
-            lb += sum(1 for k in b1 if k > b2[0])
-            ls += len(b2)
-            rb += sum(1 for k in b1 if k < b2[-1])
-            rs += sum(1 for k in b2 if k < b1[-1])
     t.lb = lb
     t.ls = ls
     t.lsprime = ls - (t.blocks * (t.blocks - 1)) // 2
     t.rb = rb
     t.rs = rs
-    # intertwining: pairs (b,c) from distinct blocks that are adjacent in
-    # the sorted union of the two blocks
-    iota = 0
-    for i1 in range(len(bl)):
-        for i2 in range(i1 + 1, len(bl)):
-            union = sorted([(e, 0) for e in bl[i1]]
-                           + [(e, 1) for e in bl[i2]])
-            iota += sum(1 for a, b in zip(union, union[1:])
-                        if a[1] != b[1])
     t.iota = iota
     t.iota_prime = iota - (t.blocks * (t.blocks - 1)) // 2
-    t.cc = len(sp_dividers(pi))
+    t.cc = cc
     return t
 
 
@@ -272,7 +289,7 @@ def sp_dividers(pi):
 # ---------------------------------------------------------------------------
 # Master weights
 
-def sp_master_weight(pi, variant=1, profiles=None):
+def sp_master_weight(profiles, variant=1):
     """Product over elements of a/b/d/e indeterminates.
 
     Closers always get b[qne] and singletons e[qne].  Openers get
@@ -281,8 +298,6 @@ def sp_master_weight(pi, variant=1, profiles=None):
     """
     if variant not in (1, 2, 3, 4):
         raise ValueError("variant must be 1, 2, 3 or 4")
-    if profiles is None:
-        profiles = sp_index_profile(pi)
     op_ovcov = variant in (2, 3)
     in_ovcov = variant in (2, 4)
     exps = {}
@@ -303,17 +318,17 @@ def sp_master_weight(pi, variant=1, profiles=None):
 
 
 # ---------------------------------------------------------------------------
-# Named weight maps.  Each maps (pi, profiles, totals) to a Monomial.
+# Named weight maps.  Each maps (profiles, totals) to a Monomial.
 
-def _w_unit(pi, profiles, t):
+def _w_unit(profiles, t):
     return Monomial()
 
 
-def _w_block_count(pi, profiles, t):
+def _w_block_count(profiles, t):
     return monomial([("x", t.blocks)])
 
 
-def _w_three_var(pi, profiles, t):
+def _w_three_var(profiles, t):
     return monomial([("x", t.blocks), ("y", t.erec),
                      ("v", t.n - t.blocks - t.erec)])
 
@@ -324,17 +339,17 @@ def _six_var_pairs(t):
             ("v1", t.nerecin), ("v2", t.nerecop)]
 
 
-def _w_six_var(pi, profiles, t):
+def _w_six_var(profiles, t):
     return monomial(_six_var_pairs(t))
 
 
-def _w_pq_eleven(pi, profiles, t):
+def _w_pq_eleven(profiles, t):
     return monomial(_six_var_pairs(t)
                     + [("p1", t.crin), ("p2", t.crop),
                        ("q1", t.nein), ("q2", t.neop), ("r", t.psne)])
 
 
-def _w_ovcov_eleven(pi, profiles, t):
+def _w_ovcov_eleven(profiles, t):
     return monomial([("x1", t.m1), ("x2", t.mge2),
                      ("y1", t.brecin), ("y2", t.brecop),
                      ("v1", t.nbrecin), ("v2", t.nbrecop),
@@ -342,7 +357,7 @@ def _w_ovcov_eleven(pi, profiles, t):
                      ("q1", t.covin), ("q2", t.cov), ("r", t.pscov)])
 
 
-def _w_mixed_three(pi, profiles, t):
+def _w_mixed_three(profiles, t):
     # insiders by crossings/nestings/exclusive records,
     # openers by overlaps/coverings/block records
     return monomial([("x1", t.m1), ("x2", t.mge2),
@@ -352,7 +367,7 @@ def _w_mixed_three(pi, profiles, t):
                      ("q1", t.nein), ("q2", t.cov), ("r", t.psne)])
 
 
-def _w_mixed_four(pi, profiles, t):
+def _w_mixed_four(profiles, t):
     # openers by crossings/nestings/exclusive records,
     # insiders by overlaps/coverings/block records
     return monomial([("x1", t.m1), ("x2", t.mge2),
@@ -363,48 +378,48 @@ def _w_mixed_four(pi, profiles, t):
 
 
 def _w_master(variant):
-    def w(pi, profiles, t):
-        return sp_master_weight(pi, variant, profiles)
+    def w(profiles, t):
+        return sp_master_weight(profiles, variant)
     return w
 
 
-def _w_x_lb(pi, profiles, t):
+def _w_x_lb(profiles, t):
     return monomial([("x", t.blocks), ("q", t.lb)])
 
 
-def _w_x_ls(pi, profiles, t):
+def _w_x_ls(profiles, t):
     return monomial([("x", t.blocks), ("q", t.ls)])
 
 
-def _w_x_lsprime(pi, profiles, t):
+def _w_x_lsprime(profiles, t):
     return monomial([("x", t.blocks), ("q", t.lsprime)])
 
 
-def _w_x_rb(pi, profiles, t):
+def _w_x_rb(profiles, t):
     return monomial([("x", t.blocks), ("q", t.rb)])
 
 
-def _w_x_rs(pi, profiles, t):
+def _w_x_rs(profiles, t):
     return monomial([("x", t.blocks), ("q", t.rs)])
 
 
-def _w_lb_ls(pi, profiles, t):
+def _w_lb_ls(profiles, t):
     return monomial([("x", t.blocks), ("a", t.lb), ("b", t.ls)])
 
 
-def _w_rs_rb(pi, profiles, t):
+def _w_rs_rb(profiles, t):
     return monomial([("x", t.blocks), ("a", t.rs), ("b", t.rb)])
 
 
-def _w_x_iota(pi, profiles, t):
+def _w_x_iota(profiles, t):
     return monomial([("x", t.blocks), ("q", t.iota)])
 
 
-def _w_x_iota_prime(pi, profiles, t):
+def _w_x_iota_prime(profiles, t):
     return monomial([("x", t.blocks), ("q", t.iota_prime)])
 
 
-def _w_zeta_cc(pi, profiles, t):
+def _w_zeta_cc(profiles, t):
     return monomial([("zeta", t.cc)])
 
 
@@ -474,11 +489,6 @@ def iter_set_partitions(n):
         yield setpart_from_rgs(word)
 
 
-def _sp_stats(pi):
-    profiles = sp_index_profile(pi)
-    return pi, profiles, sp_stat_totals(pi, profiles)
-
-
 SP_FAMILIES = {
     "all": None,
     "indecomposable": is_indecomposable,
@@ -492,19 +502,23 @@ def _sp_family(family):
             block_count = int(family.split(":", 1)[1])
         except ValueError:
             raise UnknownWeightMap(family) from None
-        return lambda pi, profiles, t: t.blocks == block_count
+        return lambda profiles, t: t.blocks == block_count
     return lookup(SP_FAMILIES, family)
 
 
+SETPART = ObjectKind("setpart", iter_set_partitions, sp_signature, sp_decode,
+                     SP_WEIGHTS, _sp_family)
+
+
 def enumerate_sp_polynomial(n, family="all", weight="unit",
-                            with_cc_zeta=False):
+                            with_cc_zeta=False, cache=None):
     """Exact weighted sum over a family of partitions of [n].
 
     `family` is "all", "indecomposable", or "blocks:k" for a fixed block
     count k.  `weight` is a registered weight-map id or a callable
-    (pi, profiles, totals) -> Monomial/MultiPoly.  `with_cc_zeta`
-    multiplies every weight by zeta^cc.
+    (profiles, totals) -> Monomial/MultiPoly.  `with_cc_zeta` multiplies
+    every weight by zeta^cc.  `cache` is an optional dict that keeps the
+    signature histograms (see permstats.histogram).
     """
-    return weighted_sum(iter_set_partitions(n), _sp_stats,
-                        lookup(SP_WEIGHTS, weight), _sp_family(family),
-                        with_cc_zeta)
+    return enumerate_polynomial(SETPART, n, family, weight, with_cc_zeta,
+                                cache)

@@ -134,12 +134,12 @@ def _w(ell):
 
 
 # custom weight maps used only by registry entries
-def _w_inv_sixstat(sigma, profiles, t):
+def _w_inv_sixstat(profiles, t):
     return monomial([("a", t.cval), ("b", t.cdrise), ("c", t.cpeak),
                      ("d", t.cdfall), ("w", t.fix), ("q", t.inv)])
 
 
-def _w_q_inv(sigma, profiles, t):
+def _w_q_inv(profiles, t):
     return monomial([("q", t.inv)])
 
 
@@ -155,14 +155,10 @@ ENUMERATORS = {
 
 
 def _enum(obj, n, family="all", weight="unit", zeta=False):
-    # a callable weight is keyed by identity: two lambdas never share
-    key = (obj, n, family, weight, zeta)
-    hit = _ENUM_CACHE.get(key)
-    if hit is None:
-        hit = ENUMERATORS[obj](n, family=family, weight=weight,
-                               with_cc_zeta=zeta)
-        _ENUM_CACHE[key] = hit
-    return hit
+    # _ENUM_CACHE keeps one signature histogram per (obj, n, family); the
+    # weight and zeta^cc are applied to it on every request
+    return ENUMERATORS[obj](n, family=family, weight=weight,
+                            with_cc_zeta=zeta, cache=_ENUM_CACHE)
 
 
 def _poly(obj, family="all", weight="unit", subst=None, zeta=False,
@@ -1584,7 +1580,7 @@ def _id_321_nonesting(n):
     for sigma in iter_permutations(n):
         profiles = perm_index_profile(sigma)
         t = perm_stat_totals(sigma, profiles)
-        avoid = is_avoid321(sigma, profiles, t)
+        avoid = is_avoid321(profiles, t)
         clean = not (t.unest or t.lnest or t.psnest)
         if avoid and not clean:
             return False, "sigma=%r" % (sigma.oneline,)

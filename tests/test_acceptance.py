@@ -7,14 +7,14 @@ PASSED/FAILED line serves the same purpose).
 
 import time
 
-from cfenum.matchstats import enumerate_matching_polynomial, touchard_riordan
+from cfenum.matchstats import touchard_riordan
 from cfenum.mpoly import Monomial, var
 from cfenum.permstats import (enumerate_perm_polynomial, iter_permutations,
                               perm_stat_totals)
 from cfenum.series import (attach_component_weight, expand_jfraction,
                            expand_sfraction, indecomposable_series)
-from cfenum.theorems import REGISTRY, check_identity, list_theorems, \
-    verify_theorem
+from cfenum.theorems import REGISTRY, _enum, check_identity, \
+    list_theorems, verify_theorem
 from cfenum.theorems import test_conjecture_v2 as conjecture_v2
 
 from test_paths import (check_biane_closer_lemma, check_biane_lemmas,
@@ -74,10 +74,14 @@ def test_criterion_04_conjecture_forward():
     _passed(4, "conjecture holds through n=9; n<=7 in %.1fs" % small_time)
 
 
+# Criteria 05 and 06 read the matchings of [2n], n <= 8, from the one
+# cached signature histogram per n: one pass over the 2,027,025 matchings
+# of [16] serves both weights.
+
 def test_criterion_05_cc_table():
     _ok(check_identity("match.cc.table", n_max=8), "match.cc.table")
     z = var("zeta")
-    row8 = enumerate_matching_polynomial(8, weight="zeta-cc")
+    row8 = _enum("match", 8, "all", "zeta-cc")
     got = [row8.coeff_of(Monomial({z: k})) for k in range(1, 9)]
     assert got == [1708394, 273064, 38886, 5696, 850, 120, 14, 1]
     assert sum(got) == 2027025
@@ -86,8 +90,7 @@ def test_criterion_05_cc_table():
 
 def test_criterion_06_touchard_riordan():
     for n in range(9):
-        assert touchard_riordan(n) \
-            == enumerate_matching_polynomial(n, weight="cr")
+        assert touchard_riordan(n) == _enum("match", n, "all", "cr")
     _passed(6, "Touchard-Riordan closed form exact through n=8")
 
 

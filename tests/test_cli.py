@@ -213,7 +213,7 @@ def test_enumerate_malformed_block_family(runner):
 
 
 def test_enumerate_internal_error_is_not_usage_error(runner, monkeypatch):
-    def broken(sigma, profiles, totals):
+    def broken(profiles, totals):
         raise RuntimeError("internal fault")
 
     monkeypatch.setitem(PERM_WEIGHTS, "unit", broken)

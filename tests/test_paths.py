@@ -136,7 +136,7 @@ def check_sp_label_lemmas(n_max):
     for n in range(1, n_max + 1):
         for pp in iter_set_partitions(n):
             rev = sp_reversed_index_stats(pp)
-            profs = {pr.index: pr for pr in sp_index_profile(pp)}
+            profs = dict(enumerate(sp_index_profile(pp), start=1))
             for bj in SP_BIJECTIONS:
                 p = encode(pp, bj)
                 h = p.heights()
@@ -160,9 +160,9 @@ def check_reversed_stats(n_max):
     for n in range(1, n_max + 1):
         for pp in iter_set_partitions(n):
             rev = sp_reversed_index_stats(pp)
-            rprofs = {pr.index: pr
-                      for pr in sp_index_profile(sp_reverse(pp))}
-            profs = {pr.index: pr for pr in sp_index_profile(pp)}
+            rprofs = dict(enumerate(sp_index_profile(sp_reverse(pp)),
+                                    start=1))
+            profs = dict(enumerate(sp_index_profile(pp), start=1))
             for k in range(1, n + 1):
                 if profs[k].element_class not in ("insider", "closer"):
                     continue

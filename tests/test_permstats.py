@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 from cfenum.mpoly import Monomial, MultiPoly, as_poly, var
 from cfenum.permstats import (NotABijection, Permutation, UnknownWeightMap,
                               enumerate_perm_polynomial, is_avoid321,
-                              iter_permutations, perm_dividers,
+                              iter_permutations, perm_decode, perm_dividers,
                               perm_from_oneline, perm_index_profile,
                               perm_master_weight_first,
-                              perm_master_weight_second, perm_stat_totals)
+                              perm_master_weight_second, perm_signature,
+                              perm_stat_totals)
 
 FIG3 = perm_from_oneline([5, 6, 1, 4, 2, 7, 3])
 
@@ -68,26 +69,31 @@ def test_dividers_and_cc():
     assert perm_stat_totals(perm_from_oneline([2, 1, 3, 5, 4])).cc == 3
 
 
+def _stats(word):
+    """(profiles, totals) of a permutation, through its signature."""
+    return perm_decode(perm_signature(perm_from_oneline(word)))
+
+
 def test_master_weight_first():
     a, b, c, d, e = (lambda *i: var("a", *i)), (lambda *i: var("b", *i)), \
         (lambda *i: var("c", *i)), (lambda *i: var("d", *i)), \
         (lambda *i: var("e", *i))
-    assert perm_master_weight_first(perm_from_oneline([1, 2, 3])) \
+    assert perm_master_weight_first(*_stats([1, 2, 3])) \
         == Monomial({e(0): 3})
-    assert perm_master_weight_first(perm_from_oneline([2, 1])) \
+    assert perm_master_weight_first(*_stats([2, 1])) \
         == Monomial({a(0, 0): 1, b(0, 0): 1})
-    assert perm_master_weight_first(FIG3) == Monomial({
+    assert perm_master_weight_first(*_stats(FIG3.oneline)) == Monomial({
         a(0, 0): 1, a(1, 0): 1, b(0, 0): 1, b(1, 0): 1,
         c(1, 0): 1, d(0, 0): 1, e(2): 1})
 
 
 def test_master_weight_second():
     lam = var("lam")
-    assert perm_master_weight_second(perm_from_oneline([1, 2])) \
+    assert perm_master_weight_second(*_stats([1, 2])) \
         == Monomial({lam: 2, var("e", 0): 2})
-    assert perm_master_weight_second(perm_from_oneline([2, 1])) \
+    assert perm_master_weight_second(*_stats([2, 1])) \
         == Monomial({lam: 1, var("a", 0): 1, var("b", 0, 0): 1})
-    assert perm_master_weight_second(FIG3) == Monomial({
+    assert perm_master_weight_second(*_stats(FIG3.oneline)) == Monomial({
         lam: 2, var("a", 0): 1, var("a", 1): 1, var("b", 0, 0): 1,
         var("b", 1, 0): 1, var("c", 1, 0): 1, var("d", 0, 0): 1,
         var("e", 2): 1})
@@ -188,7 +194,7 @@ def test_avoid321_no_nestings_n6():
     for sigma in _all_perms(6):
         prof = perm_index_profile(sigma)
         t = perm_stat_totals(sigma, prof)
-        if is_avoid321(sigma, prof, t):
+        if is_avoid321(prof, t):
             assert t.unest == t.lnest == t.psnest == 0
             # agrees with direct pattern scan
             w = sigma.oneline

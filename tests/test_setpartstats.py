@@ -57,15 +57,16 @@ def test_stat_totals_examples():
 def test_master_weight_examples():
     singles = setpart_from_blocks([[1], [2], [3]])
     for variant in (1, 2, 3, 4):
-        assert sp_master_weight(singles, variant) \
+        assert sp_master_weight(sp_index_profile(singles), variant) \
             == Monomial({var("e", 0): 3})
     crossing = setpart_from_blocks([[1, 3], [2, 4]])
     expected = Monomial({var("a", 0, 0): 1, var("a", 1, 0): 1,
                          var("b", 0): 1, var("b", 1): 1})
-    assert sp_master_weight(crossing, 1) == expected
-    assert sp_master_weight(crossing, 2) == expected
+    profiles = sp_index_profile(crossing)
+    assert sp_master_weight(profiles, 1) == expected
+    assert sp_master_weight(profiles, 2) == expected
     with pytest.raises(ValueError):
-        sp_master_weight(crossing, 5)
+        sp_master_weight(profiles, 5)
 
 
 def test_reverse():

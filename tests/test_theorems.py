@@ -184,9 +184,9 @@ def test_every_weight_map_counts_all_objects(obj, table, counts):
 
 def test_enum_cache_keys_callable_weights_by_identity():
     x, y = var("x"), var("y")
-    by_cycles = _poly("perm", weight=lambda sigma, profiles, t:
+    by_cycles = _poly("perm", weight=lambda profiles, t:
                       monomial([("x", t.cyc)]))
-    by_excedances = _poly("perm", weight=lambda sigma, profiles, t:
+    by_excedances = _poly("perm", weight=lambda profiles, t:
                           monomial([("y", t.exc)]))
     assert by_cycles(3) == 2 * x + 3 * x ** 2 + x ** 3
     assert by_excedances(3) == 1 + 4 * y + y ** 2
