@@ -8,6 +8,7 @@ verification failure, 2 usage or I/O error.
 """
 
 import json
+import math
 import re
 import sys
 import time
@@ -17,9 +18,9 @@ import click
 from . import __version__
 from .mpoly import Indeterminate, ParseError, as_poly, from_text, to_text
 from .permstats import Permutation, NotABijection, UnknownWeightMap, \
-    perm_index_profile, perm_stat_totals
-from .setpartstats import NotAPartition, setpart_from_blocks, sp_stat_totals
-from .matchstats import Matching, NotAMatching, matching_stat_totals
+    enumerate_polynomial, stat_totals
+from .setpartstats import NotAPartition, setpart_from_blocks
+from .matchstats import Matching, NotAMatching
 from . import paths as pathmod
 from . import theorems as thm
 
@@ -151,8 +152,16 @@ def verify(theorem_id, n, order, seed, fmt):
     sys.exit(0 if report.ok else 1)
 
 
+def _finite(ctx, param, value):
+    # nan and inf pass FloatRange but are not valid in the JSON report
+    if not math.isfinite(value):
+        raise click.BadParameter("%r is not a finite number" % (value,))
+    return value
+
+
 @main.command("verify-all")
 @click.option("--budget", type=click.FloatRange(min=0), default=600.0,
+              callback=_finite,
               help="Wall-time budget in seconds; entries reached after it "
                    "runs out are skipped and the run is not ok.")
 @click.option("--seed", type=int, default=0, help="Seed for witnesses.")
@@ -218,7 +227,7 @@ def expand(theorem_id, order, fmt):
 
 @main.command()
 @click.option("--object", "obj", required=True,
-              type=click.Choice(sorted(thm.ENUMERATORS)))
+              type=click.Choice(sorted(thm.KINDS)))
 @click.option("--n", type=click.IntRange(min=0), required=True,
               help="Object size (pairs for matchings).")
 @click.option("--family", default="all", help="Object family.")
@@ -232,8 +241,7 @@ def enumerate(obj, n, family, weight, subst_path, zeta, fmt):
     """Exact weighted enumeration as a polynomial."""
     subst = load_substitution(subst_path) if subst_path else None
     try:
-        poly = thm.ENUMERATORS[obj](n, family=family, weight=weight,
-                                    with_cc_zeta=zeta)
+        poly = enumerate_polynomial(thm.KINDS[obj], n, family, weight, zeta)
     except UnknownWeightMap as exc:
         _fail_usage("unknown weight or family: %s" % exc)
     if subst:
@@ -246,7 +254,7 @@ def enumerate(obj, n, family, weight, subst_path, zeta, fmt):
 
 @main.command()
 @click.option("--object", "obj", required=True,
-              type=click.Choice(["perm", "setpart", "match"]))
+              type=click.Choice(list(thm.KINDS)))
 @click.option("--oneline", default=None,
               help="Permutation in one-line notation, e.g. 2,1.")
 @click.option("--blocks", default=None,
@@ -259,23 +267,20 @@ def stats(obj, oneline, blocks, pairs, fmt):
     if obj == "perm":
         if oneline is None:
             _fail_usage("--object perm requires --oneline")
-        sigma = _parse_oneline(oneline)
-        totals = perm_stat_totals(sigma, perm_index_profile(sigma))
-        payload = {"object": "perm", "oneline": list(sigma.oneline)}
+        x = _parse_oneline(oneline)
+        payload = {"object": "perm", "oneline": list(x.oneline)}
     elif obj == "setpart":
         if blocks is None:
             _fail_usage("--object setpart requires --blocks")
-        pi = _parse_blocks(blocks)
-        totals = sp_stat_totals(pi)
+        x = _parse_blocks(blocks)
         payload = {"object": "setpart",
-                   "blocks": [list(b) for b in pi.blocks]}
+                   "blocks": [list(b) for b in x.blocks]}
     else:
         if pairs is None:
             _fail_usage("--object match requires --pairs")
-        m = _parse_pairs(pairs)
-        totals = matching_stat_totals(m)
-        payload = {"object": "match", "pairs": m.as_blocks()}
-    payload["stats"] = totals.to_dict()
+        x = _parse_pairs(pairs)
+        payload = {"object": "match", "pairs": x.as_blocks()}
+    payload["stats"] = stat_totals(thm.KINDS[obj], x).to_dict()
     _emit(_stamp(payload), fmt)
 
 

@@ -10,11 +10,9 @@ fixed-point-free involution.
 from bisect import bisect_left, insort
 from collections import namedtuple
 from functools import partial
-from itertools import chain
 
 from .mpoly import Indeterminate, Monomial, MultiPoly, monomial
-from .permstats import ObjectKind, enumerate_polynomial, is_indecomposable, \
-    lookup
+from .permstats import ObjectKind, is_indecomposable, lookup
 
 
 class NotAMatching(ValueError):
@@ -80,9 +78,10 @@ the parities j % 2 and l % 2, cr = #{arcs (a,b) : a < j < b < l},
 ne = #{arcs (a,b) : a < j, b > l} and qne = #{arcs (a,b) : a < l < b}."""
 
 
-def _match_records(m):
-    """Per-arc profile records [2 * (j % 2) + l % 2, cr, ne, qne], in
-    closer order, and the number of connected components, from one sweep
+def _match_kernel(m):
+    """(counts, records) of a matching: counts is (cc,), the number of
+    connected components, and records are the per-arc profile records
+    [2 * (j % 2) + l % 2, cr, ne, qne], in closer order, from one sweep
     over the positions with the arcs open there."""
     w = m.partner
     open_closers = []  # closers of the arcs open here, ascending
@@ -103,38 +102,15 @@ def _match_records(m):
             records.append(rec)
             if not open_closers:
                 cc += 1
-    return records, cc
+    return (cc,), records
 
 
-def match_signature(m):
-    """Signature of a matching: bytes of cc followed by the sorted arc
-    profile records, four bytes each."""
-    records, cc = _match_records(m)
-    return bytes([cc, *chain.from_iterable(sorted(records))])
-
-
-def match_decode(sig):
-    """(profiles, totals) of a matching signature."""
-    records = iter(sig[1:])
-    profiles = [ArcProfile(par >> 1, par & 1, cr, ne, qne)
-                for par, cr, ne, qne in zip(*[records] * 4)]
-    return profiles, _match_totals(profiles, sig[0])
+def _arc_profile(parities, cr, ne, qne):
+    return ArcProfile(parities >> 1, parities & 1, cr, ne, qne)
 
 
 class MatchStatTotals:
-    """All whole-matching statistic totals."""
-
-    __slots__ = ("n", "ecpar", "ocpar", "ecpnar", "ocpnar",
-                 "ecvr", "ocvr", "ecvnr", "ocvnr",
-                 "cr", "ne", "ecr", "ocr", "ene", "one",
-                 "ecrc", "ocrc", "enec", "onec", "cc")
-
-    def to_dict(self):
-        return {k: getattr(self, k) for k in self.__slots__}
-
-
-def matching_stat_totals(m):
-    """Compute every statistic total.
+    """All whole-matching statistic totals.
 
     Each pair's larger element is a cycle peak, classified by parity and
     antirecord status; the smaller is a cycle valley, classified by parity
@@ -143,7 +119,14 @@ def matching_stat_totals(m):
     ecrc/ocrc/enec/onec classify by the parity of k instead, which is the
     refinement that pairs with the cycle-peak classes.
     """
-    return match_decode(match_signature(m))[1]
+
+    __slots__ = ("n", "ecpar", "ocpar", "ecpnar", "ocpnar",
+                 "ecvr", "ocvr", "ecvnr", "ocvnr",
+                 "cr", "ne", "ecr", "ocr", "ene", "one",
+                 "ecrc", "ocrc", "enec", "onec", "cc")
+
+    def to_dict(self):
+        return {k: getattr(self, k) for k in self.__slots__}
 
 
 def _match_totals(profiles, cc):
@@ -338,19 +321,7 @@ MATCH_FAMILIES = {
 }
 
 
-MATCH = ObjectKind("match", iter_matchings, match_signature, match_decode,
-                   MATCH_WEIGHTS, partial(lookup, MATCH_FAMILIES))
+MATCH = ObjectKind("match", iter_matchings, _match_kernel, 1, 4, _arc_profile,
+                   _match_totals, MATCH_WEIGHTS,
+                   partial(lookup, MATCH_FAMILIES))
 
-
-def enumerate_matching_polynomial(n, family="all", weight="unit",
-                                  with_cc_zeta=False, cache=None):
-    """Exact weighted sum over matchings of [2n].
-
-    `weight` is a registered weight-map id or a callable
-    (profiles, totals) -> Monomial/MultiPoly.  `family` is "all" or
-    "indecomposable".  `with_cc_zeta` multiplies every weight by zeta^cc.
-    `cache` is an optional dict that keeps the signature histograms (see
-    permstats.histogram).
-    """
-    return enumerate_polynomial(MATCH, n, family, weight, with_cc_zeta,
-                                cache)

@@ -489,12 +489,29 @@ def path_to_json(p):
     return json.dumps(path_to_json_obj(p))
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def path_from_json_obj(obj):
+    """Path of the JSON form above; InvalidPath when the form is not an
+    object with a "steps" list of step objects, each with an integer
+    color and a list of integers as its label."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("steps"), list):
+        raise InvalidPath('a path is an object with a "steps" list')
     steps = []
     labels = []
     for d in obj["steps"]:
-        steps.append(ColoredStep(d["kind"], d.get("color", 1)))
-        labels.append(tuple(d["label"]))
+        if not isinstance(d, dict):
+            raise InvalidPath("a step is an object, not %r" % (d,))
+        color, label = d.get("color", 1), d.get("label")
+        if not _is_int(color):
+            raise InvalidPath("step color %r is not an integer" % (color,))
+        if not isinstance(label, list) or not all(map(_is_int, label)):
+            raise InvalidPath("step label %r is not a list of integers"
+                              % (label,))
+        steps.append(ColoredStep(d.get("kind"), color))
+        labels.append(tuple(label))
     return LabeledMotzkinPath(steps, labels)
 
 

@@ -9,7 +9,7 @@ A permutation is stored in one-line notation.  Indices are 1-based.
 
 from collections import Counter, namedtuple
 from functools import partial
-from itertools import chain, permutations as _itperms
+from itertools import chain, permutations as _itperms, starmap
 
 from .mpoly import Indeterminate, Monomial, MultiPoly, as_poly, monomial
 
@@ -34,17 +34,44 @@ def lookup(table, key):
 
 
 ObjectKind = namedtuple(
-    "ObjectKind", "name objects signature decode weights family")
+    "ObjectKind",
+    "name objects kernel ncounts width profile totals weights family")
 ObjectKind.__doc__ = """One object type as the enumeration core sees it.
 
-`objects(n)` yields the objects of size n.  `signature(x)` is the compact
-hashable key of object x: bytes holding the totals no profile gives and
-the sorted per-index profile records that the weights read (every field
-is below 256 at any size that can be enumerated).  `decode(sig)` returns
-the (profiles, totals) pair that every weight map and family filter
-takes.  `weights` maps weight-map ids to weight maps, and `family(key)`
-resolves a family id to its filter (None keeps every object).
+`objects(n)` yields the objects of size n.  `kernel(x)` returns
+(counts, records): the `ncounts` totals that no profile gives, and one
+profile record per index, a list of `width` small ints.  `profile(*record)`
+builds the profile a weight map reads, and `totals(profiles, *counts)` the
+totals object.  `weights` maps weight-map ids to weight maps, and
+`family(key)` resolves a family id to its filter (None keeps every
+object).  Weight maps and family filters take (profiles, totals).
 """
+
+
+def signature(kind, x):
+    """Signature of object x: the compact hashable key that `histogram`
+    tallies.  Bytes of the kernel's counts followed by its records, sorted,
+    `kind.width` bytes each (every field is below 256 at any size that can
+    be enumerated).  This is the one writer of the format; `decode` is the
+    one reader."""
+    counts, records = kind.kernel(x)
+    return bytes([*counts, *chain.from_iterable(sorted(records))])
+
+
+def decode(kind, sig):
+    """(profiles, totals) of a signature; the profiles come in record
+    order, not index order."""
+    fields = iter(sig[kind.ncounts:])
+    profiles = list(starmap(kind.profile, zip(*[fields] * kind.width)))
+    return profiles, kind.totals(profiles, *sig[:kind.ncounts])
+
+
+def stat_totals(kind, x):
+    """Every statistic total of object x, built from the kernel's records
+    and counts without going through a signature, so no field limit
+    applies."""
+    counts, records = kind.kernel(x)
+    return kind.totals(list(starmap(kind.profile, records)), *counts)
 
 
 def histogram(kind, n, family="all", cache=None):
@@ -61,11 +88,11 @@ def histogram(kind, n, family="all", cache=None):
     if hist is None:
         keep = kind.family(family)
         if keep is None:
-            hist = Counter(map(kind.signature, kind.objects(n)))
+            hist = Counter(map(partial(signature, kind), kind.objects(n)))
         else:
             hist = Counter({sig: count for sig, count
                             in histogram(kind, n, "all", cache).items()
-                            if keep(*kind.decode(sig))})
+                            if keep(*decode(kind, sig))})
         if cache is not None:
             cache[key] = hist
     return hist
@@ -101,8 +128,8 @@ def enumerate_polynomial(kind, n, family="all", weight="unit", zeta=False,
     weight-map id of `kind` or a callable (profiles, totals) ->
     Monomial/MultiPoly."""
     weight = lookup(kind.weights, weight)
-    return weighted_sum(histogram(kind, n, family, cache), kind.decode,
-                        weight, zeta)
+    return weighted_sum(histogram(kind, n, family, cache),
+                        partial(decode, kind), weight, zeta)
 
 
 class Permutation:
@@ -160,13 +187,15 @@ _RECORD_CLASSES = ("rar", "erec", "earec", "nrar")
 _CVAL, _CPEAK, _CDRISE, _CDFALL, _FIX = range(5)
 
 
-def _perm_records(sigma):
-    """Per-index profile records in index order, as small-int lists
-    [class code, x, y, z]: the class code is 4 * cycle class + record
-    class (indices into _CYCLE_CLASSES and _RECORD_CLASSES); x, y are
-    (ucross, unest) at cycle valleys and double rises, (lcross, lnest) at
-    cycle peaks and double falls, (lev, 0) at fixed points; z is the unest
-    of the cycle predecessor at double rises, else 0."""
+def _perm_kernel(sigma):
+    """(counts, records) of a permutation.  counts is (cyc, inv, cc), the
+    totals that no index profile gives.  records are the per-index profile
+    records in index order, as small-int lists [class code, x, y, z]: the
+    class code is 4 * cycle class + record class (indices into
+    _CYCLE_CLASSES and _RECORD_CLASSES); x, y are (ucross, unest) at cycle
+    valleys and double rises, (lcross, lnest) at cycle peaks and double
+    falls, (lev, 0) at fixed points; z is the unest of the cycle
+    predecessor at double rises, else 0."""
     n = sigma.n
     w = sigma.oneline
     inv = sigma.inv_oneline
@@ -212,7 +241,18 @@ def _perm_records(sigma):
     for i, rec in enumerate(records, start=1):
         if rec[0] >> 2 == _CDRISE:
             rec[3] = unest[inv[i - 1]]
-    return records
+    seen = [False] * (n + 1)
+    cyc = 0
+    for i in range(1, n + 1):
+        if not seen[i]:
+            cyc += 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = w[j - 1]
+    inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                     if w[i] > w[j])
+    return (cyc, inversions, len(perm_dividers(sigma))), records
 
 
 def _profile(code, x, y, z):
@@ -248,39 +288,7 @@ def perm_index_profile(sigma):
     lev(i) = #{j < i : sigma(j) > i} for fixed points i, and pred_unest(i)
     is unest(sigma^-1(i)) for cycle double rises i.
     """
-    return [_profile(*r) for r in _perm_records(sigma)]
-
-
-def _perm_counts(sigma):
-    """(cyc, inv, cc): the totals that no index profile gives."""
-    n = sigma.n
-    w = sigma.oneline
-    seen = [False] * (n + 1)
-    cyc = 0
-    for i in range(1, n + 1):
-        if not seen[i]:
-            cyc += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = w[j - 1]
-    inv = sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-    return cyc, inv, len(perm_dividers(sigma))
-
-
-def perm_signature(sigma):
-    """Signature of a permutation: bytes of (cyc, inv, cc) followed by the
-    sorted index profile records, four bytes each."""
-    return bytes([*_perm_counts(sigma),
-                  *chain.from_iterable(sorted(_perm_records(sigma)))])
-
-
-def perm_decode(sig):
-    """(profiles, totals) of a permutation signature; the profiles come
-    in record order, not index order."""
-    records = iter(sig[3:])
-    profiles = [_profile(*r) for r in zip(*[records] * 4)]
-    return profiles, _perm_totals(profiles, sig[0], sig[1], sig[2])
+    return [_profile(*r) for r in _perm_kernel(sigma)[1]]
 
 
 _TEN_WAY = ("ereccval", "ereccdrise", "eareccpeak", "eareccdfall", "rar",
@@ -310,13 +318,6 @@ class PermStatTotals:
         d["fix_by_level"] = {str(k): v
                              for k, v in sorted(self.fix_by_level.items())}
         return d
-
-
-def perm_stat_totals(sigma, profiles=None):
-    """Compute every statistic total; consistent with perm_index_profile."""
-    if profiles is None:
-        profiles = perm_index_profile(sigma)
-    return _perm_totals(profiles, *_perm_counts(sigma))
 
 
 def _perm_totals(profiles, cyc, inv, components):
@@ -586,17 +587,6 @@ def iter_permutations(n):
         yield Permutation(word, _trusted=True)
 
 
-PERM = ObjectKind("perm", iter_permutations, perm_signature, perm_decode,
-                  PERM_WEIGHTS, partial(lookup, PERM_FAMILIES))
+PERM = ObjectKind("perm", iter_permutations, _perm_kernel, 3, 4, _profile,
+                  _perm_totals, PERM_WEIGHTS, partial(lookup, PERM_FAMILIES))
 
-
-def enumerate_perm_polynomial(n, family="all", weight="unit",
-                              with_cc_zeta=False, cache=None):
-    """Exact weighted sum over a family of permutations of [n].
-
-    `weight` is a registered weight-map id or a callable
-    (profiles, totals) -> Monomial/MultiPoly.  `with_cc_zeta` multiplies
-    every weight by zeta^cc.  `cache` is an optional dict that keeps the
-    signature histograms (see `histogram`).
-    """
-    return enumerate_polynomial(PERM, n, family, weight, with_cc_zeta, cache)

@@ -7,11 +7,10 @@ Elements are 1-based; the arc graph joins consecutive elements of a block.
 """
 
 from collections import namedtuple
-from itertools import chain
 
 from .mpoly import Indeterminate, Monomial, monomial
-from .permstats import ObjectKind, UnknownWeightMap, enumerate_polynomial, \
-    is_indecomposable, lookup
+from .permstats import ObjectKind, UnknownWeightMap, is_indecomposable, \
+    lookup
 
 
 class NotAPartition(ValueError):
@@ -84,10 +83,12 @@ singletons); see sp_index_profile."""
 _ELEMENT_CLASSES = ("opener", "closer", "insider", "singleton")
 
 
-def _sp_records(pi):
-    """Per-element profile records in element order, as small-int lists
-    [class, cr, ne, qne, ov, cov] with the class an index into
-    _ELEMENT_CLASSES."""
+def _sp_kernel(pi):
+    """(counts, records) of a partition.  counts is (lb, ls, rb, rs, iota,
+    cc), the Wachs-White, intertwining and component totals, which no
+    element profile gives.  records are the per-element profile records in
+    element order, as small-int lists [class, cr, ne, qne, ov, cov] with
+    the class an index into _ELEMENT_CLASSES."""
     n = pi.n
     arcs = pi.arcs
     spans = [(b[0], b[-1]) for b in pi.blocks]
@@ -129,7 +130,21 @@ def _sp_records(pi):
             elif lo < j < mx < hi:
                 cov += 1
         records.append([cls, cr, ne, qne, ov, cov])
-    return records
+    # Wachs-White statistics over ordered block pairs (by minimum)
+    lb = ls = rb = rs = iota = 0
+    bl = pi.blocks
+    for i1 in range(len(bl)):
+        for i2 in range(i1 + 1, len(bl)):
+            b1, b2 = bl[i1], bl[i2]  # min b1 < min b2
+            lb += sum(1 for k in b1 if k > b2[0])
+            ls += len(b2)
+            rb += sum(1 for k in b1 if k < b2[-1])
+            rs += sum(1 for k in b2 if k < b1[-1])
+            # intertwining: pairs (b,c) from the two blocks that are
+            # adjacent in the sorted union of the two blocks
+            union = sorted([(e, 0) for e in b1] + [(e, 1) for e in b2])
+            iota += sum(1 for a, b in zip(union, union[1:]) if a[1] != b[1])
+    return (lb, ls, rb, rs, iota, len(sp_dividers(pi))), records
 
 
 def _profile(cls, cr, ne, qne, ov, cov):
@@ -153,42 +168,7 @@ def sp_index_profile(pi):
     j is an exclusive record iff it is an opener or insider with ne(j)=0,
     and a block record iff it is an opener or insider with cov(j)=0.
     """
-    return [_profile(*r) for r in _sp_records(pi)]
-
-
-def _sp_counts(pi):
-    """(lb, ls, rb, rs, iota, cc): the Wachs-White, intertwining and
-    component totals, which no element profile gives."""
-    # Wachs-White statistics over ordered block pairs (by minimum)
-    lb = ls = rb = rs = iota = 0
-    bl = pi.blocks
-    for i1 in range(len(bl)):
-        for i2 in range(i1 + 1, len(bl)):
-            b1, b2 = bl[i1], bl[i2]  # min b1 < min b2
-            lb += sum(1 for k in b1 if k > b2[0])
-            ls += len(b2)
-            rb += sum(1 for k in b1 if k < b2[-1])
-            rs += sum(1 for k in b2 if k < b1[-1])
-            # intertwining: pairs (b,c) from the two blocks that are
-            # adjacent in the sorted union of the two blocks
-            union = sorted([(e, 0) for e in b1] + [(e, 1) for e in b2])
-            iota += sum(1 for a, b in zip(union, union[1:]) if a[1] != b[1])
-    return lb, ls, rb, rs, iota, len(sp_dividers(pi))
-
-
-def sp_signature(pi):
-    """Signature of a partition: bytes of (lb, ls, rb, rs, iota, cc)
-    followed by the sorted element profile records, six bytes each."""
-    return bytes([*_sp_counts(pi),
-                  *chain.from_iterable(sorted(_sp_records(pi)))])
-
-
-def sp_decode(sig):
-    """(profiles, totals) of a partition signature; the profiles come in
-    record order, not element order."""
-    records = iter(sig[6:])
-    profiles = [_profile(*r) for r in zip(*[records] * 6)]
-    return profiles, _sp_totals(profiles, *sig[:6])
+    return [_profile(*r) for r in _sp_kernel(pi)[1]]
 
 
 class SPStatTotals:
@@ -206,16 +186,9 @@ class SPStatTotals:
         return {k: getattr(self, k) for k in self.__slots__}
 
 
-def sp_stat_totals(pi, profiles=None):
-    """Compute every statistic total; consistent with sp_index_profile."""
-    if profiles is None:
-        profiles = sp_index_profile(pi)
-    return _sp_totals(profiles, *_sp_counts(pi))
-
-
 def _sp_totals(profiles, lb, ls, rb, rs, iota, cc):
     """Totals from the element profiles (in any order) and the counts of
-    _sp_counts."""
+    _sp_kernel."""
     t = SPStatTotals()
     t.n = len(profiles)
     t.m1 = t.mge2 = 0
@@ -506,19 +479,6 @@ def _sp_family(family):
     return lookup(SP_FAMILIES, family)
 
 
-SETPART = ObjectKind("setpart", iter_set_partitions, sp_signature, sp_decode,
-                     SP_WEIGHTS, _sp_family)
+SETPART = ObjectKind("setpart", iter_set_partitions, _sp_kernel, 6, 6,
+                     _profile, _sp_totals, SP_WEIGHTS, _sp_family)
 
-
-def enumerate_sp_polynomial(n, family="all", weight="unit",
-                            with_cc_zeta=False, cache=None):
-    """Exact weighted sum over a family of partitions of [n].
-
-    `family` is "all", "indecomposable", or "blocks:k" for a fixed block
-    count k.  `weight` is a registered weight-map id or a callable
-    (profiles, totals) -> Monomial/MultiPoly.  `with_cc_zeta` multiplies
-    every weight by zeta^cc.  `cache` is an optional dict that keeps the
-    signature histograms (see permstats.histogram).
-    """
-    return enumerate_polynomial(SETPART, n, family, weight, with_cc_zeta,
-                                cache)

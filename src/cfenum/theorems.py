@@ -16,12 +16,10 @@ from .series import (expand_sfraction, expand_jfraction,
                      attach_component_weight, indecomposable_series,
                      RationalSeries, jfraction_from_series,
                      TerminatedFraction, NonUnitConstantTerm)
-from .permstats import enumerate_perm_polynomial
-from .setpartstats import enumerate_sp_polynomial, sp_reverse, \
-    sp_stat_totals, setpart_from_blocks, iter_set_partitions
-from .matchstats import enumerate_matching_polynomial, touchard_riordan
-from .permstats import iter_permutations, perm_index_profile, \
-    perm_stat_totals
+from .permstats import PERM, decode, enumerate_polynomial, histogram, \
+    is_avoid321, signature, stat_totals
+from .setpartstats import SETPART, sp_reverse, setpart_from_blocks
+from .matchstats import MATCH, touchard_riordan
 
 
 class UnknownTheorem(KeyError):
@@ -147,18 +145,30 @@ def _w_q_inv(profiles, t):
 # Cached enumeration
 
 _ENUM_CACHE = {}
-ENUMERATORS = {
-    "perm": enumerate_perm_polynomial,
-    "setpart": enumerate_sp_polynomial,
-    "match": enumerate_matching_polynomial,
-}
+KINDS = {"perm": PERM, "setpart": SETPART, "match": MATCH}
 
 
 def _enum(obj, n, family="all", weight="unit", zeta=False):
     # _ENUM_CACHE keeps one signature histogram per (obj, n, family); the
     # weight and zeta^cc are applied to it on every request
-    return ENUMERATORS[obj](n, family=family, weight=weight,
-                            with_cc_zeta=zeta, cache=_ENUM_CACHE)
+    return enumerate_polynomial(KINDS[obj], n, family, weight, zeta,
+                                _ENUM_CACHE)
+
+
+def _holds_per_signature(obj, holds):
+    """Identity checker n -> (ok, detail) for a predicate
+    `holds(profiles, totals)`: it is tested once per distinct signature of
+    the cached "all" histogram of size n.  The histogram lists signatures
+    in the order their first objects came, so the detail, the first object
+    with the first failing signature, is the first object that fails."""
+    def check(n):
+        kind = KINDS[obj]
+        for sig in histogram(kind, n, "all", _ENUM_CACHE):
+            if not holds(*decode(kind, sig)):
+                return False, repr(next(x for x in kind.objects(n)
+                                        if signature(kind, x) == sig))
+        return True, None
+    return check
 
 
 def _poly(obj, family="all", weight="unit", subst=None, zeta=False,
@@ -1556,35 +1566,22 @@ _register(TheoremCase(
 # ===========================================================================
 # Identities
 
-def _id_inv_decomp(n):
-    for sigma in iter_permutations(n):
-        profiles = perm_index_profile(sigma)
-        t = perm_stat_totals(sigma, profiles)
-        rhs = (t.exc + t.ucross + 2 * t.unest
-               + t.lcross + t.ljoin + 2 * t.lnest + 2 * t.psnest)
-        if t.inv != rhs:
-            return False, "sigma=%r" % (sigma.oneline,)
-    return True, None
+def _inv_decomp(profiles, t):
+    return t.inv == (t.exc + t.ucross + 2 * t.unest
+                     + t.lcross + t.ljoin + 2 * t.lnest + 2 * t.psnest)
 
 
 _register(TheoremCase(
     "inv.decomp", "Identity",
     "inv = exc + ucross + 2 unest + lcross + ljoin + 2 lnest + 2 psnest.",
     8,
-    identity=_id_inv_decomp,
+    identity=_holds_per_signature("perm", _inv_decomp),
 ))
 
 
-def _id_321_nonesting(n):
-    from .permstats import is_avoid321
-    for sigma in iter_permutations(n):
-        profiles = perm_index_profile(sigma)
-        t = perm_stat_totals(sigma, profiles)
-        avoid = is_avoid321(profiles, t)
-        clean = not (t.unest or t.lnest or t.psnest)
-        if avoid and not clean:
-            return False, "sigma=%r" % (sigma.oneline,)
-    return True, None
+def _321_nonesting(profiles, t):
+    return not is_avoid321(profiles, t) \
+        or not (t.unest or t.lnest or t.psnest)
 
 
 _register(TheoremCase(
@@ -1592,54 +1589,42 @@ _register(TheoremCase(
     "A 321-avoiding permutation has no upper/lower nestings or "
     "pseudo-nestings.",
     8,
-    identity=_id_321_nonesting,
+    identity=_holds_per_signature("perm", _321_nonesting),
 ))
 
 
-def _id_crne_eq_ovcov(n):
-    for pi in iter_set_partitions(n):
-        t = sp_stat_totals(pi)
-        if t.crop + t.neop != t.ov + t.cov:
-            return False, "pi=%r" % (pi.blocks,)
-        if t.crin + t.nein != t.ovin + t.covin:
-            return False, "pi=%r" % (pi.blocks,)
-    return True, None
+def _crne_eq_ovcov(profiles, t):
+    return (t.crop + t.neop == t.ov + t.cov
+            and t.crin + t.nein == t.ovin + t.covin)
 
 
 _register(TheoremCase(
     "crne.eq.ovcov", "Identity",
     "crop + neop = ov + cov and crin + nein = ovin + covin.",
     9,
-    identity=_id_crne_eq_ovcov,
+    identity=_holds_per_signature("setpart", _crne_eq_ovcov),
 ))
 
 
-def _id_crne_mod2(n):
-    for pi in iter_set_partitions(n):
-        t = sp_stat_totals(pi)
-        if (t.cr - t.ov) % 2:
-            return False, "pi=%r" % (pi.blocks,)
-        if (t.crin + t.neop - t.cov) % 2:
-            return False, "pi=%r" % (pi.blocks,)
-        if (t.crop + t.nein - t.ov - t.ovin - t.covin) % 2:
-            return False, "pi=%r" % (pi.blocks,)
-        if (t.ne - t.cov - t.ovin - t.covin) % 2:
-            return False, "pi=%r" % (pi.blocks,)
-    return True, None
+def _crne_mod2(profiles, t):
+    return not ((t.cr - t.ov) % 2
+                or (t.crin + t.neop - t.cov) % 2
+                or (t.crop + t.nein - t.ov - t.ovin - t.covin) % 2
+                or (t.ne - t.cov - t.ovin - t.covin) % 2)
 
 
 _register(TheoremCase(
     "crne.mod2", "Identity",
     "Crossing/nesting congruences modulo 2 with overlaps and coverings.",
     9,
-    identity=_id_crne_mod2,
+    identity=_holds_per_signature("setpart", _crne_mod2),
 ))
 
 
 def _id_rs_formula(n):
-    for pi in iter_set_partitions(n):
-        t = sp_stat_totals(pi)
-        tr = sp_stat_totals(sp_reverse(pi))
+    for pi in SETPART.objects(n):
+        t = stat_totals(SETPART, pi)
+        tr = stat_totals(SETPART, sp_reverse(pi))
         if t.rs != tr.ov + 2 * tr.cov + tr.covin + tr.pscov:
             return False, "pi=%r" % (pi.blocks,)
     return True, None
@@ -1653,29 +1638,23 @@ _register(TheoremCase(
 ))
 
 
-def _id_iota_formula(n):
-    for pi in iter_set_partitions(n):
-        t = sp_stat_totals(pi)
-        if t.iota_prime != t.cr + t.ov + t.cov + t.pscov:
-            return False, "pi=%r" % (pi.blocks,)
-        if t.iota_prime != t.crin + 2 * t.crop + t.neop + t.psne:
-            return False, "pi=%r" % (pi.blocks,)
-        if t.iota != t.iota_prime + comb(t.blocks, 2):
-            return False, "pi=%r" % (pi.blocks,)
-    return True, None
+def _iota_formula(profiles, t):
+    return (t.iota_prime == t.cr + t.ov + t.cov + t.pscov
+            == t.crin + 2 * t.crop + t.neop + t.psne
+            and t.iota == t.iota_prime + comb(t.blocks, 2))
 
 
 _register(TheoremCase(
     "iota.formula", "Identity",
     "iota' = cr + ov + cov + pscov = crin + 2 crop + neop + psne.",
     9,
-    identity=_id_iota_formula,
+    identity=_holds_per_signature("setpart", _iota_formula),
 ))
 
 
 def _id_fig9(n):
     pi = setpart_from_blocks([[1, 3, 6], [2, 4, 5]])
-    t = sp_stat_totals(pi)
+    t = stat_totals(SETPART, pi)
     return (t.iota == 4 and t.iota_prime == 3), None
 
 

@@ -9,8 +9,8 @@ import time
 
 from cfenum.matchstats import touchard_riordan
 from cfenum.mpoly import Monomial, var
-from cfenum.permstats import (enumerate_perm_polynomial, iter_permutations,
-                              perm_stat_totals)
+from cfenum.permstats import (PERM, enumerate_polynomial, iter_permutations,
+                              stat_totals)
 from cfenum.series import (attach_component_weight, expand_jfraction,
                            expand_sfraction, indecomposable_series)
 from cfenum.theorems import REGISTRY, _enum, check_identity, \
@@ -143,11 +143,11 @@ def test_criterion_10_cc_and_indecomposable():
     f = expand_sfraction(attach_component_weight(lambda n: (n + 1) // 2, z),
                          6)
     for n in range(7):
-        assert f.coeffs[n] == enumerate_perm_polynomial(n, weight="zeta-cc")
+        assert f.coeffs[n] == enumerate_polynomial(PERM, n, weight="zeta-cc")
     g = indecomposable_series(
         expand_jfraction(lambda n: 2 * n + 1, lambda n: n * n, 6))
     for n in range(1, 7):
         assert g.coeffs[n].constant_term() == sum(
             1 for sg in iter_permutations(n)
-            if perm_stat_totals(sg).cc == 1)
+            if stat_totals(PERM, sg).cc == 1)
     _passed(10, "zeta^cc and indecomposable expansions match enumeration")

@@ -145,6 +145,21 @@ def test_stats_setpart_and_match(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("obj, option, value, stat, total", [
+    # the reversal of [24]: inv = C(24, 2)
+    ("perm", "--oneline", ",".join(map(str, range(24, 0, -1))), "inv", 276),
+    # 24 singletons: ls = C(24, 2)
+    ("setpart", "--blocks", ";".join(map(str, range(1, 25))), "ls", 276),
+    # 257 nested arcs: ne = C(257, 2)
+    ("match", "--pairs", ",".join("%d-%d" % (i, 515 - i)
+                                  for i in range(1, 258)), "ne", 32896),
+], ids=["perm", "setpart", "match"])
+def test_stats_totals_above_255(runner, obj, option, value, stat, total):
+    res = _run(runner, ["stats", "--object", obj, option, value])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["stats"][stat] == total
+
+
 def test_encode_decode_round_trip(runner, tmp_path):
     res = _run(runner, ["encode", "--bijection", "fz",
                         "--oneline", "5,6,1,4,2,7,3"])
@@ -167,6 +182,22 @@ def test_decode_from_stdin(runner):
                input=path_json)
     assert res.exit_code == 0
     assert json.loads(res.output)["blocks"] == [[1, 2]]
+
+
+@pytest.mark.parametrize("text", [
+    '{"steps": 5}',
+    '[1, 2]',
+    '{"steps": [{"kind": "L", "color": "a", "label": [1]}]}',
+    '{"steps": [{"kind": "R", "label": 5}]}',
+    '{"steps": [{"kind": "R", "label": ["a"]}]}',
+], ids=["steps-not-list", "not-object", "color-not-int", "label-not-list",
+        "label-not-ints"])
+def test_decode_malformed_path(runner, text):
+    res = _run(runner, ["decode", "--bijection", "FZ", "--path", "-"],
+               input=text)
+    assert res.exit_code == 2
+    assert "error: cannot read path:" in res.output
+    assert "Traceback" not in res.output
 
 
 def test_encode_errors(runner):
@@ -192,6 +223,14 @@ def test_verify_all_negative_budget_is_usage_error(runner):
     res = _run(runner, ["verify-all", "--budget", "-1"])
     assert res.exit_code == 2
     assert "is not in the range" in res.output
+    assert '"ok"' not in res.output
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
+def test_verify_all_non_finite_budget_is_usage_error(runner, budget):
+    res = _run(runner, ["verify-all", "--budget", budget])
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
     assert '"ok"' not in res.output
 
 

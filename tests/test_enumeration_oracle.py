@@ -4,16 +4,14 @@ per-object reference loop of enum_oracle, exhaustively at small n."""
 import pytest
 
 from cfenum import theorems
-from cfenum.matchstats import MATCH, matching_stat_totals
-from cfenum.permstats import PERM, enumerate_polynomial, perm_stat_totals
-from cfenum.setpartstats import SETPART, sp_stat_totals
+from cfenum.permstats import (PERM, decode, enumerate_polynomial, signature,
+                              stat_totals)
+from cfenum.setpartstats import SETPART
+from cfenum.theorems import KINDS
 
 import enum_oracle
 
 N_MAX = {"perm": 6, "setpart": 6, "match": 5}
-LIBRARY = {"perm": (PERM, perm_stat_totals),
-           "setpart": (SETPART, sp_stat_totals),
-           "match": (MATCH, matching_stat_totals)}
 
 
 def _mismatches(obj, kind, weights=None):
@@ -40,28 +38,27 @@ def _mismatches(obj, kind, weights=None):
 
 @pytest.mark.parametrize("obj", ["perm", "setpart", "match"])
 def test_histogram_matches_oracle(obj):
-    assert _mismatches(obj, LIBRARY[obj][0]) == []
+    assert _mismatches(obj, KINDS[obj]) == []
 
 
 @pytest.mark.parametrize("obj", ["perm", "setpart", "match"])
 def test_signature_totals_match_oracle(obj):
     oracle = enum_oracle.KINDS[obj]
-    kind, stat_totals = LIBRARY[obj]
+    kind = KINDS[obj]
     for n in range(N_MAX[obj] + 1):
         for x in oracle.objects(n):
             want = oracle.to_dict(oracle.stats(x)[2])
-            assert stat_totals(x).to_dict() == want, x
-            assert kind.decode(kind.signature(x))[1].to_dict() == want, x
+            assert stat_totals(kind, x).to_dict() == want, x
+            assert decode(kind, signature(kind, x))[1].to_dict() == want, x
 
 
 def test_mutated_signature_is_caught():
-    # zero the cycle predecessor's unest, the last byte of each record
+    # zero the cycle predecessor's unest, the last field of each record
     def without_pred_unest(sigma):
-        sig = bytearray(PERM.signature(sigma))
-        sig[6::4] = bytes(len(sig[6::4]))
-        return bytes(sig)
+        counts, records = PERM.kernel(sigma)
+        return counts, [record[:3] + [0] for record in records]
 
-    mutant = PERM._replace(signature=without_pred_unest)
+    mutant = PERM._replace(kernel=without_pred_unest)
     bad = _mismatches("perm", mutant, ["master2", "four-var-arec"])
     assert bad
     assert {weight for weight, _, _, _ in bad} == {"master2"}
@@ -72,11 +69,9 @@ def test_one_kernel_pass_per_object_set(monkeypatch):
 
     def counted(pi):
         calls.append(pi)
-        return SETPART.signature(pi)
+        return SETPART.kernel(pi)
 
-    import cfenum.setpartstats as setpartstats
-    monkeypatch.setattr(setpartstats, "SETPART",
-                        SETPART._replace(signature=counted))
+    monkeypatch.setitem(KINDS, "setpart", SETPART._replace(kernel=counted))
     monkeypatch.setattr(theorems, "_ENUM_CACHE", {})
     for tid in ("sp.masterJ1", "sp.masterJ2", "sp.masterJ3", "sp.masterJ4"):
         assert theorems.verify_theorem(tid, n_max=6).ok, tid
@@ -87,3 +82,27 @@ def test_one_kernel_pass_per_object_set(monkeypatch):
         theorems._enum("setpart", n, "all", "x-lb")
         theorems._enum("setpart", n, "indecomposable", "three-var", True)
     assert calls == []
+
+
+def _inv_decomp_with_inv(monkeypatch, shift):
+    """inv.decomp at n <= 4 on a fresh cache, with a perm kernel whose inv
+    is moved by shift(inv)."""
+    def kernel(sigma):
+        (cyc, inv, cc), records = PERM.kernel(sigma)
+        return (cyc, inv + shift(inv), cc), records
+
+    monkeypatch.setitem(KINDS, "perm", PERM._replace(kernel=kernel))
+    monkeypatch.setattr(theorems, "_ENUM_CACHE", {})
+    return theorems.check_identity("inv.decomp", n_max=4)
+
+
+def test_inv_off_by_one_fails_inv_decomp(monkeypatch):
+    assert _inv_decomp_with_inv(monkeypatch, lambda inv: 0).ok
+    report = _inv_decomp_with_inv(monkeypatch, lambda inv: 1)
+    assert not report.ok
+    assert [c["ok"] for c in report.checks] == [False] * 5
+    # off by one at odd inv only: the detail is the first failing object
+    report = _inv_decomp_with_inv(monkeypatch, lambda inv: inv % 2)
+    assert [c["ok"] for c in report.checks] == [True, True] + [False] * 3
+    assert report.first_discrepancy["detail"] == "Permutation([2, 1])"
+    assert report.checks[3]["detail"] == "Permutation([1, 3, 2])"

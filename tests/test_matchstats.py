@@ -2,13 +2,12 @@
 
 import pytest
 
-from cfenum.matchstats import (Matching, NotAMatching,
-                               enumerate_matching_polynomial, iter_matchings,
-                               match_decode, match_signature,
+from cfenum.matchstats import (MATCH, Matching, NotAMatching, iter_matchings,
                                matching_from_pairs, matching_master_weight,
-                               matching_stat_totals, touchard_riordan)
+                               touchard_riordan)
 from cfenum.mpoly import Monomial, MultiPoly, as_poly, var
-from cfenum.permstats import enumerate_perm_polynomial
+from cfenum.permstats import (PERM, decode, enumerate_polynomial, signature,
+                              stat_totals)
 from cfenum.series import expand_sfraction
 
 
@@ -31,21 +30,21 @@ def test_matching_construction():
 
 
 def test_stat_totals_examples():
-    t = matching_stat_totals(Matching([(1, 2)]))
+    t = stat_totals(MATCH, Matching([(1, 2)]))
     assert t.ecpar == 1 and t.ocvr == 1
     assert t.cr == t.ne == 0 and t.cc == 1
 
-    t = matching_stat_totals(Matching([(1, 3), (2, 4)]))
+    t = stat_totals(MATCH, Matching([(1, 3), (2, 4)]))
     assert t.cr == 1 and t.ecr == 1 and t.ocr == 0
 
-    t = matching_stat_totals(Matching([(1, 4), (2, 3)]))
+    t = stat_totals(MATCH, Matching([(1, 4), (2, 3)]))
     assert t.ne == 1 and t.ene == 1
 
 
 def test_totals_partition_invariants():
     for n in range(1, 6):
         for m in iter_matchings(n):
-            t = matching_stat_totals(m)
+            t = stat_totals(MATCH, m)
             assert t.ecpar + t.ocpar + t.ecpnar + t.ocpnar == n
             assert t.ecvr + t.ocvr + t.ecvnr + t.ocvnr == n
             assert t.cr == t.ecr + t.ocr
@@ -54,7 +53,7 @@ def test_totals_partition_invariants():
 
 def _master(pairs):
     return matching_master_weight(
-        *match_decode(match_signature(Matching(pairs))))
+        *decode(MATCH, signature(MATCH, Matching(pairs))))
 
 
 def test_master_weight_examples():
@@ -87,13 +86,13 @@ def test_four_var_sfraction():
     f = expand_sfraction(alpha, 6)
     for n in range(7):
         assert f.coeffs[n] \
-            == enumerate_matching_polynomial(n, weight="four-var-cp")
+            == enumerate_polynomial(MATCH, n, weight="four-var-cp")
         assert f.coeffs[n] \
-            == enumerate_matching_polynomial(n, weight="four-var-cv")
+            == enumerate_polynomial(MATCH, n, weight="four-var-cv")
 
 
 def test_n1_four_var_is_x():
-    assert enumerate_matching_polynomial(1, weight="four-var-cp") \
+    assert enumerate_polynomial(MATCH, 1, weight="four-var-cp") \
         == as_poly(var("x"))
 
 
@@ -109,7 +108,7 @@ def test_six_var_sfraction():
     f = expand_sfraction(alpha, 5)
     for n in range(6):
         assert f.coeffs[n] \
-            == enumerate_matching_polynomial(n, weight="six-var")
+            == enumerate_polynomial(MATCH, n, weight="six-var")
 
 
 def test_pq_sfraction():
@@ -126,8 +125,8 @@ def test_pq_sfraction():
 
     f = expand_sfraction(alpha, 5)
     for n in range(6):
-        assert f.coeffs[n] == enumerate_matching_polynomial(n, weight="pq")
-        assert f.coeffs[n] == enumerate_matching_polynomial(n, weight="pq-cv")
+        assert f.coeffs[n] == enumerate_polynomial(MATCH, n, weight="pq")
+        assert f.coeffs[n] == enumerate_polynomial(MATCH, n, weight="pq-cv")
 
 
 def test_master_sfraction():
@@ -139,7 +138,7 @@ def test_master_sfraction():
 
     f = expand_sfraction(alpha, 5)
     for n in range(6):
-        assert f.coeffs[n] == enumerate_matching_polynomial(n, weight="master")
+        assert f.coeffs[n] == enumerate_polynomial(MATCH, n, weight="master")
 
 
 def test_touchard_riordan():
@@ -148,7 +147,7 @@ def test_touchard_riordan():
     assert touchard_riordan(2) == 2 + p
     for n in range(7):
         assert touchard_riordan(n) \
-            == enumerate_matching_polynomial(n, weight="cr")
+            == enumerate_polynomial(MATCH, n, weight="cr")
 
 
 def test_parity_lemma():
@@ -166,16 +165,16 @@ def test_parity_lemma():
 
 def test_cc_distribution():
     z = var("zeta")
-    assert enumerate_matching_polynomial(3, weight="zeta-cc") \
+    assert enumerate_polynomial(MATCH, 3, weight="zeta-cc") \
         == 10 * z + 4 * z ** 2 + z ** 3
-    assert enumerate_matching_polynomial(4, weight="zeta-cc") \
+    assert enumerate_polynomial(MATCH, 4, weight="zeta-cc") \
         == 74 * z + 24 * z ** 2 + 6 * z ** 3 + z ** 4
 
 
 def test_matching_to_perm_identity():
     u, v, y = var("u"), var("v"), var("y")
     for n in range(6):
-        mn = enumerate_matching_polynomial(n, weight="four-var-cp")
-        pn = enumerate_perm_polynomial(n, weight="four-var-arec") \
+        mn = enumerate_polynomial(MATCH, n, weight="four-var-cp")
+        pn = enumerate_polynomial(PERM, n, weight="four-var-arec") \
             .substitute({"y": y + v, "u": 2 * u, "v": 2 * v})
         assert mn == pn

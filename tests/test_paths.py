@@ -11,9 +11,9 @@ from cfenum.paths import (BIJECTION_PFS, ColoredStep, InvalidPath,
                           path_to_json, path_validate,
                           sp_reversed_index_stats)
 from cfenum.paths import _SP_MODES
-from cfenum.permstats import (Permutation, enumerate_perm_polynomial,
+from cfenum.permstats import (PERM, Permutation, enumerate_polynomial,
                               iter_permutations, perm_index_profile,
-                              perm_stat_totals)
+                              stat_totals)
 from cfenum.series import expand_jfraction
 from cfenum.setpartstats import (SetPartition, iter_set_partitions,
                                  sp_index_profile, sp_reverse)
@@ -62,7 +62,7 @@ def check_fz_lemmas(n_max):
                 elif pr.cycle_class in ("cpeak", "cdfall"):
                     assert h[i - 1] - xi == pr.lcross
                     assert xi - 1 == pr.lnest
-            t = perm_stat_totals(sg, profs)
+            t = stat_totals(PERM, sg)
             inv = sum(h[i - 1] + p.labels[i - 1][0] - 1
                       for i in range(1, n + 1)) \
                 + sum(h[i - 1] for i in range(1, n + 1)
@@ -96,7 +96,7 @@ def check_biane_lemmas(n_max):
                     assert x1 - 1 == profs[j - 1].unest
                 if pr.cycle_class == "fix":
                     assert h[i - 1] == h[i] == pr.lev
-            t = perm_stat_totals(sg, profs)
+            t = stat_totals(PERM, sg)
             inv = sum(h[i - 1] + p.labels[i - 1][0] + p.labels[i - 1][1] - 2
                       for i in range(1, n + 1)) \
                 + sum(h[i - 1] for i in range(1, n + 1)
@@ -285,7 +285,7 @@ def test_weighted_path_sum_matches_master_enumeration():
 
     sums = _weighted_path_sums(PF_FZ, fz_weights, 4)
     for n in range(5):
-        assert sums[n] == enumerate_perm_polynomial(n, weight="master1")
+        assert sums[n] == enumerate_polynomial(PERM, n, weight="master1")
 
 
 def test_json_round_trip():

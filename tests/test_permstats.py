@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfenum.mpoly import Monomial, MultiPoly, as_poly, var
-from cfenum.permstats import (NotABijection, Permutation, UnknownWeightMap,
-                              enumerate_perm_polynomial, is_avoid321,
-                              iter_permutations, perm_decode, perm_dividers,
+from cfenum.permstats import (PERM, NotABijection, Permutation,
+                              UnknownWeightMap, decode, enumerate_polynomial,
+                              is_avoid321, iter_permutations, perm_dividers,
                               perm_from_oneline, perm_index_profile,
                               perm_master_weight_first,
-                              perm_master_weight_second, perm_signature,
-                              perm_stat_totals)
+                              perm_master_weight_second, signature,
+                              stat_totals)
 
 FIG3 = perm_from_oneline([5, 6, 1, 4, 2, 7, 3])
 
@@ -53,25 +53,25 @@ def test_index_profile_321():
 
 
 def test_stat_totals_small():
-    t = perm_stat_totals(perm_from_oneline([1, 2, 3, 4]))
+    t = stat_totals(PERM, perm_from_oneline([1, 2, 3, 4]))
     assert (t.cyc, t.fix, t.cc, t.inv) == (4, 4, 4, 0)
-    t = perm_stat_totals(perm_from_oneline([2, 1]))
+    t = stat_totals(PERM, perm_from_oneline([2, 1]))
     assert (t.inv, t.cyc, t.exc, t.cc) == (1, 1, 1, 1)
 
 
 def test_stat_totals_fig3():
-    t = perm_stat_totals(FIG3)
+    t = stat_totals(PERM, FIG3)
     assert (t.cyc, t.fix, t.exc, t.cc) == (2, 1, 3, 1)
 
 
 def test_dividers_and_cc():
     assert perm_dividers(perm_from_oneline([2, 1, 3, 5, 4])) == [2, 3, 5]
-    assert perm_stat_totals(perm_from_oneline([2, 1, 3, 5, 4])).cc == 3
+    assert stat_totals(PERM, perm_from_oneline([2, 1, 3, 5, 4])).cc == 3
 
 
 def _stats(word):
     """(profiles, totals) of a permutation, through its signature."""
-    return perm_decode(perm_signature(perm_from_oneline(word)))
+    return decode(PERM, signature(PERM, perm_from_oneline(word)))
 
 
 def test_master_weight_first():
@@ -101,26 +101,26 @@ def test_master_weight_second():
 
 def test_enumerate_four_var_s3():
     x, y, u, v = var("x"), var("y"), var("u"), var("v")
-    p = enumerate_perm_polynomial(3, weight="four-var-arec")
+    p = enumerate_polynomial(PERM, 3, weight="four-var-arec")
     assert p == x ** 3 + 3 * x ** 2 * y + x * y ** 2 + x * y * u
     assert p.substitute({"x": 1, "y": 1, "u": 1, "v": 1}).constant_term() == 6
 
 
 def test_enumerate_avoid321_narayana():
     x, y = var("x"), var("y")
-    p = enumerate_perm_polynomial(3, family="avoid321", weight="two-var")
+    p = enumerate_polynomial(PERM, 3, family="avoid321", weight="two-var")
     assert p == x ** 3 + 3 * x ** 2 * y + x * y ** 2
 
 
 def test_enumerate_cycle_alternating_secant():
-    p = enumerate_perm_polynomial(4, family="cycle_alternating")
+    p = enumerate_polynomial(PERM, 4, family="cycle_alternating")
     assert p.constant_term() == 5  # E_4
 
 
 def test_enumerate_empty_and_errors():
-    assert enumerate_perm_polynomial(0, weight="master1") == MultiPoly.one()
+    assert enumerate_polynomial(PERM, 0, weight="master1") == MultiPoly.one()
     with pytest.raises(UnknownWeightMap):
-        enumerate_perm_polynomial(2, weight="no-such-weight")
+        enumerate_polynomial(PERM, 2, weight="no-such-weight")
 
 
 def _all_perms(n):
@@ -130,7 +130,7 @@ def _all_perms(n):
 def test_per_index_consistency_n5():
     for sigma in _all_perms(5):
         prof = perm_index_profile(sigma)
-        t = perm_stat_totals(sigma, prof)
+        t = stat_totals(PERM, sigma)
         assert t.ucross == sum(p.ucross for p in prof)
         assert t.unest == sum(p.unest for p in prof)
         assert t.lcross == sum(p.lcross for p in prof)
@@ -154,8 +154,8 @@ def test_per_index_consistency_n5():
 def test_inverse_duality_n6():
     for n in range(7):
         for sigma in _all_perms(n):
-            t = perm_stat_totals(sigma)
-            ti = perm_stat_totals(sigma.inverse())
+            t = stat_totals(PERM, sigma)
+            ti = stat_totals(PERM, sigma.inverse())
             assert t.ucross == ti.lcross
             assert t.unest == ti.lnest
             assert t.psnest == ti.psnest
@@ -167,7 +167,7 @@ def test_reversal_duality_n6():
         n = sigma.n
         rev = perm_from_oneline(
             [n + 1 - sigma(n + 1 - i) for i in range(1, n + 1)])
-        t, tr = perm_stat_totals(sigma), perm_stat_totals(rev)
+        t, tr = stat_totals(PERM, sigma), stat_totals(PERM, rev)
         assert t.cpeak == tr.cval and t.cval == tr.cpeak
         assert t.cdrise == tr.cdfall and t.cdfall == tr.cdrise
         assert t.rec == tr.arec and t.arec == tr.rec
@@ -176,7 +176,7 @@ def test_reversal_duality_n6():
 
 def test_inversion_identity_n6():
     for sigma in _all_perms(6):
-        t = perm_stat_totals(sigma)
+        t = stat_totals(PERM, sigma)
         assert t.inv == (t.exc + t.ucross + 2 * t.unest + t.lcross
                          + t.ljoin + 2 * t.lnest + 2 * t.psnest)
 
@@ -193,7 +193,7 @@ def test_level_double_count_n6():
 def test_avoid321_no_nestings_n6():
     for sigma in _all_perms(6):
         prof = perm_index_profile(sigma)
-        t = perm_stat_totals(sigma, prof)
+        t = stat_totals(PERM, sigma)
         if is_avoid321(prof, t):
             assert t.unest == t.lnest == t.psnest == 0
             # agrees with direct pattern scan
@@ -206,7 +206,7 @@ def test_avoid321_no_nestings_n6():
 @settings(max_examples=50, deadline=None)
 @given(st.permutations(list(range(1, 8))))
 def test_ten_way_partition(word):
-    t = perm_stat_totals(perm_from_oneline(list(word)))
+    t = stat_totals(PERM, perm_from_oneline(list(word)))
     assert sum(t.ten_way.values()) == t.n
     assert t.erec + t.earec + t.rar + t.nrar == t.n
     assert t.cval + t.cpeak + t.cdrise + t.cdfall + t.fix == t.n
@@ -214,7 +214,7 @@ def test_ten_way_partition(word):
 
 
 def test_to_dict_shape():
-    d = perm_stat_totals(FIG3).to_dict()
+    d = stat_totals(PERM, FIG3).to_dict()
     assert d["cyc"] == 2 and d["exc"] == 3
     assert "ereccval" in d and "ucrosscval" in d
     assert d["fix_by_level"] == {"2": 1}

@@ -5,12 +5,12 @@ import random
 import pytest
 
 from cfenum.mpoly import Monomial, MultiPoly, var
-from cfenum.setpartstats import (NotAPartition, SetPartition,
-                                 enumerate_sp_polynomial, iter_rgs,
-                                 iter_set_partitions, setpart_from_blocks,
-                                 setpart_from_rgs, sp_dividers,
-                                 sp_index_profile, sp_master_weight,
-                                 sp_reverse, sp_stat_totals)
+from cfenum.permstats import enumerate_polynomial, stat_totals
+from cfenum.setpartstats import (SETPART, NotAPartition, SetPartition,
+                                 iter_rgs, iter_set_partitions,
+                                 setpart_from_blocks, setpart_from_rgs,
+                                 sp_dividers, sp_index_profile,
+                                 sp_master_weight, sp_reverse)
 
 FIG9 = setpart_from_blocks([[1, 3, 6], [2, 4, 5]])
 
@@ -44,13 +44,13 @@ def test_index_profile_examples():
 
 
 def test_stat_totals_examples():
-    t = sp_stat_totals(FIG9)
+    t = stat_totals(SETPART, FIG9)
     assert t.iota == 4 and t.iota_prime == 3
 
-    t = sp_stat_totals(setpart_from_blocks([[1], [2], [3]]))
+    t = stat_totals(SETPART, setpart_from_blocks([[1], [2], [3]]))
     assert (t.cr, t.ne, t.ov, t.cov, t.cc, t.blocks) == (0, 0, 0, 0, 3, 3)
 
-    t = sp_stat_totals(setpart_from_blocks([[1, 3], [2, 4]]))
+    t = stat_totals(SETPART, setpart_from_blocks([[1, 3], [2, 4]]))
     assert (t.cr, t.ne, t.ov, t.cov, t.cc) == (1, 0, 1, 0, 1)
 
 
@@ -94,33 +94,33 @@ def test_rgs_enumeration():
 
 def test_enumerate_block_count():
     x = var("x")
-    assert enumerate_sp_polynomial(3, weight="block-count") \
+    assert enumerate_polynomial(SETPART, 3, weight="block-count") \
         == x ** 3 + 3 * x ** 2 + x
-    assert enumerate_sp_polynomial(0) == MultiPoly.one()
+    assert enumerate_polynomial(SETPART, 0) == MultiPoly.one()
 
 
 def test_enumerate_qlb_stirling():
     q, x = var("q"), var("x")
-    p = enumerate_sp_polynomial(4, weight="x-lb")
+    p = enumerate_polynomial(SETPART, 4, weight="x-lb")
     two_blocks = MultiPoly(
         {m * Monomial({q: 0}): c for m, c in p.terms.items()
          if dict(m.exps).get(x) == 2})
     expected = (3 + 3 * q + q * q) * x ** 2
     assert two_blocks == expected
     # also reachable through the blocks:k family filter
-    p2 = enumerate_sp_polynomial(4, family="blocks:2", weight="x-lb")
+    p2 = enumerate_polynomial(SETPART, 4, family="blocks:2", weight="x-lb")
     assert p2 == expected
 
 
 def test_dividers_and_cc():
     pi = setpart_from_blocks([[1, 3], [2], [4, 5]])
     assert sp_dividers(pi) == [3, 5]
-    assert sp_stat_totals(pi).cc == 2
+    assert stat_totals(SETPART, pi).cc == 2
 
 
 def _totals(n):
     for pi in iter_set_partitions(n):
-        yield sp_index_profile(pi), sp_stat_totals(pi)
+        yield sp_index_profile(pi), stat_totals(SETPART, pi)
 
 
 def test_profile_invariants_n7():
@@ -157,8 +157,8 @@ def test_mod2_lemma_n7():
 def test_rs_and_iota_propositions_n7():
     for n in range(8):
         for pi in iter_set_partitions(n):
-            t = sp_stat_totals(pi)
-            tr = sp_stat_totals(sp_reverse(pi))
+            t = stat_totals(SETPART, pi)
+            tr = stat_totals(SETPART, sp_reverse(pi))
             assert t.rs == tr.ov + 2 * tr.cov + tr.covin + tr.pscov
             assert t.iota_prime == t.cr + t.ov + t.cov + t.pscov
             assert t.iota_prime == t.crin + 2 * t.crop + t.neop + t.psne
@@ -166,12 +166,12 @@ def test_rs_and_iota_propositions_n7():
 
 def test_wachs_white_equidistribution_n7():
     for n in range(8):
-        assert enumerate_sp_polynomial(n, weight="lb-ls") \
-            == enumerate_sp_polynomial(n, weight="rs-rb")
+        assert enumerate_polynomial(SETPART, n, weight="lb-ls") \
+            == enumerate_polynomial(SETPART, n, weight="rs-rb")
 
 
 def test_four_master_weights_agree_n7():
     for n in range(8):
-        sums = [enumerate_sp_polynomial(n, weight="master%d" % v)
+        sums = [enumerate_polynomial(SETPART, n, weight="master%d" % v)
                 for v in (1, 2, 3, 4)]
         assert sums[0] == sums[1] == sums[2] == sums[3]

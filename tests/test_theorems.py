@@ -6,10 +6,10 @@ import pytest
 
 from cfenum.matchstats import MATCH_WEIGHTS
 from cfenum.mpoly import monomial, var
-from cfenum.permstats import PERM_WEIGHTS
+from cfenum.permstats import PERM_WEIGHTS, enumerate_polynomial
 from cfenum.series import expand_jfraction, expand_sfraction
 from cfenum.setpartstats import SP_WEIGHTS
-from cfenum.theorems import (ALIASES, ENUMERATORS, REGISTRY, UnknownIdentity,
+from cfenum.theorems import (ALIASES, KINDS, REGISTRY, UnknownIdentity,
                              UnknownTheorem, check_identity, expand_registered,
                              list_identities, list_theorems, pqint, qint,
                              verify_theorem, _poly)
@@ -178,7 +178,7 @@ def test_registry_expansions_match_nested_oracle():
 def test_every_weight_map_counts_all_objects(obj, table, counts):
     for weight in table:
         for n, count in enumerate(counts):
-            poly = ENUMERATORS[obj](n, family="all", weight=weight)
+            poly = enumerate_polynomial(KINDS[obj], n, "all", weight)
             assert poly.evaluate({}, default=1) == count, (weight, n)
 
 
