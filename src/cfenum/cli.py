@@ -16,7 +16,8 @@ import time
 import click
 
 from . import __version__
-from .mpoly import Indeterminate, ParseError, as_poly, from_text, to_text
+from .mpoly import ExponentError, Indeterminate, ParseError, as_poly, \
+    from_text, to_text
 from .permstats import Permutation, NotABijection, UnknownWeightMap, \
     enumerate_polynomial, stat_totals
 from .setpartstats import NotAPartition, setpart_from_blocks
@@ -245,7 +246,10 @@ def enumerate(obj, n, family, weight, subst_path, zeta, fmt):
     except UnknownWeightMap as exc:
         _fail_usage("unknown weight or family: %s" % exc)
     if subst:
-        poly = poly.substitute(subst)
+        try:
+            poly = poly.substitute(subst)
+        except ExponentError as exc:
+            _fail_usage("substitution gives an %s" % exc)
     out = _stamp({"object": obj, "n": n, "family": family,
                   "weight": weight, "zeta": zeta,
                   "polynomial": to_text(poly)}, n_max=n)

@@ -171,13 +171,13 @@ def _match_totals(profiles, cc):
 def matching_master_weight(profiles, totals=None):
     """Product over arcs (j, l) of a[cr,ne] for the opener j and b[qne]
     for the closer l."""
-    exps = {}
+    pairs = []
     for p in profiles:
         va = Indeterminate("a", p.cr, p.ne)
-        exps[va] = exps.get(va, 0) + 1
+        pairs.append((va, 1))
         vb = Indeterminate("b", p.qne)
-        exps[vb] = exps.get(vb, 0) + 1
-    return Monomial(exps)
+        pairs.append((vb, 1))
+    return Monomial(pairs)
 
 
 def touchard_riordan(n):

@@ -4,14 +4,38 @@ Indeterminates belong to named indexed families created lazily: a plain
 variable like x1 has no indices, w[3] has one index, a[0,2] has two.  A
 polynomial is a dict from monomials to nonzero integer coefficients, so all
 arithmetic is exact and there is no overflow.
+
+A monomial is a packed exponent vector (Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", 2007):
+each indeterminate gets a slot when it is interned, and a monomial is one
+int holding exponent e of the indeterminate in slot s as e << (16 * s).
+Exponents range over 0..MAX_EXPONENT; the top bit of every 16-bit field is
+a guard, so the sum of two valid monomials never carries into the next
+field, and a guard bit set in a sum is an exponent over the limit.
 """
 
+from array import array
 from fractions import Fraction
+from itertools import compress, count
 import json
+from operator import attrgetter, itemgetter
 import re
+import sys
 
+
+_BITS = 16
+_FIELD = (1 << _BITS) - 1
+MAX_EXPONENT = _FIELD >> 1
 
 _registry = {}
+_by_slot = []   # the Indeterminate in each slot, in intern order
+_guard = 0      # the guard bit of every slot given out
+_by_rank = []   # the interned Indeterminates in _key order
+_rank_code = []
+
+
+class ExponentError(ValueError):
+    """An exponent is negative or above MAX_EXPONENT."""
 
 
 class Indeterminate:
@@ -22,9 +46,10 @@ class Indeterminate:
     indices) pair is what identifies the indeterminate.
     """
 
-    __slots__ = ("family", "indices", "_key", "_hash", "_text")
+    __slots__ = ("family", "indices", "_key", "_hash", "_text", "_shift")
 
     def __new__(cls, family, *indices):
+        global _guard
         key = (family, tuple(indices))
         hit = _registry.get(key)
         if hit is not None:
@@ -36,6 +61,9 @@ class Indeterminate:
         self._hash = hash(key)
         self._text = ("%s[%s]" % (family, ",".join(map(str, key[1])))
                       if key[1] else family)
+        self._shift = _BITS * len(_by_slot)
+        _by_slot.append(self)
+        _guard |= 1 << (self._shift + _BITS - 1)
         _registry[key] = self
         return self
 
@@ -80,46 +108,119 @@ def var(family, *indices):
     return Indeterminate(family, *indices)
 
 
-class Monomial:
-    """A product of indeterminate powers, stored canonically sorted."""
+def _fields(packed):
+    """The 16-bit exponent fields of a packed monomial, slot 0 first."""
+    fields = array("H", packed.to_bytes(
+        (packed.bit_length() + _BITS - 1) // _BITS * 2, "little"))
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return fields
 
-    __slots__ = ("exps", "_hash")
+
+def _rank_codes():
+    """Slot -> rank << 16, where the rank is the position of the slot's
+    indeterminate in (family, indices) order.  Rebuilt only after new
+    indeterminates have been interned."""
+    global _rank_code, _by_rank
+    if len(_by_rank) != len(_by_slot):
+        _by_rank = sorted(_by_slot, key=attrgetter("_key"))
+        _rank_code = [0] * len(_by_rank)
+        for r, v in enumerate(_by_rank):
+            _rank_code[v._shift // _BITS] = r << _BITS
+    return _rank_code
+
+
+def _display(packed, rank_code):
+    """Display key of a packed monomial: rank << 16 | exponent of each of
+    its indeterminates, in display order.  Keys compare as the tuples of
+    ((family, indices), exponent) pairs they stand for, so they also sort
+    terms in monomial order."""
+    fields = _fields(packed)
+    return sorted([rank_code[s] + fields[s]
+                   for s in compress(count(), fields)])
+
+
+def _factors(key):
+    """[(Indeterminate, exponent)] of a display key."""
+    return [(_by_rank[code >> _BITS], code & _FIELD) for code in key]
+
+
+def _display_text(key):
+    parts = []
+    for code in key:
+        text, e = _by_rank[code >> _BITS]._text, code & _FIELD
+        parts.append(text if e == 1 else "%s^%d" % (text, e))
+    return "*".join(parts) or "1"
+
+
+def _out_of_range(v, e):
+    return ExponentError("exponent %d of %s is outside 0..%d"
+                         % (e, v, MAX_EXPONENT))
+
+
+def _checked(packed):
+    """packed, unless a guard bit shows a field above MAX_EXPONENT.  A
+    field holds at most the sum of two in-range exponents, so it is still
+    exact and names the exponent in the error."""
+    over = packed & _guard
+    if over:
+        shift = over.bit_length() - _BITS
+        raise _out_of_range(_by_slot[shift // _BITS],
+                            (packed >> shift) & _FIELD)
+    return packed
+
+
+class Monomial:
+    """A product of indeterminate powers, packed into one int (see the
+    module docstring).  Built from a dict or from (Indeterminate,
+    exponent) pairs; repeated indeterminates add up."""
+
+    __slots__ = ("_packed",)
 
     def __init__(self, exps=()):
-        if isinstance(exps, dict):
-            items = exps.items()
-        else:
-            items = exps
-        self.exps = tuple(sorted(((v, e) for v, e in items if e),
-                                 key=lambda ve: ve[0]._key))
-        self._hash = hash(self.exps)
+        packed = 0
+        for v, e in exps.items() if isinstance(exps, dict) else exps:
+            if not 0 <= e <= MAX_EXPONENT:
+                raise _out_of_range(v, e)
+            packed += e << v._shift
+            if packed & _guard:  # a repeated indeterminate went over
+                _checked(packed)
+        self._packed = packed
 
     def __hash__(self):
-        return self._hash
+        return hash(self._packed)
 
     def __eq__(self, other):
-        return self.exps == other.exps
+        return self._packed == other._packed
 
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
+
+    @property
+    def exps(self):
+        """((Indeterminate, exponent), ...) in display order."""
+        return tuple(_factors(_display(self._packed, _rank_codes())))
 
     def sort_key(self):
         return tuple([(v._key, e) for v, e in self.exps])
 
     def __mul__(self, other):
-        d = dict(self.exps)
-        for v, e in other.exps:
-            d[v] = d.get(v, 0) + e
-        return Monomial(d)
+        return _wrap(_checked(self._packed + other._packed))
 
     def degree(self):
-        return sum(e for _, e in self.exps)
+        return sum(_fields(self._packed))
 
     def __repr__(self):
-        if not self.exps:
-            return "1"
-        return "*".join(["%s^%d" % (v._text, e) if e > 1 else v._text
-                         for v, e in self.exps])
+        return _display_text(_display(self._packed, _rank_codes()))
+
+
+_new = object.__new__
+
+
+def _wrap(packed):
+    m = _new(Monomial)
+    m._packed = packed
+    return m
 
 
 _ONE_MONO = Monomial()
@@ -129,13 +230,9 @@ def monomial(pairs):
     """Monomial from (family, exponent) pairs.  A family is a name like
     "x" or a tuple like ("w", 3); zero exponents are dropped and repeated
     families add up."""
-    exps = {}
-    for fam_idx, e in pairs:
-        if e:
-            v = Indeterminate(*fam_idx) if isinstance(fam_idx, tuple) \
-                else Indeterminate(fam_idx)
-            exps[v] = exps.get(v, 0) + e
-    return Monomial(exps)
+    return Monomial([(Indeterminate(*fam_idx) if isinstance(fam_idx, tuple)
+                      else Indeterminate(fam_idx), e)
+                     for fam_idx, e in pairs if e])
 
 
 def as_poly(obj):
@@ -219,25 +316,21 @@ class MultiPoly:
             return MultiPoly({})
         if len(a) < len(b):
             a, b = b, a
+        # products of packed ints, keyed by int; range-checked once per
+        # result term (a field cannot carry, so a product above the limit
+        # keeps its guard bit in its term)
+        a = [(m._packed, c) for m, c in a.items()]
         out = {}
         for m2, c2 in b.items():
-            if not m2.exps:
-                for m1, c1 in a.items():
-                    p = c1 * c2
-                    s = out.get(m1, 0) + p
-                    if s:
-                        out[m1] = s
-                    elif m1 in out:
-                        del out[m1]
-                continue
-            for m1, c1 in a.items():
-                m = m1 * m2
-                s = out.get(m, 0) + c1 * c2
+            k2 = m2._packed
+            for k1, c1 in a:
+                k = k1 + k2
+                s = out.get(k, 0) + c1 * c2
                 if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
-        return MultiPoly(out)
+                    out[k] = s
+                elif k in out:
+                    del out[k]
+        return MultiPoly({_wrap(_checked(k)): c for k, c in out.items()})
 
     __rmul__ = __mul__
 
@@ -316,14 +409,22 @@ class MultiPoly:
 
     def indeterminates(self):
         """Sorted list of all indeterminates appearing in the polynomial."""
-        seen = set()
+        union = 0
         for m in self.terms:
-            for v, _ in m.exps:
-                seen.add(v)
-        return sorted(seen, key=lambda v: v._key)
+            union |= m._packed
+        return [v for v, _ in _factors(_display(union, _rank_codes()))]
+
+    def _display_terms(self):
+        """[(display key, monomial, coefficient)] in monomial order, each
+        term decoded once."""
+        rank_code = _rank_codes()
+        rows = [(_display(m._packed, rank_code), m, c)
+                for m, c in self.terms.items()]
+        rows.sort(key=itemgetter(0))
+        return rows
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key())
+        return [(m, c) for _, m, c in self._display_terms()]
 
     def __repr__(self):
         return to_text(self)
@@ -339,13 +440,8 @@ def to_text(p):
     p = as_poly(p)
     if not p.terms:
         return "0"
-    parts = []
-    for m, c in p.sorted_terms():
-        if not m.exps:
-            parts.append(str(c))
-        else:
-            parts.append("%d*%s" % (c, repr(m)))
-    return " + ".join(parts)
+    return " + ".join(["%d*%s" % (c, _display_text(key)) if key else str(c)
+                       for key, _, c in p._display_terms()])
 
 
 _VAR_RE = re.compile(
@@ -378,11 +474,22 @@ def from_text(text):
             if not mt:
                 raise ParseError("bad factor %r" % fac)
             family, idx, exp = mt.groups()
-            indices = tuple(int(i) for i in idx.split(",")) if idx else ()
+            try:
+                indices = tuple(int(i) for i in idx.split(",")) if idx else ()
+                e = int(exp) if exp else 1
+            except ValueError as exc:  # more digits than int() converts
+                raise ParseError("bad factor %r: %s" % (fac, exc)) from None
             v = Indeterminate(family, *indices)
-            exps[v] = exps.get(v, 0) + (int(exp) if exp else 1)
-        total = total + MultiPoly({Monomial(exps): coeff})
+            exps[v] = exps.get(v, 0) + e
+        total = total + MultiPoly({_parsed_monomial(exps): coeff})
     return total
+
+
+def _parsed_monomial(exps):
+    try:
+        return Monomial(exps)
+    except ExponentError as exc:
+        raise ParseError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +499,8 @@ def to_json_obj(p):
     p = as_poly(p)
     return {"terms": [
         {"coeff": str(c),
-         "exps": [[v.family, list(v.indices), e] for v, e in m.exps]}
-        for m, c in p.sorted_terms()]}
+         "exps": [[v.family, list(v.indices), e] for v, e in _factors(key)]}
+        for key, _, c in p._display_terms()]}
 
 
 def to_json(p):
@@ -407,7 +514,8 @@ def from_json_obj(obj):
         for family, indices, e in t["exps"]:
             v = Indeterminate(family, *indices)
             exps[v] = exps.get(v, 0) + e
-        total = total + MultiPoly({Monomial(exps): int(t["coeff"])})
+        total = total + MultiPoly({_parsed_monomial(exps):
+                                   int(t["coeff"])})
     return total
 
 

@@ -178,9 +178,26 @@ IndexProfile = namedtuple(
     "IndexProfile", "cycle_class record_class ucross unest lcross lnest lev "
     "pred_unest")
 IndexProfile.__doc__ = """Per-index classification and crossing/nesting
-counts (see perm_index_profile).  Counts that do not apply to the cycle
-class are 0; lev is None except at fixed points and pred_unest is None
-except at cycle double rises."""
+counts.  Counts that do not apply to the cycle class are 0; lev is None
+except at fixed points and pred_unest is None except at cycle double rises.
+
+Cycle classes: a fixed point has sigma(i) = i; otherwise i is a cycle
+valley (both neighbors in the cycle are larger), cycle peak (both
+smaller), cycle double rise (sigma^-1(i) < i < sigma(i)) or cycle double
+fall (sigma(i) < i < sigma^-1(i)).
+
+Record classes: i is a record when sigma(j) < sigma(i) for all j < i and
+an antirecord when sigma(j) > sigma(i) for all j > i; erec/earec are the
+exclusive versions, rar is both, nrar neither.
+
+Per-index crossings/nestings count quadruplets with the distinguished
+index in second position (upper) or third position (lower):
+  ucross(j) = #{i < j : j < sigma(i) < sigma(j)}
+  unest(j)  = #{i < j : j < sigma(j) < sigma(i)}
+  lcross(k) = #{l > k : sigma(k) < sigma(l) < k}
+  lnest(k)  = #{l > k : sigma(l) < sigma(k) < k}
+lev(i) = #{j < i : sigma(j) > i} for fixed points i, and pred_unest(i)
+is unest(sigma^-1(i)) for cycle double rises i."""
 
 _CYCLE_CLASSES = ("cval", "cpeak", "cdrise", "cdfall", "fix")
 _RECORD_CLASSES = ("rar", "erec", "earec", "nrar")
@@ -265,30 +282,6 @@ def _profile(code, x, y, z):
     if cc == "fix":
         return IndexProfile(cc, rc, 0, 0, 0, 0, x, None)
     return IndexProfile(cc, rc, 0, 0, x, y, None, None)
-
-
-def perm_index_profile(sigma):
-    """Full per-index profile of a permutation, in index order.
-
-    Cycle classes: a fixed point has sigma(i) = i; otherwise i is a cycle
-    valley (both neighbors in the cycle are larger), cycle peak (both
-    smaller), cycle double rise (sigma^-1(i) < i < sigma(i)) or cycle double
-    fall (sigma(i) < i < sigma^-1(i)).
-
-    Record classes: i is a record when sigma(j) < sigma(i) for all j < i and
-    an antirecord when sigma(j) > sigma(i) for all j > i; erec/earec are the
-    exclusive versions, rar is both, nrar neither.
-
-    Per-index crossings/nestings count quadruplets with the distinguished
-    index in second position (upper) or third position (lower):
-      ucross(j) = #{i < j : j < sigma(i) < sigma(j)}
-      unest(j)  = #{i < j : j < sigma(j) < sigma(i)}
-      lcross(k) = #{l > k : sigma(k) < sigma(l) < k}
-      lnest(k)  = #{l > k : sigma(l) < sigma(k) < k}
-    lev(i) = #{j < i : sigma(j) > i} for fixed points i, and pred_unest(i)
-    is unest(sigma^-1(i)) for cycle double rises i.
-    """
-    return [_profile(*r) for r in _perm_kernel(sigma)[1]]
 
 
 _TEN_WAY = ("ereccval", "ereccdrise", "eareccpeak", "eareccdfall", "rar",
@@ -399,7 +392,7 @@ def perm_master_weight_first(profiles, totals=None):
     a[ucross,unest], cycle peaks b[lcross,lnest], cycle double falls
     c[lcross,lnest], cycle double rises d[ucross,unest], fixed points
     e[lev]."""
-    exps = {}
+    pairs = []
     for p in profiles:
         cc = p.cycle_class
         if cc == "cval":
@@ -412,15 +405,15 @@ def perm_master_weight_first(profiles, totals=None):
             v = Indeterminate("d", p.ucross, p.unest)
         else:
             v = Indeterminate("e", p.lev)
-        exps[v] = exps.get(v, 0) + 1
-    return Monomial(exps)
+        pairs.append((v, 1))
+    return Monomial(pairs)
 
 
 def perm_master_weight_second(profiles, totals):
     """lam^cyc times the product where cycle valleys get the single-indexed
     a[ucross+unest], cycle double rises get d[ucross+unest, unest of the
     cycle predecessor], and b, c, e are as in the first master weight."""
-    exps = {}
+    pairs = []
     for p in profiles:
         cc = p.cycle_class
         if cc == "cval":
@@ -433,11 +426,11 @@ def perm_master_weight_second(profiles, totals):
             v = Indeterminate("d", p.ucross + p.unest, p.pred_unest)
         else:
             v = Indeterminate("e", p.lev)
-        exps[v] = exps.get(v, 0) + 1
+        pairs.append((v, 1))
     if totals.cyc:
         lam = Indeterminate("lam")
-        exps[lam] = exps.get(lam, 0) + totals.cyc
-    return Monomial(exps)
+        pairs.append((lam, totals.cyc))
+    return Monomial(pairs)
 
 
 # ---------------------------------------------------------------------------

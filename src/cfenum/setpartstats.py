@@ -78,7 +78,18 @@ SPIndexProfile = namedtuple(
     "SPIndexProfile", "element_class cr ne qne ov cov erec_flag brec_flag")
 SPIndexProfile.__doc__ = """Per-element class, crossing/nesting/overlap/
 covering counts, and record flags (record flags are None for closers and
-singletons); see sp_index_profile."""
+singletons).
+
+With the arc graph G (consecutive elements within a block):
+  cr(j)  = #{i<j<k<l : (i,k) in G and (j,l) in G}
+  ne(j)  = #{i<j<k<l : (i,l) in G and (j,k) in G}
+  qne(j) = #{i<j<l   : (i,l) in G}
+and with block spans:
+  ov(j)  = #{B : j not in B, min B < j < max B < max of j's block}
+  cov(j) = #{B : j not in B, min B < j and j < max of j's block < max B}
+
+j is an exclusive record iff it is an opener or insider with ne(j)=0,
+and a block record iff it is an opener or insider with cov(j)=0."""
 
 _ELEMENT_CLASSES = ("opener", "closer", "insider", "singleton")
 
@@ -86,9 +97,16 @@ _ELEMENT_CLASSES = ("opener", "closer", "insider", "singleton")
 def _sp_kernel(pi):
     """(counts, records) of a partition.  counts is (lb, ls, rb, rs, iota,
     cc), the Wachs-White, intertwining and component totals, which no
-    element profile gives.  records are the per-element profile records in
-    element order, as small-int lists [class, cr, ne, qne, ov, cov] with
-    the class an index into _ELEMENT_CLASSES."""
+    element profile gives (see sp_block_pair_counts).  records are the
+    per-element profile records of sp_records."""
+    return (*sp_block_pair_counts(pi.blocks), len(sp_dividers(pi))), \
+        sp_records(pi)
+
+
+def sp_records(pi):
+    """The per-element profile records in element order, as small-int
+    lists [class, cr, ne, qne, ov, cov] with the class an index into
+    _ELEMENT_CLASSES."""
     n = pi.n
     arcs = pi.arcs
     spans = [(b[0], b[-1]) for b in pi.blocks]
@@ -130,9 +148,13 @@ def _sp_kernel(pi):
             elif lo < j < mx < hi:
                 cov += 1
         records.append([cls, cr, ne, qne, ov, cov])
-    # Wachs-White statistics over ordered block pairs (by minimum)
+    return records
+
+
+def sp_block_pair_counts(bl):
+    """(lb, ls, rb, rs, iota): the Wachs-White statistics and the
+    intertwining number, over the ordered pairs of blocks (by minimum)."""
     lb = ls = rb = rs = iota = 0
-    bl = pi.blocks
     for i1 in range(len(bl)):
         for i2 in range(i1 + 1, len(bl)):
             b1, b2 = bl[i1], bl[i2]  # min b1 < min b2
@@ -144,7 +166,7 @@ def _sp_kernel(pi):
             # adjacent in the sorted union of the two blocks
             union = sorted([(e, 0) for e in b1] + [(e, 1) for e in b2])
             iota += sum(1 for a, b in zip(union, union[1:]) if a[1] != b[1])
-    return (lb, ls, rb, rs, iota, len(sp_dividers(pi))), records
+    return lb, ls, rb, rs, iota
 
 
 def _profile(cls, cr, ne, qne, ov, cov):
@@ -152,23 +174,6 @@ def _profile(cls, cr, ne, qne, ov, cov):
     if name in ("opener", "insider"):
         return SPIndexProfile(name, cr, ne, qne, ov, cov, ne == 0, cov == 0)
     return SPIndexProfile(name, cr, ne, qne, ov, cov, None, None)
-
-
-def sp_index_profile(pi):
-    """Full per-element profile, in element order.
-
-    With the arc graph G (consecutive elements within a block):
-      cr(j)  = #{i<j<k<l : (i,k) in G and (j,l) in G}
-      ne(j)  = #{i<j<k<l : (i,l) in G and (j,k) in G}
-      qne(j) = #{i<j<l   : (i,l) in G}
-    and with block spans:
-      ov(j)  = #{B : j not in B, min B < j < max B < max of j's block}
-      cov(j) = #{B : j not in B, min B < j and j < max of j's block < max B}
-
-    j is an exclusive record iff it is an opener or insider with ne(j)=0,
-    and a block record iff it is an opener or insider with cov(j)=0.
-    """
-    return [_profile(*r) for r in _sp_kernel(pi)[1]]
 
 
 class SPStatTotals:
@@ -273,7 +278,7 @@ def sp_master_weight(profiles, variant=1):
         raise ValueError("variant must be 1, 2, 3 or 4")
     op_ovcov = variant in (2, 3)
     in_ovcov = variant in (2, 4)
-    exps = {}
+    pairs = []
     for p in profiles:
         cls = p.element_class
         if cls == "opener":
@@ -286,8 +291,8 @@ def sp_master_weight(profiles, variant=1):
                  else Indeterminate("d", p.cr, p.ne))
         else:
             v = Indeterminate("e", p.qne)
-        exps[v] = exps.get(v, 0) + 1
-    return Monomial(exps)
+        pairs.append((v, 1))
+    return Monomial(pairs)
 
 
 # ---------------------------------------------------------------------------

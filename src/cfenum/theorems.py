@@ -18,7 +18,8 @@ from .series import (expand_sfraction, expand_jfraction,
                      TerminatedFraction, NonUnitConstantTerm)
 from .permstats import PERM, decode, enumerate_polynomial, histogram, \
     is_avoid321, signature, stat_totals
-from .setpartstats import SETPART, sp_reverse, setpart_from_blocks
+from .setpartstats import SETPART, setpart_from_blocks, sp_block_pair_counts, \
+    sp_records, sp_reverse
 from .matchstats import MATCH, touchard_riordan
 
 
@@ -1621,11 +1622,27 @@ _register(TheoremCase(
 ))
 
 
+def _rs_of_reversal(profiles):
+    """ov + 2 cov + covin + pscov summed as _sp_totals sums them: ov and
+    cov over openers, covin the cov of insiders, pscov the qne of
+    singletons."""
+    total = 0
+    for p in profiles:
+        if p.element_class == "opener":
+            total += p.ov + 2 * p.cov
+        elif p.element_class == "insider":
+            total += p.cov
+        elif p.element_class == "singleton":
+            total += p.qne
+    return total
+
+
 def _id_rs_formula(n):
+    # only rs of pi and four totals of its reversal, not every total of both
     for pi in SETPART.objects(n):
-        t = stat_totals(SETPART, pi)
-        tr = stat_totals(SETPART, sp_reverse(pi))
-        if t.rs != tr.ov + 2 * tr.cov + tr.covin + tr.pscov:
+        rev = sp_records(sp_reverse(pi))
+        if sp_block_pair_counts(pi.blocks)[3] \
+                != _rs_of_reversal([SETPART.profile(*r) for r in rev]):
             return False, "pi=%r" % (pi.blocks,)
     return True, None
 

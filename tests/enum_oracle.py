@@ -38,6 +38,9 @@ def weighted_sum(objects, stats, weight, keep=None, zeta=False):
 # Permutations
 
 def perm_index_profile(sigma):
+    """Per-index profiles of a permutation, in index order, each index
+    classified on its own by the definitions of permstats.IndexProfile
+    (without pred_unest)."""
     n = sigma.n
     w = sigma.oneline
     inv = sigma.inv_oneline
@@ -254,6 +257,8 @@ PERM_FAMILIES = {
 # Set partitions
 
 def sp_index_profile(pi):
+    """Per-element profiles of a set partition, in element order, by the
+    definitions of setpartstats.SPIndexProfile."""
     n = pi.n
     arcs = pi.arcs
     spans = [(b[0], b[-1]) for b in pi.blocks]

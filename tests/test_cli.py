@@ -121,6 +121,22 @@ def test_substitution_errors(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("value, message", [
+    ("1*x^40000", "bad substitution value for 'x': exponent 40000 of x"),
+    ("1*x^20000*x^20000", "exponent 40000 of x"),
+    ("1*y^20000", "substitution gives an exponent 40000 of y"),
+])
+def test_substitution_exponent_above_limit(runner, tmp_path, value, message):
+    # y^20000 is in range, but the weight's y^2 makes it y^40000
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({value[2]: value}))
+    res = _run(runner, ["enumerate", "--object", "perm", "--n", "3",
+                        "--weight", "two-var", "--subst", str(sub)])
+    assert res.exit_code == 2
+    assert message in res.output and "outside 0..32767" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_stats_perm(runner):
     res = _run(runner, ["stats", "--object", "perm", "--oneline", "2,1"])
     assert res.exit_code == 0

@@ -4,9 +4,10 @@ per-object reference loop of enum_oracle, exhaustively at small n."""
 import pytest
 
 from cfenum import theorems
-from cfenum.permstats import (PERM, decode, enumerate_polynomial, signature,
+from cfenum.permstats import (PERM, IndexProfile, decode,
+                              enumerate_polynomial, signature,
                               stat_totals)
-from cfenum.setpartstats import SETPART
+from cfenum.setpartstats import SETPART, SPIndexProfile
 from cfenum.theorems import KINDS
 
 import enum_oracle
@@ -50,6 +51,19 @@ def test_signature_totals_match_oracle(obj):
             want = oracle.to_dict(oracle.stats(x)[2])
             assert stat_totals(kind, x).to_dict() == want, x
             assert decode(kind, signature(kind, x))[1].to_dict() == want, x
+
+
+@pytest.mark.parametrize("obj, profiles, fields", [
+    ("perm", enum_oracle.perm_index_profile, IndexProfile._fields[:-1]),
+    ("setpart", enum_oracle.sp_index_profile, SPIndexProfile._fields)])
+def test_kernel_profiles_match_oracle(obj, profiles, fields):
+    # every field that the oracle defines: all but the perm pred_unest
+    kind = KINDS[obj]
+    for n in range(N_MAX[obj] + 1):
+        for x in enum_oracle.KINDS[obj].objects(n):
+            got = [kind.profile(*r) for r in kind.kernel(x)[1]]
+            assert [[getattr(p, k) for k in fields] for p in got] \
+                == [[getattr(p, k) for k in fields] for p in profiles(x)], x
 
 
 def test_mutated_signature_is_caught():

@@ -1,13 +1,19 @@
 """Unit tests for sparse multivariate polynomials."""
 
 from fractions import Fraction
+import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfenum.mpoly import (Indeterminate, Monomial, MultiPoly, ParseError,
-                          as_poly, from_json, from_text, monomial, to_json,
-                          to_text, var)
+from cfenum import mpoly
+from cfenum.mpoly import (MAX_EXPONENT, ExponentError, Indeterminate,
+                          Monomial, MultiPoly, ParseError, as_poly, from_json,
+                          from_text, monomial, to_json, to_text, var)
+
+import mpoly_oracle as oracle
 
 
 def test_indeterminate_interning():
@@ -128,3 +134,186 @@ def test_ring_axioms(p, q, r):
 def test_serialization_round_trips(p):
     assert from_text(to_text(p)) == p
     assert from_json(to_json(p)) == p
+
+
+# ---------------------------------------------------------------------------
+# Packed monomials against the tuple monomial of tests/mpoly_oracle.py
+
+_FRESH = itertools.count()
+_EXPONENT = st.one_of(st.integers(1, 3), st.integers(1, MAX_EXPONENT),
+                      st.sampled_from([2 ** 14, MAX_EXPONENT - 1,
+                                       MAX_EXPONENT]))
+_POINT_VALUES = [-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-3, 2)]
+
+
+def _fresh_keys():
+    """45 (family, *indices) keys of families no earlier call used: plain,
+    one-index and two-index, and one family with two index arities."""
+    uid = next(_FRESH)
+    return ([("v%d_%d" % (uid, k),) for k in range(12)]
+            + [("w%d" % uid, i) for i in (0, 1, 2, 3, 4, 5, 6, 7, 9, 10,
+                                          11, 12, 20, 100)]
+            + [("a%d" % uid, i, j) for i in range(4) for j in range(4)]
+            + [("a%d" % uid, i) for i in range(3)])
+
+
+def _build(spec):
+    """The same polynomial as a MultiPoly and as an oracle Poly."""
+    new, old = MultiPoly({}), oracle.Poly()
+    for exps, c in spec:
+        if c:
+            new = new + MultiPoly({Monomial(exps): c})
+            old = old + oracle.Poly({oracle.Monomial(exps): c})
+    return new, old
+
+
+def _same(new, old):
+    """Equal term lists in monomial order.  Coefficients are compared as
+    ints: c^e for an exponent near the limit has more digits than str()
+    converts."""
+    assert [(m.exps, c) for m, c in new.sorted_terms()] \
+        == [(m.exps, c) for m, c in old.sorted_terms()]
+
+
+def _same_or_exponent_error(compute, expected):
+    """compute() equals the oracle Poly `expected`, or raises ExponentError
+    exactly when `expected` has an exponent above the limit."""
+    if expected.max_exponent() > MAX_EXPONENT:
+        with pytest.raises(ExponentError):
+            compute()
+    else:
+        _same(compute(), expected)
+
+
+def check_against_oracle(vs, p_spec, q_spec, images, point):
+    """Every Monomial and MultiPoly operation on the two polynomials of
+    p_spec and q_spec agrees with the oracle.  `images` maps some of the
+    indeterminates vs to an int or to (c, w, k) for c * w^k; the one-index
+    family w also gets a rule (even index i -> i + 1, odd -> symbolic)."""
+    p, po = _build(p_spec)
+    q, qo = _build(q_spec)
+    for a, ao in ((p, po), (q, qo)):
+        assert to_text(a) == oracle.to_text(ao)
+        assert to_json(a) == json.dumps(oracle.to_json_obj(ao))
+        assert [(m.exps, m.sort_key(), m.degree(), repr(m))
+                for m, _ in a.sorted_terms()] \
+            == [(m.exps, m.sort_key(), m.degree(), repr(m))
+                for m, _ in ao.sorted_terms()]
+        assert a.indeterminates() == ao.indeterminates()
+        assert a.evaluate(point, default=3) == ao.evaluate(point, default=3)
+    _same(p + q, po + qo)
+    _same_or_exponent_error(lambda: p * q, po * qo)
+    for m1, m2 in itertools.product(p.terms, q.terms):
+        mo = oracle.Monomial(m1.exps) * oracle.Monomial(m2.exps)
+        _same_or_exponent_error(lambda: as_poly(m1 * m2),
+                                oracle.Poly({mo: 1}))
+
+    rule_family = next(v.family for v in vs if v.family[0] == "w")
+    subs = {rule_family: lambda i: i + 1 if i % 2 == 0 else None}
+    for v, img in images.items():
+        subs[v] = img if isinstance(img, int) else img[0] * img[1] ** img[2]
+
+    def oracle_image(v):
+        img = images.get(v)
+        if img is None:
+            if v.family != rule_family or v.indices[0] % 2:
+                return None
+            img = v.indices[0] + 1
+        if isinstance(img, int):
+            return oracle.Poly.const(img)
+        c, w, k = img
+        return oracle.Poly({oracle.Monomial({w: k}): c})
+
+    terms = po.substituted_terms(oracle_image)
+    if max((t.max_exponent() for t in terms), default=0) > MAX_EXPONENT:
+        with pytest.raises(ExponentError):
+            p.substitute(subs)
+    else:
+        _same(p.substitute(subs), sum(terms, oracle.Poly()))
+
+
+@st.composite
+def _oracle_cases(draw):
+    # interned in a drawn order, so slot order is not display order
+    vs = [Indeterminate(*k) for k in draw(st.permutations(_fresh_keys()))]
+    term = st.tuples(st.dictionaries(st.sampled_from(vs), _EXPONENT,
+                                     max_size=5), st.integers(-3, 3))
+    p_spec = draw(st.lists(term, max_size=6))
+    q_spec = draw(st.lists(term, max_size=6))
+    images = draw(st.dictionaries(
+        st.sampled_from(vs),
+        st.one_of(st.sampled_from([-2, -1, 1, 2]),
+                  st.tuples(st.sampled_from([-2, -1, 1, 2]),
+                            st.sampled_from(vs), st.integers(1, 2))),
+        max_size=6))
+    point = draw(st.dictionaries(st.sampled_from(vs),
+                                 st.sampled_from(_POINT_VALUES)))
+    return vs, p_spec, q_spec, images, point
+
+
+@settings(max_examples=80, deadline=None)
+@given(_oracle_cases())
+def test_packed_monomials_match_oracle(case):
+    check_against_oracle(*case)
+
+
+def _fixed_case(seed):
+    rng = random.Random(seed)
+    keys = _fresh_keys()
+    rng.shuffle(keys)
+    vs = [Indeterminate(*k) for k in keys]
+
+    def spec():
+        return [({v: rng.choice([1, 2, 5, 2 ** 14, MAX_EXPONENT])
+                  for v in rng.sample(vs, rng.randint(0, 5))},
+                 rng.choice([-3, -1, 1, 2])) for _ in range(6)]
+
+    images = {vs[0]: 2, vs[1]: (-1, vs[2], 2)}
+    point = {v: rng.choice(_POINT_VALUES) for v in vs[:30]}
+    return vs, spec(), spec(), images, point
+
+
+def test_wrong_rank_table_is_caught(monkeypatch):
+    # ranking slots in intern order, not by (family, indices), decodes
+    # every monomial consistently but in the wrong order
+    case = _fixed_case(2024)
+    check_against_oracle(*case)
+    slots = list(mpoly._by_slot)
+    monkeypatch.setattr(mpoly, "_by_rank", slots)
+    monkeypatch.setattr(mpoly, "_rank_codes",
+                        lambda: [s << 16 for s in range(len(slots))])
+    with pytest.raises(AssertionError):
+        check_against_oracle(*case)
+
+
+def test_exponent_limits():
+    x, y = var("x"), var("y")
+    edge = Monomial({x: MAX_EXPONENT, y: 1})
+    assert repr(edge) == "x^%d*y" % MAX_EXPONENT
+    assert edge.degree() == MAX_EXPONENT + 1
+    for bad in (MAX_EXPONENT + 1, -1):
+        with pytest.raises(ExponentError, match="exponent %d of x" % bad):
+            Monomial({x: bad})
+    half = Monomial({x: 2 ** 14})
+    with pytest.raises(ExponentError, match="exponent 32768 of x"):
+        half * half
+    with pytest.raises(ExponentError):
+        as_poly(half) * as_poly(half)
+    with pytest.raises(ExponentError):
+        Monomial([(x, 2 ** 14), (x, 2 ** 14)])
+    assert repr(half * Monomial({x: 2 ** 14 - 1})) == "x^%d" % MAX_EXPONENT
+
+
+@pytest.mark.parametrize("text", [
+    "1*x^32768", "1*x^40000", "1*x^20000*x^20000", "1*x^" + "9" * 5000])
+def test_exponent_above_limit_is_parse_error(text):
+    assert from_text("1*x^32767") == var("x") ** MAX_EXPONENT
+    with pytest.raises(ParseError):
+        from_text(text)
+
+
+@pytest.mark.parametrize("e", [40000, -1])
+def test_json_exponent_out_of_range_is_parse_error(e):
+    with pytest.raises(ParseError):
+        from_json(json.dumps({"terms": [{"coeff": "1",
+                                         "exps": [["x", [], e]]}]}))

@@ -7,10 +7,11 @@ from cfenum.mpoly import Monomial, MultiPoly, as_poly, var
 from cfenum.permstats import (PERM, NotABijection, Permutation,
                               UnknownWeightMap, decode, enumerate_polynomial,
                               is_avoid321, iter_permutations, perm_dividers,
-                              perm_from_oneline, perm_index_profile,
-                              perm_master_weight_first,
+                              perm_from_oneline, perm_master_weight_first,
                               perm_master_weight_second, signature,
                               stat_totals)
+
+from enum_oracle import perm_index_profile
 
 FIG3 = perm_from_oneline([5, 6, 1, 4, 2, 7, 3])
 

@@ -9,8 +9,9 @@ from cfenum.permstats import enumerate_polynomial, stat_totals
 from cfenum.setpartstats import (SETPART, NotAPartition, SetPartition,
                                  iter_rgs, iter_set_partitions,
                                  setpart_from_blocks, setpart_from_rgs,
-                                 sp_dividers, sp_index_profile,
-                                 sp_master_weight, sp_reverse)
+                                 sp_dividers, sp_master_weight, sp_reverse)
+
+from enum_oracle import sp_index_profile
 
 FIG9 = setpart_from_blocks([[1, 3, 6], [2, 4, 5]])
 

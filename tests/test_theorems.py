@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cfenum import theorems
 from cfenum.matchstats import MATCH_WEIGHTS
 from cfenum.mpoly import monomial, var
 from cfenum.permstats import PERM_WEIGHTS, enumerate_polynomial
@@ -190,3 +191,21 @@ def test_enum_cache_keys_callable_weights_by_identity():
                           monomial([("y", t.exc)]))
     assert by_cycles(3) == 2 * x + 3 * x ** 2 + x ** 3
     assert by_excedances(3) == 1 + 4 * y + y ** 2
+
+
+def test_rs_formula_failure_names_partition(monkeypatch):
+    # rs off by one for one partition of [3]: only n=3 fails, and the
+    # detail names that partition
+    real = theorems.sp_block_pair_counts
+
+    def off_by_one(blocks):
+        counts = real(blocks)
+        if blocks == ((1, 3), (2,)):
+            return counts[:3] + (counts[3] + 1,) + counts[4:]
+        return counts
+
+    monkeypatch.setattr(theorems, "sp_block_pair_counts", off_by_one)
+    report = check_identity("rs.formula", n_max=4)
+    assert [c["ok"] for c in report.checks] == [True] * 3 + [False, True]
+    assert report.first_discrepancy == {"n": 3, "ok": False,
+                                        "detail": "pi=((1, 3), (2,))"}
