@@ -1622,27 +1622,15 @@ _register(TheoremCase(
 ))
 
 
-def _rs_of_reversal(profiles):
-    """ov + 2 cov + covin + pscov summed as _sp_totals sums them: ov and
-    cov over openers, covin the cov of insiders, pscov the qne of
-    singletons."""
-    total = 0
-    for p in profiles:
-        if p.element_class == "opener":
-            total += p.ov + 2 * p.cov
-        elif p.element_class == "insider":
-            total += p.cov
-        elif p.element_class == "singleton":
-            total += p.qne
-    return total
-
-
 def _id_rs_formula(n):
-    # only rs of pi and four totals of its reversal, not every total of both
+    # only rs of pi, and the totals of its reversal without the block-pair
+    # and divider counts of the kernel
     for pi in SETPART.objects(n):
-        rev = sp_records(sp_reverse(pi))
+        t = SETPART.totals([SETPART.profile(*r)
+                            for r in sp_records(sp_reverse(pi))],
+                           *(0,) * 6)
         if sp_block_pair_counts(pi.blocks)[3] \
-                != _rs_of_reversal([SETPART.profile(*r) for r in rev]):
+                != t.ov + 2 * t.cov + t.covin + t.pscov:
             return False, "pi=%r" % (pi.blocks,)
     return True, None
 

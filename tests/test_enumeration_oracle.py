@@ -57,9 +57,11 @@ def test_signature_totals_match_oracle(obj):
     ("perm", enum_oracle.perm_index_profile, IndexProfile._fields[:-1]),
     ("setpart", enum_oracle.sp_index_profile, SPIndexProfile._fields)])
 def test_kernel_profiles_match_oracle(obj, profiles, fields):
-    # every field that the oracle defines: all but the perm pred_unest
+    # every field that the oracle defines: all but the perm pred_unest;
+    # n = 7 reaches the worked examples and per-element invariants that
+    # test_permstats and test_setpartstats check on the oracle
     kind = KINDS[obj]
-    for n in range(N_MAX[obj] + 1):
+    for n in range(8):
         for x in enum_oracle.KINDS[obj].objects(n):
             got = [kind.profile(*r) for r in kind.kernel(x)[1]]
             assert [[getattr(p, k) for k in fields] for p in got] \

@@ -2,13 +2,14 @@
 of the working tree, from alternating pairs, with one Tier-1 wall time and
 the src/cfenum line counts.
 
-    python3 tools/bench_json.py --base REV --pairs 3 --out BENCH_6.json
+    python3 tools/bench_json.py --base REV --seed SEED --out BENCH_6.json
 
 Run from the root of the source tree on an otherwise idle machine.  The
 base revision is exported with `git archive` into a temporary directory;
-the change is the working tree.  Pair i runs every workload of
+the change is the working tree.  Pair i of the ten runs every workload of
 bench/run.py on both trees with seed SEED+i, the base first in even pairs
-and the change first in odd ones.  Tier-1 runs once, on the change.
+and the change first in odd ones.  Choose a SEED whose ten seeds were not
+used while writing the change.  Tier-1 runs once, on the change.
 """
 
 import argparse
@@ -23,6 +24,7 @@ import sys
 import tempfile
 import time
 
+PAIRS = 10
 WORKLOADS = ("master-verify", "registry-sweep", "expand-master")
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 TIER1 = [sys.executable, "-m", "pytest", "-q",
@@ -86,19 +88,17 @@ def tier1(tree):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", required=True, help="base git revision")
-    ap.add_argument("--pairs", type=int, default=3)
-    ap.add_argument("--seed", type=int, default=600)
+    ap.add_argument("--seed", type=int, required=True,
+                    help="first of the ten seeds, one per pair")
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2 for quartiles")
     change = os.getcwd()
     with tempfile.TemporaryDirectory() as base:
         archive = subprocess.run(["git", "archive", args.base],
                                  check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", base], input=archive, check=True)
         rows = {w: {"base": [], "change": []} for w in WORKLOADS}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = [("base", base), ("change", change)]
             if i % 2:
                 order.reverse()
@@ -116,8 +116,8 @@ def main():
                   "change": "working tree over git_sha",
                   "date": datetime.datetime.now(
                       datetime.timezone.utc).isoformat(timespec="seconds")},
-        "settings": {"pairs": args.pairs, "seeds": [args.seed + i for i in
-                                                    range(args.pairs)],
+        "settings": {"pairs": PAIRS,
+                     "seeds": [args.seed + i for i in range(PAIRS)],
                      "bench": "python3 bench/run.py --workload W --seed S"},
         "src_cfenum_lines": lines,
         "workloads": {},
