@@ -199,7 +199,7 @@ def verify_all(budget, seed, fmt):
 @_FMT
 def conjecture(n, order, fmt):
     """Forward-check the conjectured second J-fraction."""
-    report = thm.test_conjecture_v2(n_max=n, order=order)
+    report = thm.verify_theorem("conj.v2.full", n_max=n, order=order)
     out = _stamp(report.to_dict(), theorem_id=report.theorem_id,
                  n_max=report.n_max, order=report.order, seed=report.seed)
     _emit(out, fmt)
@@ -291,18 +291,13 @@ def stats(obj, oneline, blocks, pairs, fmt):
 # ---------------------------------------------------------------------------
 # encode / decode
 
-_BIJECTION_NAMES = {
-    "fz": "FZ", "biane": "Biane", "kz": "KZ", "flajolet": "Flajolet",
-    "hybrid3": "Hybrid3", "hybrid4": "Hybrid4",
-}
-
-
 def _lookup_bijection(name):
-    canon = _BIJECTION_NAMES.get(name.lower())
-    if canon is None:
-        _fail_usage("unknown bijection %r (choose from %s)"
-                    % (name, ", ".join(sorted(_BIJECTION_NAMES.values()))))
-    return canon
+    """The registered spelling of a bijection name, in any letter case."""
+    for canon in pathmod.BIJECTIONS:
+        if canon.lower() == name.lower():
+            return canon
+    _fail_usage("unknown bijection %r (choose from %s)"
+                % (name, ", ".join(sorted(pathmod.BIJECTIONS))))
 
 
 @main.command()
@@ -316,7 +311,7 @@ def _lookup_bijection(name):
 def encode(bijection, oneline, blocks, fmt):
     """Encode an object as a labeled Motzkin path."""
     canon = _lookup_bijection(bijection)
-    if canon in ("FZ", "Biane"):
+    if pathmod.BIJECTIONS[canon].takes is Permutation:
         if oneline is None:
             _fail_usage("%s requires --oneline" % canon)
         obj = _parse_oneline(oneline)
@@ -355,7 +350,7 @@ def decode(bijection, path_file, fmt):
         obj = pathmod.decode(path, canon)
     except (pathmod.TypeMismatch, pathmod.InvalidPath) as exc:
         _fail_usage(str(exc))
-    if canon in ("FZ", "Biane"):
+    if pathmod.BIJECTIONS[canon].takes is Permutation:
         payload = {"object": "perm", "oneline": list(obj.oneline)}
     else:
         payload = {"object": "setpart",

@@ -12,7 +12,8 @@ from collections import namedtuple
 from functools import partial
 
 from .mpoly import Indeterminate, Monomial, MultiPoly, monomial
-from .permstats import ObjectKind, is_indecomposable, lookup
+from .permstats import ObjectKind, is_indecomposable, lookup, \
+    unit_weight, zeta_cc_weight
 
 
 class NotAMatching(ValueError):
@@ -58,10 +59,6 @@ class Matching:
 
     def __repr__(self):
         return "Matching(%r)" % ([list(p) for p in self.pairs],)
-
-    def as_oneline(self):
-        """One-line notation of the fixed-point-free involution."""
-        return self.partner[1:]
 
     def as_blocks(self):
         return [list(p) for p in self.pairs]
@@ -229,10 +226,6 @@ def touchard_riordan(n):
 # ---------------------------------------------------------------------------
 # Named weight maps.  Each maps (profiles, totals) to a Monomial.
 
-def _w_unit(profiles, t):
-    return Monomial()
-
-
 def _w_four_var_cp(profiles, t):
     return monomial([("x", t.ecpar), ("y", t.ocpar),
                      ("u", t.ecpnar), ("v", t.ocpnar)])
@@ -271,12 +264,8 @@ def _w_cr_ne(profiles, t):
     return monomial([("p", t.cr), ("q", t.ne)])
 
 
-def _w_zeta_cc(profiles, t):
-    return monomial([("zeta", t.cc)])
-
-
 MATCH_WEIGHTS = {
-    "unit": _w_unit,
+    "unit": unit_weight,
     "four-var-cp": _w_four_var_cp,
     "four-var-cv": _w_four_var_cv,
     "six-var": _w_six_var,
@@ -285,7 +274,7 @@ MATCH_WEIGHTS = {
     "cr": _w_cr,
     "cr-ne": _w_cr_ne,
     "master": matching_master_weight,
-    "zeta-cc": _w_zeta_cc,
+    "zeta-cc": zeta_cc_weight,
 }
 
 

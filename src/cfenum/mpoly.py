@@ -15,6 +15,7 @@ field, and a guard bit set in a sum is an exponent over the limit.
 """
 
 from array import array
+from decimal import Decimal
 from fractions import Fraction
 from itertools import compress, count
 import json
@@ -264,9 +265,6 @@ class MultiPoly:
     def one():
         return MultiPoly({_ONE_MONO: 1})
 
-    def is_zero(self):
-        return not self.terms
-
     def is_one(self):
         return self.terms == {_ONE_MONO: 1}
 
@@ -436,11 +434,35 @@ class MultiPoly:
 # ---------------------------------------------------------------------------
 # Canonical text form: `5*x1^2*w[3] + -1*a[0,2]`, terms in monomial order.
 
+def _coeff_text(c):
+    """Decimal digits of the coefficient c, exact at any length: past the
+    interpreter's limit on int-to-str conversion (4,300 digits by default)
+    they come through decimal, which has no such limit."""
+    try:
+        return str(c)
+    except ValueError:
+        return str(Decimal(c))
+
+
+_COEFF_RE = re.compile(r"\s*[+-]?\d+\s*")
+
+
+def _coeff(text):
+    """The integer of a coefficient's decimal digits, at any length."""
+    try:
+        return int(text)
+    except ValueError:
+        if not _COEFF_RE.fullmatch(text):
+            raise
+        return int(Decimal(text))
+
+
 def to_text(p):
     p = as_poly(p)
     if not p.terms:
         return "0"
-    return " + ".join(["%d*%s" % (c, _display_text(key)) if key else str(c)
+    return " + ".join([_coeff_text(c) + "*" + _display_text(key) if key
+                       else _coeff_text(c)
                        for key, _, c in p._display_terms()])
 
 
@@ -464,7 +486,7 @@ def from_text(text):
             raise ParseError("empty term in %r" % text)
         factors = term.split("*")
         try:
-            coeff = int(factors[0])
+            coeff = _coeff(factors[0])
         except ValueError:
             raise ParseError("term %r must start with an integer "
                              "coefficient" % term) from None
@@ -498,7 +520,7 @@ def _parsed_monomial(exps):
 def to_json_obj(p):
     p = as_poly(p)
     return {"terms": [
-        {"coeff": str(c),
+        {"coeff": _coeff_text(c),
          "exps": [[v.family, list(v.indices), e] for v, e in _factors(key)]}
         for key, _, c in p._display_terms()]}
 
@@ -515,7 +537,7 @@ def from_json_obj(obj):
             v = Indeterminate(family, *indices)
             exps[v] = exps.get(v, 0) + e
         total = total + MultiPoly({_parsed_monomial(exps):
-                                   int(t["coeff"])})
+                                   _coeff(t["coeff"])})
     return total
 
 

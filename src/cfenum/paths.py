@@ -8,6 +8,7 @@ a pair (for doubly labeled paths); a possibility function gives, for each
 step kind / color, the label bound as a function of the starting height.
 """
 
+from collections import namedtuple
 import json
 
 from .permstats import Permutation
@@ -87,10 +88,6 @@ class LabeledMotzkinPath:
             self._heights = tuple(h)
         return self._heights
 
-    def is_motzkin(self):
-        h = self.heights()
-        return h[-1] == 0 and min(h) >= 0
-
     def __repr__(self):
         return "LabeledMotzkinPath(%r, %r)" % (list(self.steps),
                                                list(self.labels))
@@ -111,9 +108,6 @@ class PossibilityFunction:
         self.rise = rise
         self.fall = fall
         self.levels = tuple(levels)
-
-    def colors(self):
-        return len(self.levels)
 
     def bound(self, step, height):
         if step.kind == RISE:
@@ -161,18 +155,6 @@ PF_SETPART = PossibilityFunction(
     rise=lambda k: 1,
     fall=lambda k: k,
     levels=(lambda k: k, lambda k: 1))
-
-_PERM_BIJECTIONS = ("FZ", "Biane")
-_SP_BIJECTIONS = ("KZ", "Flajolet", "Hybrid3", "Hybrid4")
-
-BIJECTION_PFS = {
-    "FZ": PF_FZ,
-    "Biane": PF_BIANE,
-    "KZ": PF_SETPART,
-    "Flajolet": PF_SETPART,
-    "Hybrid3": PF_SETPART,
-    "Hybrid4": PF_SETPART,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -393,87 +375,58 @@ def _decode_sp(p, order_insider, order_closer):
     return SetPartition(done)
 
 
-_SP_MODES = {
-    "KZ": ("last", "last"),
-    "Flajolet": ("first", "first"),
-    "Hybrid3": ("last", "first"),
-    "Hybrid4": ("first", "last"),
-}
-
-
 # ---------------------------------------------------------------------------
-# Reversed statistics (distinguished index in third position)
+# The six bijections
 
-def sp_reversed_index_stats(pi):
-    """Per-index reversed crossing/nesting/overlap/covering statistics.
+Bijection = namedtuple("Bijection", "takes pf orders encode decode")
+Bijection.__doc__ = """One bijection: the object type it takes, its
+possibility function, the orders (insider, closer) of the open blocks for
+the set-partition bijections (None for the permutation ones), its encoder
+and its decoder."""
 
-    Returns a dict index -> dict with keys crt, net, ovt, covt where
-    crt(k) counts quadruplets i<j<k<l with arcs (i,k),(j,l);
-    net(k) counts i<j<k<l with arcs (i,l),(j,k);
-    ovt(k) counts blocks B' with min B(k) < min B' < k < max B';
-    covt(k) counts blocks B' with min B' < min B(k) < k < max B'.
-    """
-    arcs = pi.arcs
-    block_of = {}
-    for b in pi.blocks:
-        for j in b:
-            block_of[j] = b
-    out = {}
-    for k in range(1, pi.n + 1):
-        crt = net = 0
-        for (i, kk) in arcs:
-            if kk != k:
-                continue
-            for (j, l) in arcs:
-                if i < j < k < l:
-                    crt += 1
-        for (j, kk) in arcs:
-            if kk != k:
-                continue
-            for (i, l) in arcs:
-                if i < j and l > k:
-                    net += 1
-        b = block_of[k]
-        ovt = covt = 0
-        for bp in pi.blocks:
-            if bp is b or len(bp) == 0:
-                continue
-            if bp[0] < k < bp[-1]:
-                if b[0] < bp[0]:
-                    ovt += 1
-                else:
-                    covt += 1
-        out[k] = {"crt": crt, "net": net, "ovt": ovt, "covt": covt}
-    return out
+
+def _sp_bijection(insider, closer):
+    return Bijection(
+        SetPartition, PF_SETPART, (insider, closer),
+        lambda pi: LabeledMotzkinPath(_sp_steps(pi),
+                                      _sp_labels(pi, insider, closer)),
+        lambda p: _decode_sp(p, insider, closer))
+
+
+BIJECTIONS = {
+    "FZ": Bijection(Permutation, PF_FZ, None, _encode_fz, _decode_fz),
+    "Biane": Bijection(Permutation, PF_BIANE, None, _encode_biane,
+                       _decode_biane),
+    "KZ": _sp_bijection("last", "last"),
+    "Flajolet": _sp_bijection("first", "first"),
+    "Hybrid3": _sp_bijection("last", "first"),
+    "Hybrid4": _sp_bijection("first", "last"),
+}
 
 
 # ---------------------------------------------------------------------------
 # Public encode / decode
 
+def _lookup(bijection):
+    try:
+        return BIJECTIONS[bijection]
+    except KeyError:
+        raise TypeMismatch("unknown bijection %r" % (bijection,)) from None
+
+
 def encode(obj, bijection):
     """Map a permutation or set partition to its labeled Motzkin path."""
-    if bijection in _PERM_BIJECTIONS:
-        if not isinstance(obj, Permutation):
-            raise TypeMismatch("%s expects a permutation" % bijection)
-        return _encode_fz(obj) if bijection == "FZ" else _encode_biane(obj)
-    if bijection in _SP_BIJECTIONS:
-        if not isinstance(obj, SetPartition):
-            raise TypeMismatch("%s expects a set partition" % bijection)
-        ins, clo = _SP_MODES[bijection]
-        return LabeledMotzkinPath(_sp_steps(obj), _sp_labels(obj, ins, clo))
-    raise TypeMismatch("unknown bijection %r" % (bijection,))
+    bij = _lookup(bijection)
+    if not isinstance(obj, bij.takes):
+        raise TypeMismatch("%s expects a %s" % (
+            bijection,
+            "permutation" if bij.takes is Permutation else "set partition"))
+    return bij.encode(obj)
 
 
 def decode(p, bijection):
     """Inverse of encode; raises InvalidPath for paths outside the image."""
-    if bijection == "FZ":
-        return _decode_fz(p)
-    if bijection == "Biane":
-        return _decode_biane(p)
-    if bijection in _SP_BIJECTIONS:
-        ins, clo = _SP_MODES[bijection]
-        return _decode_sp(p, ins, clo)
-    raise TypeMismatch("unknown bijection %r" % (bijection,))
+    return _lookup(bijection).decode(p)
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +436,6 @@ def path_to_json_obj(p):
     return {"steps": [
         {"kind": s.kind, "color": s.color, "label": list(l)}
         for s, l in zip(p.steps, p.labels)]}
-
-
-def path_to_json(p):
-    return json.dumps(path_to_json_obj(p))
 
 
 def _is_int(v):

@@ -121,6 +121,16 @@ def weighted_sum(hist, decode, weight, zeta=False):
     return MultiPoly({m: c for m, c in acc.items() if c})
 
 
+def unit_weight(profiles, totals):
+    """The weight map "unit" of every object type: each object counts 1."""
+    return Monomial()
+
+
+def zeta_cc_weight(profiles, totals):
+    """The weight map "zeta-cc" of every object type: zeta^cc."""
+    return monomial([("zeta", totals.cc)])
+
+
 def enumerate_polynomial(kind, n, family="all", weight="unit", zeta=False,
                          cache=None):
     """Exact weighted sum over the objects of size n in `family`: the
@@ -516,14 +526,6 @@ def _w_seven_var_cyc(profiles, t):
                      ("pm", t.lcross), ("qm", t.lnest), ("lam", t.cyc)])
 
 
-def _w_unit(profiles, t):
-    return Monomial()
-
-
-def _w_zeta_cc(profiles, t):
-    return monomial([("zeta", t.cc)])
-
-
 PERM_WEIGHTS = {
     "four-var-arec": _w_four_var_arec,
     "four-var-cyc": _w_four_var_cyc,
@@ -540,8 +542,8 @@ PERM_WEIGHTS = {
     "seven-var-cyc": _w_seven_var_cyc,
     "master1": perm_master_weight_first,
     "master2": perm_master_weight_second,
-    "unit": _w_unit,
-    "zeta-cc": _w_zeta_cc,
+    "unit": unit_weight,
+    "zeta-cc": zeta_cc_weight,
 }
 
 

@@ -10,7 +10,7 @@ from collections import namedtuple
 
 from .mpoly import Indeterminate, Monomial, monomial
 from .permstats import ObjectKind, UnknownWeightMap, is_indecomposable, \
-    lookup
+    lookup, unit_weight, zeta_cc_weight
 
 
 class NotAPartition(ValueError):
@@ -298,10 +298,6 @@ def sp_master_weight(profiles, variant=1):
 # ---------------------------------------------------------------------------
 # Named weight maps.  Each maps (profiles, totals) to a Monomial.
 
-def _w_unit(profiles, t):
-    return Monomial()
-
-
 def _w_block_count(profiles, t):
     return monomial([("x", t.blocks)])
 
@@ -397,12 +393,8 @@ def _w_x_iota_prime(profiles, t):
     return monomial([("x", t.blocks), ("q", t.iota_prime)])
 
 
-def _w_zeta_cc(profiles, t):
-    return monomial([("zeta", t.cc)])
-
-
 SP_WEIGHTS = {
-    "unit": _w_unit,
+    "unit": unit_weight,
     "block-count": _w_block_count,
     "three-var": _w_three_var,
     "six-var": _w_six_var,
@@ -423,7 +415,7 @@ SP_WEIGHTS = {
     "rs-rb": _w_rs_rb,
     "x-iota": _w_x_iota,
     "x-iota-prime": _w_x_iota_prime,
-    "zeta-cc": _w_zeta_cc,
+    "zeta-cc": zeta_cc_weight,
 }
 
 

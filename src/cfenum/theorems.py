@@ -6,6 +6,7 @@ the fraction, coefficient by coefficient.
 """
 
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from math import comb, factorial
 import random
@@ -198,6 +199,8 @@ def _star(f, m):
 
 
 def _perm_master1_cf(afun, bfun, cfun, dfun, efun):
+    """(gamma, beta) of the first master J-fraction for permutations at
+    the weights a(l, l') .. d(l, l') and e(l)."""
     def gamma(n):
         if n == 0:
             return as_poly(efun(0))
@@ -210,6 +213,8 @@ def _perm_master1_cf(afun, bfun, cfun, dfun, efun):
 
 
 def _sp_master_cf(afun, bfun, dfun, efun):
+    """(gamma, beta) of the master J-fraction for set partitions at the
+    weights a(l, l'), b(l), d(l, l') and e(l)."""
     def gamma(n):
         if n == 0:
             return as_poly(efun(0))
@@ -221,23 +226,48 @@ def _sp_master_cf(afun, bfun, dfun, efun):
     return gamma, beta
 
 
-def _s_coherence(label, derived, displayed, count=8):
-    out = []
-    for k in range(1, count + 1):
-        ok = as_poly(derived(k)) == as_poly(displayed(k))
-        out.append({"check": "%s: alpha_%d" % (label, k), "ok": ok})
-    return out
+# ---------------------------------------------------------------------------
+# Extra checks of a fraction entry.  Each builder returns a function
+# (case, n_max, polys) -> list of checks, where polys[n] is the entry's
+# enumeration polynomial at n = 0..n_max.
+
+def _equal_at(label, fmt, indices, lhs, rhs):
+    return [{"check": ("%s: " + fmt) % (label, n),
+             "ok": as_poly(lhs(n)) == as_poly(rhs(n))} for n in indices]
 
 
-def _j_coherence(label, dg, db, gg, gb, count=8):
-    out = []
-    for n in range(count + 1):
-        ok = as_poly(dg(n)) == as_poly(gg(n))
-        out.append({"check": "%s: gamma_%d" % (label, n), "ok": ok})
-    for n in range(1, count + 1):
-        ok = as_poly(db(n)) == as_poly(gb(n))
-        out.append({"check": "%s: beta_%d" % (label, n), "ok": ok})
-    return out
+def _s_coherence(label, derived, count=8):
+    """alpha_1..alpha_count of the entry equal `derived`."""
+    def checks(case, n_max, polys):
+        return _equal_at(label, "alpha_%d", range(1, count + 1), derived,
+                         case.alpha)
+    return checks
+
+
+def _j_coherence(label, dg, db, count=8):
+    """gamma_0..gamma_count and beta_1..beta_count of the entry equal
+    `dg` and `db`."""
+    def checks(case, n_max, polys):
+        return (_equal_at(label, "gamma_%d", range(count + 1), dg,
+                          case.gamma)
+                + _equal_at(label, "beta_%d", range(1, count + 1), db,
+                            case.beta))
+    return checks
+
+
+def _capped_cmp(label, other, cap, base=None):
+    """`other` equals the entry's polynomial (or `base`) for n up to
+    min(n_max, cap)."""
+    def checks(case, n_max, polys):
+        lhs = polys.__getitem__ if base is None else base
+        return _equal_at(label, "n=%d", range(min(n_max, cap) + 1), lhs,
+                         other)
+    return checks
+
+
+def _specialized(f, spec):
+    """n -> f(n) with the substitution spec applied."""
+    return lambda n: as_poly(f(n)).substitute(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +278,7 @@ class TheoremCase:
 
     def __init__(self, tid, kind, description, n_max,
                  poly=None, alpha=None, gamma=None, beta=None,
-                 series=None, extra=None, identity=None, witness=None):
+                 series=None, extra=(), identity=None, witness=None):
         self.id = tid
         self.kind = kind
         self.description = description
@@ -316,10 +346,6 @@ def list_theorems():
     return sorted(REGISTRY)
 
 
-def list_identities():
-    return sorted(t for t, c in REGISTRY.items() if c.kind == "Identity")
-
-
 def _get(tid):
     tid = ALIASES.get(tid, tid)
     try:
@@ -329,76 +355,64 @@ def _get(tid):
 
 
 def verify_theorem(tid, n_max=None, order=None, seed=0):
+    """Verify one registry entry.  Its checks are, for an identity, one
+    {"n", "ok"[, "detail"]} per n; for a witness, its own checks at `seed`;
+    for a fraction, one comparison of enumeration and expansion per n, then
+    the entry's extra checks.  The first failing check (its "discrepancy"
+    when it has one) is the report's first_discrepancy."""
     case = _get(tid)
-    if case.kind == "Identity":
-        return check_identity(tid, n_max)
     t0 = time.time()
-    n_max = case.n_max if n_max is None else n_max
-    checks = []
-    ok = True
-    first = None
     if case.kind == "Witness":
         checks = case.witness(seed)
-        for e in checks:
-            if not e["ok"]:
-                ok = False
-                if first is None:
-                    first = e
     else:
-        order = n_max if order is None else max(order, n_max)
-        coeffs = _expand(case, order).coeffs
-        for n in range(n_max + 1):
-            expected = as_poly(case.poly(n))
-            got = coeffs[n]
-            good = expected == got
-            entry = {"n": n, "ok": good}
-            if not good:
-                ok = False
-                diff = expected - got
-                mon, _ = diff.sorted_terms()[0]
-                entry["discrepancy"] = {
-                    "monomial": repr(mon),
-                    "expected": expected.coeff_of(mon),
-                    "got": got.coeff_of(mon)}
-                if first is None:
-                    first = entry["discrepancy"]
-            checks.append(entry)
-        if case.extra is not None:
-            for e in case.extra(n_max):
-                checks.append(e)
-                if not e["ok"]:
-                    ok = False
-                    if first is None:
-                        first = e
-    return VerificationReport(tid, case.kind, n_max, order, ok, checks,
-                              first, time.time() - t0, seed)
+        n_max = case.n_max if n_max is None else n_max
+        if case.kind == "Identity":
+            order = seed = None
+            checks = [_identity_check(n, *case.identity(n))
+                      for n in range(n_max + 1)]
+        else:
+            order = n_max if order is None else max(order, n_max)
+            checks = _fraction_checks(case, n_max, order)
+    first = next((c.get("discrepancy", c) for c in checks if not c["ok"]),
+                 None)
+    return VerificationReport(tid, case.kind, n_max, order, first is None,
+                              checks, first, time.time() - t0, seed)
+
+
+def _identity_check(n, ok, detail):
+    entry = {"n": n, "ok": ok}
+    if detail is not None:
+        entry["detail"] = detail
+    return entry
+
+
+def _fraction_checks(case, n_max, order):
+    coeffs = _expand(case, order).coeffs
+    polys = [as_poly(case.poly(n)) for n in range(n_max + 1)]
+    checks = [_compared(n, expected, got)
+              for n, (expected, got) in enumerate(zip(polys, coeffs))]
+    for extra in case.extra:
+        checks.extend(extra(case, n_max, polys))
+    return checks
+
+
+def _compared(n, expected, got):
+    entry = {"n": n, "ok": expected == got}
+    if not entry["ok"]:
+        mon, _ = (expected - got).sorted_terms()[0]
+        entry["discrepancy"] = {"monomial": repr(mon),
+                                "expected": expected.coeff_of(mon),
+                                "got": got.coeff_of(mon)}
+    return entry
 
 
 def check_identity(tid, n_max=None):
+    """verify_theorem for an entry of kind Identity; UnknownIdentity for
+    any other id."""
     case = REGISTRY.get(ALIASES.get(tid, tid))
     if case is None or case.kind != "Identity":
         raise UnknownIdentity(tid)
-    t0 = time.time()
-    n_max = case.n_max if n_max is None else n_max
-    checks = []
-    ok = True
-    first = None
-    for n in range(n_max + 1):
-        good, detail = case.identity(n)
-        entry = {"n": n, "ok": good}
-        if detail is not None:
-            entry["detail"] = detail
-        if not good:
-            ok = False
-            if first is None:
-                first = entry
-        checks.append(entry)
-    return VerificationReport(tid, "Identity", n_max, None, ok, checks,
-                              first, time.time() - t0)
-
-
-def test_conjecture_v2(n_max=None, order=None):
-    return verify_theorem("conj.v2.full", n_max=n_max, order=order)
+    return verify_theorem(tid, n_max)
 
 
 def _expand(case, order):
@@ -425,27 +439,6 @@ def _alt(odd, even):
     return alpha
 
 
-def _merge_extras(*extras):
-    def extra(n_max):
-        out = []
-        for e in extras:
-            if e is not None:
-                out.extend(e(n_max))
-        return out
-    return extra
-
-
-def _capped_cmp(label, lhs, rhs, cap):
-    """Extra check with its own cap on n, independent of n_max."""
-    def extra(n_max):
-        out = []
-        for n in range(min(n_max, cap) + 1):
-            ok = as_poly(lhs(n)) == as_poly(rhs(n))
-            out.append({"check": "%s: n=%d" % (label, n), "ok": ok})
-        return out
-    return extra
-
-
 # ===========================================================================
 # Classics (verified against independent integer-sequence oracles)
 
@@ -455,8 +448,7 @@ _register(TheoremCase(
     8,
     poly=lambda n: factorial(n),
     alpha=lambda m: (m + 1) // 2,
-    extra=_capped_cmp("enumeration equals n!", _poly("perm"),
-                      lambda n: factorial(n), 6),
+    extra=(_capped_cmp("enumeration equals n!", _poly("perm"), 6),),
 ))
 
 _register(TheoremCase(
@@ -465,9 +457,8 @@ _register(TheoremCase(
     8,
     poly=lambda n: _catalan(n),
     alpha=lambda m: 1,
-    extra=_capped_cmp("enumeration equals Catalan",
-                      _poly("perm", family="avoid321"),
-                      lambda n: _catalan(n), 7),
+    extra=(_capped_cmp("enumeration equals Catalan",
+                       _poly("perm", family="avoid321"), 7),),
 ))
 
 _register(TheoremCase(
@@ -477,9 +468,9 @@ _register(TheoremCase(
     8,
     poly=lambda n: _secant(n),
     alpha=lambda m: m * m,
-    extra=_capped_cmp("enumeration equals E_{2n}",
-                      _poly("perm", family="cycle_alternating", double=True),
-                      lambda n: _secant(n), 4),
+    extra=(_capped_cmp("enumeration equals E_{2n}",
+                       _poly("perm", family="cycle_alternating",
+                             double=True), 4),),
 ))
 
 _register(TheoremCase(
@@ -488,9 +479,7 @@ _register(TheoremCase(
     8,
     poly=lambda n: _bell_numbers(n)[n],
     alpha=_alt(lambda k: 1, lambda k: k),
-    extra=_capped_cmp("enumeration equals Bell",
-                      _poly("setpart"),
-                      lambda n: _bell_numbers(n)[n], 9),
+    extra=(_capped_cmp("enumeration equals Bell", _poly("setpart"), 9),),
 ))
 
 _register(TheoremCase(
@@ -499,9 +488,7 @@ _register(TheoremCase(
     8,
     poly=lambda n: _double_factorial(n),
     alpha=lambda m: m,
-    extra=_capped_cmp("enumeration equals (2n-1)!!",
-                      _poly("match"),
-                      lambda n: _double_factorial(n), 6),
+    extra=(_capped_cmp("enumeration equals (2n-1)!!", _poly("match"), 6),),
 ))
 
 
@@ -541,15 +528,12 @@ _register(TheoremCase(
     8,
     poly=_poly("perm", weight="four-var-cyc", subst={"y": 1, "u": 1, "v": 1}),
     alpha=_alt(lambda k: X + (k - 1), lambda k: k),
-    extra=_merge_extras(
-        _capped_cmp("product formula",
-                    _poly("perm", weight="four-var-cyc",
-                          subst={"y": 1, "u": 1, "v": 1}),
-                    lambda n: _rising_product(n, X, 1), 8),
-        _capped_cmp("homogeneous product formula",
-                    _poly("perm", weight="four-var-cyc",
-                          subst={"u": Y, "v": Y}),
-                    lambda n: _rising_product(n, X, Y), 8)),
+    extra=(_capped_cmp("product formula",
+                       lambda n: _rising_product(n, X, 1), 8),
+           _capped_cmp("homogeneous product formula",
+                       lambda n: _rising_product(n, X, Y), 8,
+                       base=_poly("perm", weight="four-var-cyc",
+                                  subst={"u": Y, "v": Y}))),
 ))
 
 
@@ -567,10 +551,7 @@ _register(TheoremCase(
     8,
     poly=_poly("perm", weight="four-var-arec", subst={"u": X, "v": Y}),
     alpha=_alt(lambda k: k * X, lambda k: k * Y),
-    extra=_capped_cmp("Eulerian-number oracle",
-                      _poly("perm", weight="four-var-arec",
-                            subst={"u": X, "v": Y}),
-                      _eulerian_poly, 8),
+    extra=(_capped_cmp("Eulerian-number oracle", _eulerian_poly, 8),),
 ))
 
 _register(TheoremCase(
@@ -608,9 +589,7 @@ _register(TheoremCase(
     8,
     poly=_poly("perm", family="avoid321", weight="two-var"),
     alpha=_alt(lambda k: X, lambda k: Y),
-    extra=_capped_cmp("Narayana closed form",
-                      _poly("perm", family="avoid321", weight="two-var"),
-                      _narayana_poly, 8),
+    extra=(_capped_cmp("Narayana closed form", _narayana_poly, 8),),
 ))
 
 
@@ -627,21 +606,6 @@ def _perm_j1_beta(n):
     return (X1 + (n - 1) * U1) * (Y1 + (n - 1) * V1)
 
 
-def _tenvar_master_families():
-    afun = lambda l, lp: Y1 if lp == 0 else V1
-    bfun = lambda l, lp: X1 if lp == 0 else U1
-    cfun = lambda l, lp: X2 if lp == 0 else U2
-    dfun = lambda l, lp: Y2 if lp == 0 else V2
-    efun = lambda l: _w(l)
-    return afun, bfun, cfun, dfun, efun
-
-
-def _perm_j1_coherence(n_max):
-    dg, db = _perm_master1_cf(*_tenvar_master_families())
-    return _j_coherence("derived from first master J-fraction",
-                        dg, db, _perm_j1_gamma, _perm_j1_beta)
-
-
 _register(TheoremCase(
     "perm.J1", "JFraction",
     "Ten-variable record-and-cycle classification with fixed points "
@@ -650,7 +614,12 @@ _register(TheoremCase(
     poly=_poly("perm", weight="ten-var"),
     gamma=_perm_j1_gamma,
     beta=_perm_j1_beta,
-    extra=_perm_j1_coherence,
+    extra=(_j_coherence(
+        "derived from first master J-fraction",
+        *_perm_master1_cf(lambda l, lp: Y1 if lp == 0 else V1,
+                          lambda l, lp: X1 if lp == 0 else U1,
+                          lambda l, lp: X2 if lp == 0 else U2,
+                          lambda l, lp: Y2 if lp == 0 else V2, _w)),),
 ))
 
 
@@ -698,21 +667,6 @@ def _perm_big_beta(n):
         * ((PP1 ** (n - 1)) * Y1 + QP1 * pqint(n - 1, PP1, QP1) * V1)
 
 
-def _big_master_families():
-    afun = lambda l, lp: (PP1 ** l) * (QP1 ** lp) * (Y1 if lp == 0 else V1)
-    bfun = lambda l, lp: (PM1 ** l) * (QM1 ** lp) * (X1 if lp == 0 else U1)
-    cfun = lambda l, lp: (PM2 ** l) * (QM2 ** lp) * (X2 if lp == 0 else U2)
-    dfun = lambda l, lp: (PP2 ** l) * (QP2 ** lp) * (Y2 if lp == 0 else V2)
-    efun = lambda l: (S_ ** l) * _w(l)
-    return afun, bfun, cfun, dfun, efun
-
-
-def _perm_big_coherence(n_max):
-    dg, db = _perm_master1_cf(*_big_master_families())
-    return _j_coherence("derived from first master J-fraction",
-                        dg, db, _perm_big_gamma, _perm_big_beta)
-
-
 _register(TheoremCase(
     "perm.pq.J.BIG", "JFraction",
     "Grand J-fraction: ten record/cycle variables plus eight "
@@ -721,7 +675,14 @@ _register(TheoremCase(
     poly=_poly("perm", weight="big"),
     gamma=_perm_big_gamma,
     beta=_perm_big_beta,
-    extra=_perm_big_coherence,
+    extra=(_j_coherence(
+        "derived from first master J-fraction",
+        *_perm_master1_cf(
+            lambda l, lp: (PP1 ** l) * (QP1 ** lp) * (Y1 if lp == 0 else V1),
+            lambda l, lp: (PM1 ** l) * (QM1 ** lp) * (X1 if lp == 0 else U1),
+            lambda l, lp: (PM2 ** l) * (QM2 ** lp) * (X2 if lp == 0 else U2),
+            lambda l, lp: (PP2 ** l) * (QP2 ** lp) * (Y2 if lp == 0 else V2),
+            lambda l: (S_ ** l) * _w(l))),),
 ))
 
 
@@ -740,13 +701,6 @@ _PQ11_FROM_BIG = {"x1": 1, "y1": 1, "u1": 1, "v1": 1,
                   "w": lambda *idx: 1}
 
 
-def _perm_pq11_coherence(n_max):
-    dg = lambda n: as_poly(_perm_big_gamma(n)).substitute(_PQ11_FROM_BIG)
-    db = lambda n: as_poly(_perm_big_beta(n)).substitute(_PQ11_FROM_BIG)
-    return _j_coherence("specialization of the grand J-fraction",
-                        dg, db, _perm_pq11_gamma, _perm_pq11_beta)
-
-
 _register(TheoremCase(
     "perm.pq.crossnest.J", "JFraction",
     "Pure crossing/nesting statistics: eleven-variable J-fraction with "
@@ -755,7 +709,9 @@ _register(TheoremCase(
     poly=_poly("perm", weight="pq-eleven"),
     gamma=_perm_pq11_gamma,
     beta=_perm_pq11_beta,
-    extra=_perm_pq11_coherence,
+    extra=(_j_coherence("specialization of the grand J-fraction",
+                        _specialized(_perm_big_gamma, _PQ11_FROM_BIG),
+                        _specialized(_perm_big_beta, _PQ11_FROM_BIG)),),
 ))
 
 _PQ_S_SPEC = {"pp1": PP, "pp2": PP, "qp1": QP, "qp2": QP,
@@ -791,35 +747,22 @@ _zeng89_alpha = _alt(
     lambda k: (Q_ ** k) * Y + (Q_ ** (k + 1)) * qint(k - 1, Q_))
 
 
-def _zeng89_coherence(n_max):
-    derived = lambda m: as_poly(_eightvar_alpha(m)).substitute(_ZENG89_SPEC)
-    return _s_coherence("specialization of the eight-variable S-fraction",
-                        derived, _zeng89_alpha)
-
-
 _register(TheoremCase(
     "perm.zeng89", "SFraction",
     "Inversion-weighted records: sum x^arec y^erec q^inv.",
     8,
     poly=_poly("perm", weight="two-var-inv"),
     alpha=_zeng89_alpha,
-    extra=_zeng89_coherence,
+    extra=(_s_coherence("specialization of the eight-variable S-fraction",
+                        _specialized(_eightvar_alpha, _ZENG89_SPEC)),),
 ))
 
 
 # ===========================================================================
 # Permutations: master fractions
 
-def _master1_sym():
-    afun = lambda l, lp: var("a", l, lp)
-    bfun = lambda l, lp: var("b", l, lp)
-    cfun = lambda l, lp: var("c", l, lp)
-    dfun = lambda l, lp: var("d", l, lp)
-    efun = lambda l: var("e", l)
-    return afun, bfun, cfun, dfun, efun
-
-
-_pm1_gamma, _pm1_beta = _perm_master1_cf(*_master1_sym())
+# symbolic weights: a(l, l') is the indeterminate a[l,l'], e(l) is e[l]
+_pm1_gamma, _pm1_beta = _perm_master1_cf(*(partial(var, f) for f in "abcde"))
 
 _register(TheoremCase(
     "perm.masterJ1", "JFraction",
@@ -846,9 +789,8 @@ _register(TheoremCase(
     7,
     poly=_poly("perm", weight="master1", subst=_MASTERS1_SPEC),
     alpha=_eightvar_alpha,
-    extra=_capped_cmp("equals the eight-variable enumeration",
-                      _poly("perm", weight="master1", subst=_MASTERS1_SPEC),
-                      _poly("perm", weight="eight-var-pq"), 7),
+    extra=(_capped_cmp("equals the eight-variable enumeration",
+                       _poly("perm", weight="eight-var-pq"), 7),),
 ))
 
 
@@ -1041,12 +983,6 @@ _QSECANT_SPEC = {"x1": 1, "u1": 1, "y1": Q_, "v1": Q_,
 _qsecant_alpha = lambda m: (Q_ ** (2 * m - 1)) * qint(m, Q_) ** 2
 
 
-def _qsecant_coherence(n_max):
-    derived = lambda m: as_poly(_ca_pq_alpha(m)).substitute(_QSECANT_SPEC)
-    return _s_coherence("specialization of the cycle-alternating "
-                        "(p,q) S-fraction", derived, _qsecant_alpha)
-
-
 _register(TheoremCase(
     "perm.ca.qsecant", "SFraction",
     "q-secant numbers: sum of q^inv over cycle-alternating permutations; "
@@ -1055,7 +991,9 @@ _register(TheoremCase(
     poly=_poly("perm", family="cycle_alternating", weight=_w_q_inv,
                double=True),
     alpha=_qsecant_alpha,
-    extra=_qsecant_coherence,
+    extra=(_s_coherence("specialization of the cycle-alternating "
+                        "(p,q) S-fraction",
+                        _specialized(_ca_pq_alpha, _QSECANT_SPEC)),),
 ))
 
 
@@ -1213,13 +1151,6 @@ def _sp_pqj_beta(n):
 _SP_J_FROM_PQ = {"p1": 1, "p2": 1, "q1": 1, "q2": 1, "r": 1}
 
 
-def _sp_j_coherence(n_max):
-    dg = lambda n: as_poly(_sp_pqj_gamma(n)).substitute(_SP_J_FROM_PQ)
-    db = lambda n: as_poly(_sp_pqj_beta(n)).substitute(_SP_J_FROM_PQ)
-    return _j_coherence("specialization of the (p,q) J-fraction",
-                        dg, db, _sp_j_gamma, _sp_j_beta)
-
-
 _register(TheoremCase(
     "sp.J", "JFraction",
     "Six-variable J-fraction for singleton/opener/insider record classes.",
@@ -1227,22 +1158,10 @@ _register(TheoremCase(
     poly=_poly("setpart", weight="six-var"),
     gamma=_sp_j_gamma,
     beta=_sp_j_beta,
-    extra=_sp_j_coherence,
+    extra=(_j_coherence("specialization of the (p,q) J-fraction",
+                        _specialized(_sp_pqj_gamma, _SP_J_FROM_PQ),
+                        _specialized(_sp_pqj_beta, _SP_J_FROM_PQ)),),
 ))
-
-
-def _sp_master_families_pq():
-    afun = lambda l, lp: (P2 ** l) * (Q2 ** lp) * (Y2 if lp == 0 else V2)
-    bfun = lambda l: X2
-    dfun = lambda l, lp: (P1 ** l) * (Q1 ** lp) * (Y1 if lp == 0 else V1)
-    efun = lambda l: (R_ ** l) * X1
-    return afun, bfun, dfun, efun
-
-
-def _sp_pqj_coherence(n_max):
-    dg, db = _sp_master_cf(*_sp_master_families_pq())
-    return _j_coherence("derived from the first master J-fraction",
-                        dg, db, _sp_pqj_gamma, _sp_pqj_beta)
 
 
 _register(TheoremCase(
@@ -1252,7 +1171,13 @@ _register(TheoremCase(
     poly=_poly("setpart", weight="pq-eleven"),
     gamma=_sp_pqj_gamma,
     beta=_sp_pqj_beta,
-    extra=_sp_pqj_coherence,
+    extra=(_j_coherence(
+        "derived from the first master J-fraction",
+        *_sp_master_cf(
+            lambda l, lp: (P2 ** l) * (Q2 ** lp) * (Y2 if lp == 0 else V2),
+            lambda l: X2,
+            lambda l, lp: (P1 ** l) * (Q1 ** lp) * (Y1 if lp == 0 else V1),
+            lambda l: (R_ ** l) * X1)),),
 ))
 
 _SP_PQ_S_SPEC = {"x1": X, "x2": X, "y1": Y, "y2": Y, "v1": V, "v2": V,
@@ -1296,15 +1221,7 @@ _register(TheoremCase(
 ))
 
 
-def _sp_master_sym_cf():
-    afun = lambda l, lp: var("a", l, lp)
-    bfun = lambda l: var("b", l)
-    dfun = lambda l, lp: var("d", l, lp)
-    efun = lambda l: var("e", l)
-    return _sp_master_cf(afun, bfun, dfun, efun)
-
-
-_spm_gamma, _spm_beta = _sp_master_sym_cf()
+_spm_gamma, _spm_beta = _sp_master_cf(*(partial(var, f) for f in "abde"))
 
 for _variant in (1, 2, 3, 4):
     _register(TheoremCase(
@@ -1345,10 +1262,9 @@ _register(TheoremCase(
     9,
     poly=_poly("setpart", weight="x-lb"),
     alpha=_zeng1_alpha,
-    extra=_capped_cmp(
+    extra=(_capped_cmp(
         "independent route via the reversed rs statistic",
-        _poly("setpart", weight="x-lb"),
-        _poly("setpart", weight="pq-eleven", subst=_ZENG_INV_SPEC), 9),
+        _poly("setpart", weight="pq-eleven", subst=_ZENG_INV_SPEC), 9),),
 ))
 
 _register(TheoremCase(
@@ -1372,10 +1288,9 @@ _register(TheoremCase(
     9,
     poly=_poly("setpart", weight="x-iota-prime"),
     alpha=_zeng1_alpha,
-    extra=_capped_cmp(
+    extra=(_capped_cmp(
         "equals the eleven-variable polynomial specialization",
-        _poly("setpart", weight="x-iota-prime"),
-        _poly("setpart", weight="pq-eleven", subst=_IOTA_SPEC), 9),
+        _poly("setpart", weight="pq-eleven", subst=_IOTA_SPEC), 9),),
 ))
 
 _spS_alpha = _alt(lambda k: X, lambda k: Y + (k - 1) * V)
@@ -1413,18 +1328,6 @@ _match_pq_alpha = lambda m: \
 _MATCH4_FROM_PQ = {"pp": 1, "pm": 1, "qp": 1, "qm": 1}
 
 
-def _match4_coherence(n_max):
-    derived = lambda m: \
-        as_poly(_match_pq_alpha(m)).substitute(_MATCH4_FROM_PQ)
-    out = _s_coherence("specialization of the (p,q) S-fraction",
-                       derived, _match4_alpha)
-    out.extend(_capped_cmp(
-        "valley form equals peak form",
-        _poly("match", weight="four-var-cp"),
-        _poly("match", weight="four-var-cv"), 6)(n_max))
-    return out
-
-
 _register(TheoremCase(
     "match.S.fourvar", "SFraction",
     "Four-variable S-fraction over matchings: even/odd cycle peaks split "
@@ -1432,7 +1335,10 @@ _register(TheoremCase(
     7,
     poly=_poly("match", weight="four-var-cp"),
     alpha=_match4_alpha,
-    extra=_match4_coherence,
+    extra=(_s_coherence("specialization of the (p,q) S-fraction",
+                        _specialized(_match_pq_alpha, _MATCH4_FROM_PQ)),
+           _capped_cmp("valley form equals peak form",
+                       _poly("match", weight="four-var-cv"), 6)),
 ))
 
 _register(TheoremCase(
@@ -1453,24 +1359,16 @@ def _match_master_case(l, lp):
     return (PP ** l) * (QP ** lp) * V
 
 
-def _match_pq_coherence(n_max):
-    derived = lambda m: _star(_match_master_case, m - 1)
-    out = _s_coherence("derived from the master S-fraction",
-                       derived, _match_pq_alpha)
-    out.extend(_capped_cmp(
-        "valley form equals peak form",
-        _poly("match", weight="pq"),
-        _poly("match", weight="pq-cv"), 5)(n_max))
-    return out
-
-
 _register(TheoremCase(
     "match.pq.S", "SFraction",
     "Eight-variable (p,q) S-fraction over matchings.",
     7,
     poly=_poly("match", weight="pq"),
     alpha=_match_pq_alpha,
-    extra=_match_pq_coherence,
+    extra=(_s_coherence("derived from the master S-fraction",
+                        lambda m: _star(_match_master_case, m - 1)),
+           _capped_cmp("valley form equals peak form",
+                       _poly("match", weight="pq-cv"), 5)),
 ))
 
 _register(TheoremCase(

@@ -15,7 +15,6 @@ from cfenum.series import (attach_component_weight, expand_jfraction,
                            expand_sfraction, indecomposable_series)
 from cfenum.theorems import REGISTRY, _enum, check_identity, \
     list_theorems, verify_theorem
-from cfenum.theorems import test_conjecture_v2 as conjecture_v2
 
 from test_paths import (check_biane_closer_lemma, check_biane_lemmas,
                         check_fz_lemmas, check_reversed_stats,
@@ -66,11 +65,11 @@ def test_criterion_03_all_specializations():
 
 def test_criterion_04_conjecture_forward():
     t0 = time.time()
-    report = conjecture_v2(n_max=7)
+    report = verify_theorem("conj.v2.full", n_max=7)
     small_time = time.time() - t0
     _ok(report, "conjecture n<=7")
     assert small_time <= 60.0, "n<=7 took %.1fs (limit 60s)" % small_time
-    _ok(conjecture_v2(n_max=9), "conjecture n<=9")
+    _ok(verify_theorem("conj.v2.full", n_max=9), "conjecture n<=9")
     _passed(4, "conjecture holds through n=9; n<=7 in %.1fs" % small_time)
 
 

@@ -6,7 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from cfenum.cli import main
-from cfenum.permstats import PERM_WEIGHTS
+from cfenum.mpoly import as_poly, from_text
+from cfenum.permstats import PERM, PERM_WEIGHTS, enumerate_polynomial
 
 
 @pytest.fixture
@@ -119,6 +120,19 @@ def test_substitution_errors(runner, tmp_path):
     res = _run(runner, ["enumerate", "--object", "perm", "--n", "2",
                         "--subst", str(bad)])
     assert res.exit_code == 2
+
+
+def test_enumerate_coefficients_above_4300_digits(runner, tmp_path):
+    # y^2 makes coefficients of 6,001 digits, past the interpreter's
+    # default limit on int-to-str conversion
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"y": "1" + "0" * 3000}))
+    res = _run(runner, ["enumerate", "--object", "perm", "--n", "3",
+                        "--weight", "two-var", "--subst", str(sub)])
+    assert res.exit_code == 0
+    got = from_text(json.loads(res.output)["polynomial"])
+    assert got == enumerate_polynomial(PERM, 3, weight="two-var").substitute(
+        {"y": as_poly(10 ** 3000)})
 
 
 @pytest.mark.parametrize("value, message", [

@@ -19,7 +19,7 @@ def _pqint(n, p, q):
 def test_matching_construction():
     m = matching_from_pairs([(1, 3), (2, 4)])
     assert m.n == 2 and m(1) == 3 and m(4) == 2
-    assert list(m.as_oneline()) == [3, 4, 1, 2]
+    assert list(m.partner[1:]) == [3, 4, 1, 2]
     assert m.as_blocks() == [[1, 3], [2, 4]]
     with pytest.raises(NotAMatching):
         matching_from_pairs([(1, 2), (2, 3)])

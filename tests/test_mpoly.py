@@ -55,6 +55,18 @@ def test_json_round_trip():
     assert '"coeff": "5"' in to_json(p)
 
 
+def test_coefficients_above_4300_digits_round_trip():
+    # past the interpreter's default limit on int-to-str conversion
+    c = 10 ** 4999 + 7  # 5,000 digits
+    x = var("x")
+    p = c * x ** 2 - c
+    digits = "1" + "0" * 4998 + "7"
+    assert to_text(p) == "-%s + %s*x^2" % (digits, digits)
+    assert from_text(to_text(p)) == p
+    assert json.loads(to_json(p))["terms"][1]["coeff"] == digits
+    assert from_json(to_json(p)) == p
+
+
 def test_parse_error():
     with pytest.raises(ParseError):
         from_text("x +* y")

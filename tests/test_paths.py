@@ -1,16 +1,15 @@
 """Unit tests for labeled Motzkin paths and the six bijections."""
 
 from itertools import product
+import json
 
 import pytest
 
 from cfenum.mpoly import Indeterminate, as_poly
-from cfenum.paths import (BIJECTION_PFS, ColoredStep, InvalidPath,
+from cfenum.paths import (BIJECTIONS, ColoredStep, InvalidPath,
                           LabeledMotzkinPath, PF_FZ, PossibilityFunction,
                           TypeMismatch, decode, encode, path_from_json,
-                          path_to_json, path_validate,
-                          sp_reversed_index_stats)
-from cfenum.paths import _SP_MODES
+                          path_to_json_obj, path_validate)
 from cfenum.permstats import (PERM, Permutation, enumerate_polynomial,
                               iter_permutations, stat_totals)
 from cfenum.series import expand_jfraction
@@ -24,6 +23,53 @@ SP_BIJECTIONS = ("KZ", "Flajolet", "Hybrid3", "Hybrid4")
 
 
 # ---------------------------------------------------------------------------
+# Oracle of the set-partition label lemmas: statistics read off the arcs and
+# blocks directly, with the distinguished index in third position.
+
+def sp_reversed_index_stats(pi):
+    """Per-index reversed crossing/nesting/overlap/covering statistics.
+
+    Returns a dict index -> dict with keys crt, net, ovt, covt where
+    crt(k) counts quadruplets i<j<k<l with arcs (i,k),(j,l);
+    net(k) counts i<j<k<l with arcs (i,l),(j,k);
+    ovt(k) counts blocks B' with min B(k) < min B' < k < max B';
+    covt(k) counts blocks B' with min B' < min B(k) < k < max B'.
+    """
+    arcs = pi.arcs
+    block_of = {}
+    for b in pi.blocks:
+        for j in b:
+            block_of[j] = b
+    out = {}
+    for k in range(1, pi.n + 1):
+        crt = net = 0
+        for (i, kk) in arcs:
+            if kk != k:
+                continue
+            for (j, l) in arcs:
+                if i < j < k < l:
+                    crt += 1
+        for (j, kk) in arcs:
+            if kk != k:
+                continue
+            for (i, l) in arcs:
+                if i < j and l > k:
+                    net += 1
+        b = block_of[k]
+        ovt = covt = 0
+        for bp in pi.blocks:
+            if bp is b or len(bp) == 0:
+                continue
+            if bp[0] < k < bp[-1]:
+                if b[0] < bp[0]:
+                    ovt += 1
+                else:
+                    covt += 1
+        out[k] = {"crt": crt, "net": net, "ovt": ovt, "covt": covt}
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Sized exhaustive checks, shared with the acceptance suite.
 
 def check_round_trips(n_max):
@@ -31,12 +77,12 @@ def check_round_trips(n_max):
         for sg in iter_permutations(n):
             for bj in PERM_BIJECTIONS:
                 q = encode(sg, bj)
-                assert path_validate(q, BIJECTION_PFS[bj])
+                assert path_validate(q, BIJECTIONS[bj].pf)
                 assert decode(q, bj) == sg
         for pp in iter_set_partitions(n):
             for bj in SP_BIJECTIONS:
                 q = encode(pp, bj)
-                assert path_validate(q, BIJECTION_PFS[bj])
+                assert path_validate(q, BIJECTIONS[bj].pf)
                 assert decode(q, bj) == pp
 
 
@@ -140,7 +186,7 @@ def check_sp_label_lemmas(n_max):
             for bj in SP_BIJECTIONS:
                 p = encode(pp, bj)
                 h = p.heights()
-                ins_mode, clo_mode = _SP_MODES[bj]
+                ins_mode, clo_mode = BIJECTIONS[bj].orders
                 for i in range(1, n + 1):
                     cls = profs[i].element_class
                     xi = p.labels[i - 1][0]
@@ -254,7 +300,7 @@ def _weighted_path_sums(pf, step_weights, order):
     beta(h) = rise(h-1) * fall(h)."""
     def gamma(h):
         return sum((_step_sum(pf, step_weights, "L", c, h)
-                    for c in range(1, pf.colors() + 1)), as_poly(0))
+                    for c in range(1, len(pf.levels) + 1)), as_poly(0))
 
     def beta(h):
         return _step_sum(pf, step_weights, "R", 1, h - 1) \
@@ -290,6 +336,6 @@ def test_weighted_path_sum_matches_master_enumeration():
 
 def test_json_round_trip():
     p = encode(FIG3, "Biane")
-    assert path_from_json(path_to_json(p)) == p
+    assert path_from_json(json.dumps(path_to_json_obj(p))) == p
     p = encode(SetPartition([(1, 3, 6), (2, 4, 5)]), "Hybrid3")
-    assert path_from_json(path_to_json(p)) == p
+    assert path_from_json(json.dumps(path_to_json_obj(p))) == p

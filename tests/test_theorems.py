@@ -1,5 +1,6 @@
 """Unit tests for the theorem registry and verification engine."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,8 @@ from cfenum.series import expand_jfraction, expand_sfraction
 from cfenum.setpartstats import SP_WEIGHTS
 from cfenum.theorems import (ALIASES, KINDS, REGISTRY, UnknownIdentity,
                              UnknownTheorem, check_identity, expand_registered,
-                             list_identities, list_theorems, pqint, qint,
-                             verify_theorem, _poly)
-from cfenum.theorems import test_conjecture_v2 as conjecture_v2
+                             list_theorems, pqint, qint, verify_theorem,
+                             _poly)
 
 from test_series import nested_jfraction, nested_sfraction
 
@@ -51,7 +51,8 @@ EXPECTED_IDENTITIES = {
 def test_registry_contents():
     ids = set(list_theorems())
     assert EXPECTED_IDS <= ids
-    assert EXPECTED_IDENTITIES == set(list_identities())
+    assert EXPECTED_IDENTITIES == {t for t, c in REGISTRY.items()
+                                   if c.kind == "Identity"}
     assert ids == set(REGISTRY)
     assert len(ids) == len(EXPECTED_IDS) + len(EXPECTED_IDENTITIES)
 
@@ -75,7 +76,7 @@ def test_unknown_ids():
 
 def test_pq_integers():
     p, q = var("p"), var("q")
-    assert pqint(0, p, q).is_zero()
+    assert pqint(0, p, q) == 0
     assert pqint(1, p, q).is_one()
     assert pqint(3, p, q) == p ** 2 + p * q + q ** 2
     assert qint(4, q) == 1 + q + q ** 2 + q ** 3
@@ -126,7 +127,7 @@ def test_identity_spot_checks():
 
 
 def test_conjecture_forward():
-    r = conjecture_v2(n_max=6)
+    r = verify_theorem("conj.v2.full", n_max=6)
     assert r.ok and r.kind == "ConjectureForward"
 
 
@@ -209,3 +210,53 @@ def test_rs_formula_failure_names_partition(monkeypatch):
     assert [c["ok"] for c in report.checks] == [True] * 3 + [False, True]
     assert report.first_discrepancy == {"n": 3, "ok": False,
                                         "detail": "pi=((1, 3), (2,))"}
+
+
+def _perturb(monkeypatch, tid, **fields):
+    """Replace REGISTRY[tid] by a copy with the given fields."""
+    case = copy.copy(REGISTRY[tid])
+    for name, value in fields.items():
+        setattr(case, name, value)
+    monkeypatch.setitem(REGISTRY, tid, case)
+
+
+def _plus_zz_at(f, k):
+    zz = var("zz")
+    return lambda n: f(n) + zz if n == k else f(n)
+
+
+def test_perturbed_alpha_fails_first_at_its_coefficient(monkeypatch):
+    # zz in alpha_3 first reaches the expansion at t^3, as q*x*y*zz
+    _perturb(monkeypatch, "perm.zeng89",
+             alpha=_plus_zz_at(REGISTRY["perm.zeng89"].alpha, 3))
+    report = verify_theorem("perm.zeng89", n_max=5)
+    assert not report.ok
+    assert report.first_discrepancy == {"monomial": "q*x*y*zz",
+                                        "expected": 0, "got": 1}
+
+
+def test_perturbed_beta_fails_its_coherence_check(monkeypatch):
+    # beta_5 first reaches the expansion at t^10, so at n_max=4 only the
+    # specialization check of the entry's own beta_5 can see it
+    _perturb(monkeypatch, "sp.J",
+             beta=_plus_zz_at(REGISTRY["sp.J"].beta, 5))
+    report = verify_theorem("sp.J", n_max=4)
+    failed = [c for c in report.checks if not c["ok"]]
+    assert failed == [{"check": "specialization of the (p,q) J-fraction: "
+                                "beta_5", "ok": False}]
+    assert not report.ok and report.first_discrepancy == failed[0]
+
+
+def test_witness_reports_its_first_failing_check(monkeypatch):
+    real = REGISTRY["perm.cyc.nonpoly"].witness
+
+    def fifth_fails(seed):
+        checks = real(seed)
+        checks[4] = dict(checks[4], ok=False)
+        return checks
+
+    _perturb(monkeypatch, "perm.cyc.nonpoly", witness=fifth_fails)
+    report = verify_theorem("perm.cyc.nonpoly", seed=0)
+    assert [c["ok"] for c in report.checks].index(False) == 4
+    assert not report.ok and report.first_discrepancy == report.checks[4]
+    assert report.n_max is None and report.order is None
