@@ -77,9 +77,12 @@ def load_substitution(path):
             _fail_usage("bad substitution value for %r: %s" % (key, exc))
         if m.group(2) is None:
             subst[m.group(1)] = poly
-        else:
+            continue
+        try:
             indices = tuple(int(t) for t in m.group(2).split(","))
-            subst[Indeterminate(m.group(1), *indices)] = poly
+        except ValueError as exc:  # more digits than int() converts
+            _fail_usage("bad substitution key %r: %s" % (key, exc))
+        subst[Indeterminate(m.group(1), *indices)] = poly
     return subst
 
 

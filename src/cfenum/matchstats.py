@@ -12,8 +12,8 @@ from collections import namedtuple
 from functools import partial
 
 from .mpoly import Indeterminate, Monomial, MultiPoly, monomial
-from .permstats import ObjectKind, is_indecomposable, lookup, \
-    unit_weight, zeta_cc_weight
+from .permstats import ObjectKind, RecordWeight, is_indecomposable, \
+    lookup, unit_weight, zeta_cc_weight
 
 
 class NotAMatching(ValueError):
@@ -25,9 +25,10 @@ class InexactDivision(ArithmeticError):
 
 
 class Matching:
-    """A perfect matching of [2n], stored as pairs (opener, closer)."""
+    """A perfect matching of [2n], stored as the partner of each element
+    (partner[0] is 0)."""
 
-    __slots__ = ("n", "pairs", "partner")
+    __slots__ = ("n", "partner")
 
     def __init__(self, pairs, _trusted=False):
         pairs = tuple(sorted(tuple(sorted(p)) for p in pairs))
@@ -45,17 +46,21 @@ class Matching:
         if not _trusted and any(partner[k] == 0 for k in range(1, 2 * n + 1)):
             raise NotAMatching("pairs do not cover 1..%d" % (2 * n,))
         self.n = n
-        self.pairs = pairs
         self.partner = tuple(partner)
+
+    @property
+    def pairs(self):
+        """The arcs (opener, closer), sorted."""
+        return tuple((i, j) for i, j in enumerate(self.partner) if i < j)
 
     def __call__(self, i):
         return self.partner[i]
 
     def __eq__(self, other):
-        return self.pairs == other.pairs
+        return self.partner == other.partner
 
     def __hash__(self):
-        return hash(self.pairs)
+        return hash(self.partner)
 
     def __repr__(self):
         return "Matching(%r)" % ([list(p) for p in self.pairs],)
@@ -165,16 +170,12 @@ def _match_totals(profiles, cc):
     return t
 
 
-def matching_master_weight(profiles, totals=None):
+@RecordWeight
+def matching_master_weight(p):
     """Product over arcs (j, l) of a[cr,ne] for the opener j and b[qne]
-    for the closer l."""
-    pairs = []
-    for p in profiles:
-        va = Indeterminate("a", p.cr, p.ne)
-        pairs.append((va, 1))
-        vb = Indeterminate("b", p.qne)
-        pairs.append((vb, 1))
-    return Monomial(pairs)
+    for the closer l.  A RecordWeight: this is the factor of arc profile
+    p."""
+    return monomial([(("a", p.cr, p.ne), 1), (("b", p.qne), 1)])
 
 
 def touchard_riordan(n):
@@ -288,11 +289,10 @@ def iter_matchings(n):
 
     def rec(free):
         if not free:
-            # the pairs come out sorted, so skip Matching's normalisation
+            # partner is a perfect matching, so skip Matching's checks
             m = Matching.__new__(Matching)
             m.n = n
             m.partner = tuple(partner)
-            m.pairs = tuple((i, j) for i, j in enumerate(m.partner) if i < j)
             yield m
             return
         first = free[0]

@@ -236,6 +236,27 @@ def monomial(pairs):
                      for fam_idx, e in pairs if e])
 
 
+def sum_of_products(rows, factor):
+    """The MultiPoly sum over (keys, count) rows of count times the
+    product of the Monomials factor(key) over the row's keys.  factor is
+    called once per distinct key; each product is a sum of packed ints,
+    range-checked after every addition (as in Monomial), so no exponent
+    wraps, and each output term becomes one Monomial."""
+    packed_of = {}
+    acc = {}
+    for keys, count in rows:
+        packed = 0
+        for key in keys:
+            code = packed_of.get(key)
+            if code is None:
+                code = packed_of[key] = factor(key)._packed
+            packed += code
+            if packed & _guard:
+                _checked(packed)
+        acc[packed] = acc.get(packed, 0) + count
+    return MultiPoly({_wrap(k): c for k, c in acc.items() if c})
+
+
 def as_poly(obj):
     """Coerce an int, Indeterminate, Monomial, or MultiPoly to MultiPoly."""
     if isinstance(obj, MultiPoly):

@@ -11,7 +11,8 @@ from collections import Counter, namedtuple
 from functools import partial
 from itertools import chain, permutations as _itperms, starmap
 
-from .mpoly import Indeterminate, Monomial, MultiPoly, as_poly, monomial
+from .mpoly import Indeterminate, Monomial, MultiPoly, as_poly, monomial, \
+    sum_of_products
 
 
 class NotABijection(ValueError):
@@ -42,9 +43,11 @@ ObjectKind.__doc__ = """One object type as the enumeration core sees it.
 (counts, records): the `ncounts` totals that no profile gives, and one
 profile record per index, a list of `width` small ints.  `profile(*record)`
 builds the profile a weight map reads, and `totals(profiles, *counts)` the
-totals object.  `weights` maps weight-map ids to weight maps, and
-`family(key)` resolves a family id to its filter (None keeps every
-object).  Weight maps and family filters take (profiles, totals).
+totals object.  The last count of every kind is cc, the number of
+connected components, which `weighted_sum` reads for zeta^cc.  `weights`
+maps weight-map ids to weight maps, and `family(key)` resolves a family
+id to its filter (None keeps every object).  Weight maps and family
+filters take (profiles, totals).
 """
 
 
@@ -98,18 +101,41 @@ def histogram(kind, n, family="all", cache=None):
     return hist
 
 
-def weighted_sum(hist, decode, weight, zeta=False):
-    """Exact weighted sum over a signature histogram: the one enumeration
-    loop.
+class RecordWeight:
+    """A weight map that is a product over an object's profile records:
+    the product of the Monomials factor(profile).  Callable as
+    (profiles, totals) like every weight map; `weighted_sum` applies it
+    straight from the signature bytes, calling factor once per distinct
+    record."""
+
+    __slots__ = ("factor",)
+
+    def __init__(self, factor):
+        self.factor = factor
+
+    def __call__(self, profiles, totals=None):
+        product = Monomial()
+        for p in profiles:
+            product = product * self.factor(p)
+        return product
+
+
+def weighted_sum(hist, kind, weight, zeta=False):
+    """Exact weighted sum over a signature histogram of `kind`: the one
+    enumeration loop.
 
     `weight(profiles, totals)` returns a Monomial or polynomial; it is
     applied once per distinct signature and multiplied by the number of
     objects with that signature.  With `zeta` it is multiplied by zeta^cc.
+    A RecordWeight skips `decode`: each signature is cut into its records,
+    and each distinct record is weighted once.
     """
+    if isinstance(weight, RecordWeight):
+        return _record_sum(hist, kind, weight.factor, zeta)
     acc = {}
     zvar = Indeterminate("zeta")
     for sig, count in hist.items():
-        profiles, totals = decode(sig)
+        profiles, totals = decode(kind, sig)
         wt = weight(profiles, totals)
         if zeta and totals.cc:
             wt = wt * Monomial({zvar: totals.cc})
@@ -119,6 +145,27 @@ def weighted_sum(hist, decode, weight, zeta=False):
             for m, c in as_poly(wt).terms.items():
                 acc[m] = acc.get(m, 0) + c * count
     return MultiPoly({m: c for m, c in acc.items() if c})
+
+
+def _record_sum(hist, kind, factor, zeta):
+    """`weighted_sum` of RecordWeight(factor): the keys of a signature are
+    its `kind.width`-byte records, and with `zeta` also its cc count, an
+    int, which no record equals."""
+    start, width = kind.ncounts, kind.width
+
+    def key_factor(key):
+        if isinstance(key, int):
+            return monomial([("zeta", key)])
+        return factor(kind.profile(*key))
+
+    def rows():
+        for sig, count in hist.items():
+            keys = [sig[i:i + width] for i in range(start, len(sig), width)]
+            if zeta:
+                keys.append(sig[start - 1])
+            yield keys, count
+
+    return sum_of_products(rows(), key_factor)
 
 
 def unit_weight(profiles, totals):
@@ -138,8 +185,8 @@ def enumerate_polynomial(kind, n, family="all", weight="unit", zeta=False,
     weight-map id of `kind` or a callable (profiles, totals) ->
     Monomial/MultiPoly."""
     weight = lookup(kind.weights, weight)
-    return weighted_sum(histogram(kind, n, family, cache),
-                        partial(decode, kind), weight, zeta)
+    return weighted_sum(histogram(kind, n, family, cache), kind, weight,
+                        zeta)
 
 
 class Permutation:
@@ -397,26 +444,24 @@ def perm_dividers(sigma):
 # ---------------------------------------------------------------------------
 # Master weights
 
-def perm_master_weight_first(profiles, totals=None):
+@RecordWeight
+def perm_master_weight_first(p):
     """Product over indices of a/b/c/d/e indeterminates: cycle valleys get
     a[ucross,unest], cycle peaks b[lcross,lnest], cycle double falls
     c[lcross,lnest], cycle double rises d[ucross,unest], fixed points
-    e[lev]."""
-    pairs = []
-    for p in profiles:
-        cc = p.cycle_class
-        if cc == "cval":
-            v = Indeterminate("a", p.ucross, p.unest)
-        elif cc == "cpeak":
-            v = Indeterminate("b", p.lcross, p.lnest)
-        elif cc == "cdfall":
-            v = Indeterminate("c", p.lcross, p.lnest)
-        elif cc == "cdrise":
-            v = Indeterminate("d", p.ucross, p.unest)
-        else:
-            v = Indeterminate("e", p.lev)
-        pairs.append((v, 1))
-    return Monomial(pairs)
+    e[lev].  A RecordWeight: this is the factor of index profile p."""
+    cc = p.cycle_class
+    if cc == "cval":
+        v = ("a", p.ucross, p.unest)
+    elif cc == "cpeak":
+        v = ("b", p.lcross, p.lnest)
+    elif cc == "cdfall":
+        v = ("c", p.lcross, p.lnest)
+    elif cc == "cdrise":
+        v = ("d", p.ucross, p.unest)
+    else:
+        v = ("e", p.lev)
+    return monomial([(v, 1)])
 
 
 def perm_master_weight_second(profiles, totals):

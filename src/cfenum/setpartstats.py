@@ -8,9 +8,9 @@ Elements are 1-based; the arc graph joins consecutive elements of a block.
 
 from collections import namedtuple
 
-from .mpoly import Indeterminate, Monomial, monomial
-from .permstats import ObjectKind, UnknownWeightMap, is_indecomposable, \
-    lookup, unit_weight, zeta_cc_weight
+from .mpoly import monomial
+from .permstats import ObjectKind, RecordWeight, UnknownWeightMap, \
+    is_indecomposable, lookup, unit_weight, zeta_cc_weight
 
 
 class NotAPartition(ValueError):
@@ -162,11 +162,25 @@ def sp_block_pair_counts(bl):
             ls += len(b2)
             rb += sum(1 for k in b1 if k < b2[-1])
             rs += sum(1 for k in b2 if k < b1[-1])
-            # intertwining: pairs (b,c) from the two blocks that are
-            # adjacent in the sorted union of the two blocks
-            union = sorted([(e, 0) for e in b1] + [(e, 1) for e in b2])
-            iota += sum(1 for a, b in zip(union, union[1:]) if a[1] != b[1])
+            iota += _intertwining(b1, b2)
     return lb, ls, rb, rs, iota
+
+
+def _intertwining(b1, b2):
+    """The pairs (b,c) from the two blocks that are adjacent in the sorted
+    union of the two blocks: the changes of block along a linear merge."""
+    i = j = changes = 0
+    side = b1[0] > b2[0]
+    while i < len(b1) and j < len(b2):
+        here = b1[i] > b2[j]
+        if here:
+            j += 1
+        else:
+            i += 1
+        changes += here != side
+        side = here
+    # what is left comes from the block that is not exhausted
+    return changes + (side != (j < len(b2)))
 
 
 def _profile(cls, cr, ne, qne, ov, cov):
@@ -267,6 +281,27 @@ def sp_dividers(pi):
 # ---------------------------------------------------------------------------
 # Master weights
 
+def _sp_master(variant):
+    op_ovcov = variant in (2, 3)
+    in_ovcov = variant in (2, 4)
+
+    def factor(p):
+        cls = p.element_class
+        if cls == "opener":
+            v = ("a", p.ov, p.cov) if op_ovcov else ("a", p.cr, p.ne)
+        elif cls == "closer":
+            v = ("b", p.qne)
+        elif cls == "insider":
+            v = ("d", p.ov, p.cov) if in_ovcov else ("d", p.cr, p.ne)
+        else:
+            v = ("e", p.qne)
+        return monomial([(v, 1)])
+    return RecordWeight(factor)
+
+
+_SP_MASTER = {variant: _sp_master(variant) for variant in (1, 2, 3, 4)}
+
+
 def sp_master_weight(profiles, variant=1):
     """Product over elements of a/b/d/e indeterminates.
 
@@ -276,23 +311,7 @@ def sp_master_weight(profiles, variant=1):
     """
     if variant not in (1, 2, 3, 4):
         raise ValueError("variant must be 1, 2, 3 or 4")
-    op_ovcov = variant in (2, 3)
-    in_ovcov = variant in (2, 4)
-    pairs = []
-    for p in profiles:
-        cls = p.element_class
-        if cls == "opener":
-            v = (Indeterminate("a", p.ov, p.cov) if op_ovcov
-                 else Indeterminate("a", p.cr, p.ne))
-        elif cls == "closer":
-            v = Indeterminate("b", p.qne)
-        elif cls == "insider":
-            v = (Indeterminate("d", p.ov, p.cov) if in_ovcov
-                 else Indeterminate("d", p.cr, p.ne))
-        else:
-            v = Indeterminate("e", p.qne)
-        pairs.append((v, 1))
-    return Monomial(pairs)
+    return _SP_MASTER[variant](profiles)
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +370,6 @@ def _w_mixed_four(profiles, t):
                      ("q1", t.covin), ("q2", t.neop), ("r", t.psne)])
 
 
-def _w_master(variant):
-    def w(profiles, t):
-        return sp_master_weight(profiles, variant)
-    return w
-
-
 def _w_x_lb(profiles, t):
     return monomial([("x", t.blocks), ("q", t.lb)])
 
@@ -402,10 +415,10 @@ SP_WEIGHTS = {
     "ovcov-eleven": _w_ovcov_eleven,
     "mixed-three": _w_mixed_three,
     "mixed-four": _w_mixed_four,
-    "master1": _w_master(1),
-    "master2": _w_master(2),
-    "master3": _w_master(3),
-    "master4": _w_master(4),
+    "master1": _SP_MASTER[1],
+    "master2": _SP_MASTER[2],
+    "master3": _SP_MASTER[3],
+    "master4": _SP_MASTER[4],
     "x-lb": _w_x_lb,
     "x-ls": _w_x_ls,
     "x-lsprime": _w_x_lsprime,

@@ -120,6 +120,13 @@ def test_substitution_errors(runner, tmp_path):
     res = _run(runner, ["enumerate", "--object", "perm", "--n", "2",
                         "--subst", str(bad)])
     assert res.exit_code == 2
+    # an index of more digits than int() converts
+    bad.write_text(json.dumps({"w[3,%s]" % ("1" * 4400): "2"}))
+    res = _run(runner, ["enumerate", "--object", "perm", "--n", "2",
+                        "--weight", "ten-var", "--subst", str(bad)])
+    assert res.exit_code == 2
+    assert res.output.startswith("error: bad substitution key 'w[3,111")
+    assert "Traceback" not in res.output
 
 
 def test_enumerate_coefficients_above_4300_digits(runner, tmp_path):

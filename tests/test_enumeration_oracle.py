@@ -4,8 +4,10 @@ per-object reference loop of enum_oracle, exhaustively at small n."""
 import pytest
 
 from cfenum import theorems
-from cfenum.permstats import (PERM, IndexProfile, decode,
-                              enumerate_polynomial, signature,
+from cfenum.matchstats import MATCH, matching_master_weight
+from cfenum.mpoly import ExponentError, MultiPoly, as_poly, monomial
+from cfenum.permstats import (PERM, IndexProfile, RecordWeight, decode,
+                              enumerate_polynomial, histogram, signature,
                               stat_totals)
 from cfenum.setpartstats import SETPART, SPIndexProfile
 from cfenum.theorems import KINDS
@@ -40,6 +42,29 @@ def _mismatches(obj, kind, weights=None):
 @pytest.mark.parametrize("obj", ["perm", "setpart", "match"])
 def test_histogram_matches_oracle(obj):
     assert _mismatches(obj, KINDS[obj]) == []
+
+
+def test_record_weight_range_checked_per_record():
+    # x^20000 per record: the second record of any partition of [2] or
+    # [4] passes the limit; over [4], a check of the whole product alone
+    # would find x^80000 already wrapped into the next field
+    huge = RecordWeight(lambda p: monomial([("x", 20000)]))
+    for n in (2, 4):
+        with pytest.raises(ExponentError, match="exponent 40000 of x"):
+            enumerate_polynomial(SETPART, n, weight=huge)
+
+
+def test_record_weight_from_bytes_matches_its_call():
+    # the signature-byte path of a RecordWeight against its (profiles,
+    # totals) call on each decoded signature
+    for n in range(N_MAX["match"] + 1):
+        want = MultiPoly()
+        for sig, count in histogram(MATCH, n).items():
+            profiles, totals = decode(MATCH, sig)
+            want = want + as_poly(matching_master_weight(profiles, totals)
+                                  * monomial([("zeta", totals.cc)])) * count
+        assert enumerate_polynomial(MATCH, n, weight="master",
+                                    zeta=True) == want, n
 
 
 @pytest.mark.parametrize("obj", ["perm", "setpart", "match"])
