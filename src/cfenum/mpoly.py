@@ -194,22 +194,13 @@ class Monomial:
     def __eq__(self, other):
         return self._packed == other._packed
 
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
-
     @property
     def exps(self):
         """((Indeterminate, exponent), ...) in display order."""
         return tuple(_factors(_display(self._packed, _rank_codes())))
 
-    def sort_key(self):
-        return tuple([(v._key, e) for v, e in self.exps])
-
     def __mul__(self, other):
         return _wrap(_checked(self._packed + other._packed))
-
-    def degree(self):
-        return sum(_fields(self._packed))
 
     def __repr__(self):
         return _display_text(_display(self._packed, _rank_codes()))
@@ -285,9 +276,6 @@ class MultiPoly:
     @staticmethod
     def one():
         return MultiPoly({_ONE_MONO: 1})
-
-    def is_one(self):
-        return self.terms == {_ONE_MONO: 1}
 
     def constant_term(self):
         return self.terms.get(_ONE_MONO, 0)
@@ -524,15 +512,18 @@ def from_text(text):
                 raise ParseError("bad factor %r: %s" % (fac, exc)) from None
             v = Indeterminate(family, *indices)
             exps[v] = exps.get(v, 0) + e
-        total = total + MultiPoly({_parsed_monomial(exps): coeff})
+        total = total + _parsed_term(exps, coeff)
     return total
 
 
-def _parsed_monomial(exps):
+def _parsed_term(exps, coeff):
+    """The term coeff * monomial of exps, 0 when coeff is 0; the monomial
+    is range-checked either way."""
     try:
-        return Monomial(exps)
+        m = Monomial(exps)
     except ExponentError as exc:
         raise ParseError(str(exc)) from None
+    return MultiPoly({m: coeff} if coeff else {})
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +548,7 @@ def from_json_obj(obj):
         for family, indices, e in t["exps"]:
             v = Indeterminate(family, *indices)
             exps[v] = exps.get(v, 0) + e
-        total = total + MultiPoly({_parsed_monomial(exps):
-                                   _coeff(t["coeff"])})
+        total = total + _parsed_term(exps, _coeff(t["coeff"]))
     return total
 
 

@@ -1,5 +1,6 @@
-"""Truncated formal power series in t with polynomial coefficients, and
-expansion/extraction of Stieltjes- and Jacobi-type continued fractions.
+"""Truncated formal power series in t, and expansion/extraction of
+Stieltjes- and Jacobi-type continued fractions.  A series truncated at
+t^order is the list of its coefficients [t^0..t^order].
 
 An S-fraction is 1/(1 - a1 t/(1 - a2 t/(1 - ...))); a J-fraction is
 1/(1 - g0 t - b1 t^2/(1 - g1 t - b2 t^2/(1 - ...))).  Both are expanded by
@@ -25,49 +26,21 @@ class InsufficientOrder(ValueError):
     """The input series is too short for the requested extraction depth."""
 
 
-class PowerSeries:
-    """Power series truncated at t^order, coefficients are MultiPoly."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs, order=None):
-        coeffs = [as_poly(c) for c in coeffs]
-        if order is None:
-            order = len(coeffs) - 1
-        if len(coeffs) < order + 1:
-            coeffs = coeffs + [MultiPoly.zero()] * (order + 1 - len(coeffs))
-        self.order = order
-        self.coeffs = coeffs[: order + 1]
-
-    @staticmethod
-    def one(order):
-        return PowerSeries([MultiPoly.one()], order)
-
-    def __eq__(self, other):
-        return (self.order == other.order and self.coeffs == other.coeffs)
-
-    def __sub__(self, other):
-        n = min(self.order, other.order)
-        return PowerSeries([self.coeffs[k] - other.coeffs[k]
-                            for k in range(n + 1)], n)
-
-    def reciprocal(self):
-        """Series r with self*r = 1; requires constant coefficient 1."""
-        if not self.coeffs[0].is_one():
-            raise NonUnitConstantTerm(
-                "constant coefficient is %r, not 1" % (self.coeffs[0],))
-        out = [MultiPoly.one()]
-        for k in range(1, self.order + 1):
-            acc = MultiPoly.zero()
-            for j in range(1, k + 1):
-                c = self.coeffs[j]
-                if c.terms and out[k - j].terms:
-                    acc = acc + c * out[k - j]
-            out.append(-acc)
-        return PowerSeries(out, self.order)
-
-    def __repr__(self):
-        return "PowerSeries(order=%d, %r)" % (self.order, self.coeffs)
+def reciprocal(coeffs):
+    """[t^0..t^order] of 1/f for f = coeffs through the same order, with
+    MultiPoly, Fraction or int coefficients; requires f(0) = 1."""
+    if coeffs[0] != 1:
+        raise NonUnitConstantTerm(
+            "constant coefficient is %r, not 1" % (coeffs[0],))
+    zero = coeffs[0] - 1  # 0 of the coefficient type
+    out = [coeffs[0]]
+    for k in range(1, len(coeffs)):
+        acc = zero
+        for j in range(1, k + 1):
+            if coeffs[j] and out[k - j]:
+                acc = acc + coeffs[j] * out[k - j]
+        out.append(-acc)
+    return out
 
 
 # Both expansions run a dynamic programme over path heights: state[h] is
@@ -92,7 +65,7 @@ def expand_sfraction(alpha, order):
         state = {h: w for h, w in nxt.items() if w}
         if j % 2 == 0:
             coeffs.append(state.get(0, MultiPoly.zero()))
-    return PowerSeries(coeffs, order)
+    return coeffs
 
 
 def expand_jfraction(gamma, beta, order):
@@ -113,7 +86,7 @@ def expand_jfraction(gamma, beta, order):
         # a path above height order - j cannot return to 0 in time
         state = {h: w for h, w in nxt.items() if w and h <= order - j}
         coeffs.append(state.get(0, MultiPoly.zero()))
-    return PowerSeries(coeffs, order)
+    return coeffs
 
 
 def attach_component_weight(alpha, zeta):
@@ -125,69 +98,34 @@ def attach_component_weight(alpha, zeta):
 
 def indecomposable_series(f):
     """1 - 1/f: the generating series of indecomposable objects."""
-    return PowerSeries.one(f.order) - f.reciprocal()
+    r = reciprocal(f)
+    return [1 - r[0]] + [-c for c in r[1:]]
 
 
-class RationalSeries:
-    """Truncated series with exact rational coefficients."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs, order=None):
-        coeffs = [Fraction(c) for c in coeffs]
-        if order is None:
-            order = len(coeffs) - 1
-        if len(coeffs) < order + 1:
-            coeffs = coeffs + [Fraction(0)] * (order + 1 - len(coeffs))
-        self.order = order
-        self.coeffs = coeffs[: order + 1]
-
-    def __eq__(self, other):
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def reciprocal(self):
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise NonUnitConstantTerm("constant coefficient is 0")
-        out = [1 / c0]
-        for k in range(1, self.order + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                acc += self.coeffs[j] * out[k - j]
-            out.append(-acc / c0)
-        return RationalSeries(out, self.order)
-
-    def __repr__(self):
-        return "RationalSeries(order=%d, %r)" % (self.order, self.coeffs)
-
-
-def jfraction_from_series(s, depth):
-    """Peel J-fraction coefficients level by level from a rational series
-    with constant coefficient 1.
+def jfraction_from_series(coeffs, depth):
+    """Peel J-fraction coefficients level by level from the rational
+    coefficients [t^0..t^order] of a series with constant coefficient 1.
 
     Writing s = 1/(1 - g0 t - b1 t^2/(1 - g1 t - ...)), returns the pair
     (gammas, betas) with gammas = [g0..g_depth] and betas = [b1..b_depth].
-    Requires s.order >= 2*depth + 1.
+    Requires order >= 2*depth + 1.
     """
-    if s.coeffs[0] != 1:
-        raise NonUnitConstantTerm("constant coefficient is %s" % s.coeffs[0])
-    if s.order < 2 * depth + 1:
+    if coeffs[0] != 1:
+        raise NonUnitConstantTerm("constant coefficient is %s" % coeffs[0])
+    if len(coeffs) < 2 * depth + 2:
         raise InsufficientOrder(
-            "need order >= %d, got %d" % (2 * depth + 1, s.order))
+            "need order >= %d, got %d" % (2 * depth + 1, len(coeffs) - 1))
     gammas = []
     betas = []
-    cur = s
     for k in range(depth + 1):
-        r = cur.reciprocal()
-        gamma = -r.coeffs[1]
-        gammas.append(gamma)
+        r = reciprocal(coeffs)
+        gammas.append(-r[1])
         if k == depth:
             break
         # r = 1 - gamma t - beta t^2 s_next
-        rest = [-(r.coeffs[j + 2]) for j in range(r.order - 1)]
-        beta = rest[0]
+        beta = -r[2]
         if beta == 0:
             raise TerminatedFraction("beta_%d = 0" % (k + 1,))
         betas.append(beta)
-        cur = RationalSeries([c / beta for c in rest], r.order - 2)
+        coeffs = [-Fraction(c) / beta for c in r[2:]]
     return gammas, betas

@@ -15,7 +15,7 @@ import time
 from .mpoly import as_poly, monomial, var
 from .series import (expand_sfraction, expand_jfraction,
                      attach_component_weight, indecomposable_series,
-                     RationalSeries, jfraction_from_series,
+                     jfraction_from_series,
                      TerminatedFraction, NonUnitConstantTerm)
 from .permstats import PERM, decode, enumerate_polynomial, histogram, \
     is_avoid321, signature, stat_totals
@@ -387,7 +387,7 @@ def _identity_check(n, ok, detail):
 
 
 def _fraction_checks(case, n_max, order):
-    coeffs = _expand(case, order).coeffs
+    coeffs = _expand(case, order)
     polys = [as_poly(case.poly(n)) for n in range(n_max + 1)]
     checks = [_compared(n, expected, got)
               for n, (expected, got) in enumerate(zip(polys, coeffs))]
@@ -416,7 +416,7 @@ def check_identity(tid, n_max=None):
 
 
 def _expand(case, order):
-    """The PowerSeries through t^order of a fraction entry."""
+    """Taylor coefficients [t^0..t^order] of a fraction entry."""
     if case.series is not None:
         return case.series(order)
     if case.alpha is not None:
@@ -428,7 +428,7 @@ def _expand(case, order):
 
 def expand_registered(tid, order):
     """Taylor coefficients [t^0..t^order] of a registered fraction."""
-    return _expand(_get(tid), order).coeffs
+    return _expand(_get(tid), order)
 
 
 def _alt(odd, even):
@@ -1043,8 +1043,7 @@ def _witness_checks(seed, weights_id, names, admissible, gamma_formulas,
         point = dict(zip(vs, vals))
         coeffs = [Fraction(p.evaluate(point)) for p in polys]
         try:
-            gammas, betas = jfraction_from_series(
-                RationalSeries(coeffs), 2)
+            gammas, betas = jfraction_from_series(coeffs, 2)
         except (TerminatedFraction, NonUnitConstantTerm, ZeroDivisionError):
             continue
         exp_g = [f(*vals) for f in gamma_formulas]
@@ -1391,7 +1390,7 @@ _register(TheoremCase(
 
 def _touchard_identity(n):
     tr = touchard_riordan(n)
-    ok = tr == expand_sfraction(lambda m: qint(m, P_), n).coeffs[n]
+    ok = tr == expand_sfraction(lambda m: qint(m, P_), n)[n]
     if ok and n <= 6:
         ok = tr == _enum("match", n, "all", "cr")
     return ok, None
@@ -1428,7 +1427,7 @@ def _match_cc_table_identity(n):
     if n == 0:
         expected = as_poly(1)
     got = expand_sfraction(attach_component_weight(lambda m: m, ZETA),
-                           n).coeffs[n]
+                           n)[n]
     ok = expected == got
     if ok and n <= 6:
         ok = expected == _enum("match", n, "all", "zeta-cc")

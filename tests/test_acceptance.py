@@ -125,10 +125,6 @@ def test_criterion_09_witnesses():
     _passed(9, "rational gamma/beta witnesses at 20 admissible points each")
 
 
-def _int_coeffs(series):
-    return [c.constant_term() for c in series.coeffs]
-
-
 def test_criterion_10_cc_and_indecomposable():
     for tid in ("perm.cc.zeta", "perm.indecomposable", "sp.cc.zeta",
                 "sp.indecomposable", "match.cc.zeta",
@@ -142,11 +138,11 @@ def test_criterion_10_cc_and_indecomposable():
     f = expand_sfraction(attach_component_weight(lambda n: (n + 1) // 2, z),
                          6)
     for n in range(7):
-        assert f.coeffs[n] == enumerate_polynomial(PERM, n, weight="zeta-cc")
+        assert f[n] == enumerate_polynomial(PERM, n, weight="zeta-cc")
     g = indecomposable_series(
         expand_jfraction(lambda n: 2 * n + 1, lambda n: n * n, 6))
     for n in range(1, 7):
-        assert g.coeffs[n].constant_term() == sum(
+        assert g[n].constant_term() == sum(
             1 for sg in iter_permutations(n)
             if stat_totals(PERM, sg).cc == 1)
     _passed(10, "zeta^cc and indecomposable expansions match enumeration")

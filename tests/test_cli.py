@@ -4,9 +4,11 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 from cfenum.cli import main
 from cfenum.mpoly import as_poly, from_text
+from cfenum.paths import BIJECTIONS
 from cfenum.permstats import PERM, PERM_WEIGHTS, enumerate_polynomial
 
 
@@ -158,6 +160,19 @@ def test_substitution_exponent_above_limit(runner, tmp_path, value, message):
     assert "Traceback" not in res.output
 
 
+def test_substitution_zero_coefficient_term(runner, tmp_path):
+    # a 0*z term adds nothing: the same bytes as {"x": "1*y"}
+    sub = tmp_path / "sub.json"
+    outputs = []
+    for value in ("1*y + 0*z", "1*y"):
+        sub.write_text(json.dumps({"x": value}))
+        res = _run(runner, ["enumerate", "--object", "perm", "--n", "2",
+                            "--weight", "two-var", "--subst", str(sub)])
+        assert res.exit_code == 0
+        outputs.append(res.output)
+    assert outputs[0] == outputs[1]
+
+
 def test_stats_perm(runner):
     res = _run(runner, ["stats", "--object", "perm", "--oneline", "2,1"])
     assert res.exit_code == 0
@@ -296,3 +311,99 @@ def test_enumerate_internal_error_is_not_usage_error(runner, monkeypatch):
     res = runner.invoke(main, ["enumerate", "--object", "perm", "--n", "2"])
     assert res.exit_code != 2
     assert isinstance(res.exception, RuntimeError)
+
+
+# ---------------------------------------------------------------------------
+# Random input text exits 0 or 2, never with a traceback.
+
+def _exits_cleanly(args):
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code in (0, 2), (args, res.output)
+    assert res.exception is None or isinstance(res.exception, SystemExit), \
+        (args, res.exc_info)
+    assert "Traceback" not in res.output
+
+
+def _joined(sep, parts, max_size=12):
+    return st.lists(parts, max_size=max_size).map(sep.join)
+
+
+def _blocks_text(labels):
+    """The blocks of [n] that put element i in block labels[i - 1]."""
+    blocks = {}
+    for i, label in enumerate(labels, start=1):
+        blocks.setdefault(label, []).append(str(i))
+    return ";".join(",".join(b) for b in blocks.values())
+
+
+def _pairs_text(word):
+    return ",".join("%d-%d" % tuple(word[i:i + 2])
+                    for i in range(0, len(word), 2))
+
+
+# digits and signs of other scripts too: int() reads "\u0661" as 1
+_NOISE = st.text(alphabet="0123456789,;-+*^[] xyz\t\n\u0661\u2212\u00e9",
+                 max_size=16)
+_NUMBER = st.integers(-2, 14).map(str) \
+    | st.sampled_from(["", " 3", "+1", "x", "9" * 4400])
+_ONELINE = st.integers(0, 10).flatmap(
+    lambda n: st.permutations(range(1, n + 1))).map(
+        lambda w: ",".join(map(str, w))) \
+    | _joined(",", _NUMBER) | _NOISE
+_BLOCKS = st.lists(st.integers(0, 3), max_size=10).map(_blocks_text) \
+    | _joined(";", _joined(",", _NUMBER, 4), 4) | _NOISE
+_PAIRS = st.integers(0, 6).flatmap(
+    lambda n: st.permutations(range(1, 2 * n + 1))).map(_pairs_text) \
+    | _joined(",", st.tuples(_NUMBER, _NUMBER).map("-".join)) | _NOISE
+_STATS_INPUT = {"--oneline": ("perm", _ONELINE),
+                "--blocks": ("setpart", _BLOCKS),
+                "--pairs": ("match", _PAIRS)}
+
+
+@settings(max_examples=120, deadline=None)
+@given(option=st.sampled_from(sorted(_STATS_INPUT)), data=st.data())
+def test_stats_random_text_exits_cleanly(option, data):
+    obj, text = _STATS_INPUT[option]
+    _exits_cleanly(["stats", "--object", obj,
+                    "%s=%s" % (option, data.draw(text))])
+
+
+@settings(max_examples=120, deadline=None)
+@given(bijection=st.sampled_from(sorted(BIJECTIONS)),
+       option=st.sampled_from(["--oneline", "--blocks"]), data=st.data())
+def test_encode_random_text_exits_cleanly(bijection, option, data):
+    text = data.draw(_ONELINE if option == "--oneline" else _BLOCKS)
+    _exits_cleanly(["encode", "--bijection", bijection,
+                    "%s=%s" % (option, text)])
+
+
+# term lists in the canonical text form, zero coefficients included, and
+# terms with a malformed coefficient, factor or exponent
+_TERM = st.tuples(
+    st.integers(-3, 3).map(str),
+    st.lists(st.tuples(
+        st.sampled_from(["x", "y", "z", "q", "w[3]", "a[0,2]"]),
+        st.sampled_from(["", "^0", "^2", "^20000"])).map("".join),
+        max_size=3)).map(lambda t: "*".join([t[0], *t[1]]))
+_BAD_TERM = st.tuples(
+    st.sampled_from(["", "x", "+4", "9" * 4400, "1"]),
+    st.sampled_from(["", "*w[1", "*2x", "*x^40000", "*x^x", "*x^"])).map(
+        "".join)
+_POLY_TEXT = _joined(" + ", _TERM, 4) | _joined(" + ", _TERM | _BAD_TERM, 4) \
+    | _NOISE
+
+
+@pytest.fixture(scope="module")
+def subst_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("subst") / "sub.json"
+
+
+@settings(max_examples=150, deadline=None)
+@example(subst={"x": "1*y + 0*z"})
+@given(subst=st.dictionaries(
+    st.sampled_from(["x", "y", "z", "w[3]", "x[1]", "1x"]), _POLY_TEXT,
+    max_size=3))
+def test_substitution_random_values_exit_cleanly(subst_file, subst):
+    subst_file.write_text(json.dumps(subst))
+    _exits_cleanly(["enumerate", "--object", "perm", "--n", "3",
+                    "--weight", "two-var", "--subst", str(subst_file)])

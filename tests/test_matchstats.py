@@ -85,9 +85,9 @@ def test_four_var_sfraction():
 
     f = expand_sfraction(alpha, 6)
     for n in range(7):
-        assert f.coeffs[n] \
+        assert f[n] \
             == enumerate_polynomial(MATCH, n, weight="four-var-cp")
-        assert f.coeffs[n] \
+        assert f[n] \
             == enumerate_polynomial(MATCH, n, weight="four-var-cv")
 
 
@@ -107,7 +107,7 @@ def test_six_var_sfraction():
 
     f = expand_sfraction(alpha, 5)
     for n in range(6):
-        assert f.coeffs[n] \
+        assert f[n] \
             == enumerate_polynomial(MATCH, n, weight="six-var")
 
 
@@ -125,8 +125,8 @@ def test_pq_sfraction():
 
     f = expand_sfraction(alpha, 5)
     for n in range(6):
-        assert f.coeffs[n] == enumerate_polynomial(MATCH, n, weight="pq")
-        assert f.coeffs[n] == enumerate_polynomial(MATCH, n, weight="pq-cv")
+        assert f[n] == enumerate_polynomial(MATCH, n, weight="pq")
+        assert f[n] == enumerate_polynomial(MATCH, n, weight="pq-cv")
 
 
 def test_master_sfraction():
@@ -138,7 +138,7 @@ def test_master_sfraction():
 
     f = expand_sfraction(alpha, 5)
     for n in range(6):
-        assert f.coeffs[n] == enumerate_polynomial(MATCH, n, weight="master")
+        assert f[n] == enumerate_polynomial(MATCH, n, weight="master")
 
 
 def test_touchard_riordan():

@@ -4,6 +4,7 @@ from itertools import product
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfenum.mpoly import Indeterminate, as_poly
 from cfenum.paths import (BIJECTIONS, ColoredStep, InvalidPath,
@@ -262,6 +263,38 @@ def test_round_trips_exhaustive():
     check_round_trips(5)
 
 
+@st.composite
+def _set_partitions(draw, n_max=12):
+    """A set partition of [n], n <= n_max, read off a restricted growth
+    word: element i joins one of the blocks so far or opens a new one."""
+    blocks = []
+    for i in range(1, draw(st.integers(0, n_max)) + 1):
+        b = draw(st.integers(0, len(blocks)))
+        if b == len(blocks):
+            blocks.append([])
+        blocks[b].append(i)
+    return SetPartition(blocks)
+
+
+_RANDOM_OBJECTS = {
+    Permutation: st.integers(0, 12).flatmap(
+        lambda n: st.permutations(range(1, n + 1))).map(Permutation),
+    SetPartition: _set_partitions(),
+}
+
+
+@pytest.mark.parametrize("bijection", sorted(BIJECTIONS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_round_trips_random_up_to_12(bijection, data):
+    # past the sizes check_round_trips can visit exhaustively
+    bij = BIJECTIONS[bijection]
+    x = data.draw(_RANDOM_OBJECTS[bij.takes])
+    q = encode(x, bijection)
+    assert path_validate(q, bij.pf)
+    assert decode(q, bijection) == x
+
+
 def test_fz_height_and_label_lemmas():
     check_fz_lemmas(6)
 
@@ -306,7 +339,7 @@ def _weighted_path_sums(pf, step_weights, order):
         return _step_sum(pf, step_weights, "R", 1, h - 1) \
             * _step_sum(pf, step_weights, "F", 1, h)
 
-    return expand_jfraction(gamma, beta, order).coeffs
+    return expand_jfraction(gamma, beta, order)
 
 
 def test_weighted_path_sum_motzkin():
