@@ -8,12 +8,12 @@ fixed-point-free involution.
 """
 
 from bisect import bisect_left, insort
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import partial
 
 from .mpoly import Indeterminate, Monomial, MultiPoly, monomial
 from .permstats import ObjectKind, RecordWeight, is_indecomposable, \
-    lookup, unit_weight, zeta_cc_weight
+    lookup, pack, unit_weight, zeta_cc_weight
 
 
 class NotAMatching(ValueError):
@@ -304,13 +304,50 @@ def iter_matchings(n):
     return rec(list(range(1, 2 * n + 1)))
 
 
+def _match_tally(n):
+    """Signature histogram of the matchings of [2n], grown position by
+    position.  A position opens an arc, if the arcs then open still fit in
+    the positions left, or closes the open arc at rank r in opening order.
+    An arc opened at j while c arcs were open, and closed at l while
+    `count` arcs (itself included) were open, has the record
+    [2 * (j % 2) + l % 2, cr = c - r, ne = r, qne = count - 1] of
+    _match_kernel; cc counts the positions after which no arc is open."""
+    hist = Counter()
+    size = 2 * n
+    arcs = []  # the open arcs in opening order: (2 * (j % 2), c)
+    done = []  # the records of the closed arcs, packed
+
+    def step(l, cc):
+        count = len(arcs)
+        if count < size - l:
+            arcs.append((2 * (l % 2), count))
+            step(l + 1, cc)
+            arcs.pop()
+        for r in range(count):
+            arc = arcs.pop(r)
+            done.append(bytes((arc[0] + l % 2, arc[1] - r, r, count - 1)))
+            if l < size:
+                step(l + 1, cc + (count == 1))
+            else:
+                key = pack((cc + 1,), done)
+                hist[key] = hist.get(key, 0) + 1
+            done.pop()
+            arcs.insert(r, arc)
+
+    if n:
+        step(1, 0)
+    else:
+        hist[pack((0,), done)] = 1
+    return hist
+
+
 MATCH_FAMILIES = {
     "all": None,
     "indecomposable": is_indecomposable,
 }
 
 
-MATCH = ObjectKind("match", iter_matchings, _match_kernel, 1, 4, _arc_profile,
-                   _match_totals, MATCH_WEIGHTS,
+MATCH = ObjectKind("match", iter_matchings, _match_tally, _match_kernel, 1, 4,
+                   _arc_profile, _match_totals, MATCH_WEIGHTS,
                    partial(lookup, MATCH_FAMILIES))
 

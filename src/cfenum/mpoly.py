@@ -249,10 +249,12 @@ def sum_of_products(rows, factor):
 
 
 def as_poly(obj):
-    """Coerce an int, Indeterminate, Monomial, or MultiPoly to MultiPoly."""
+    """Coerce an int, Indeterminate, Monomial, or MultiPoly to MultiPoly.
+    A bool is not a coefficient: it raises TypeError like any other
+    type."""
     if isinstance(obj, MultiPoly):
         return obj
-    if isinstance(obj, int):
+    if isinstance(obj, int) and not isinstance(obj, bool):
         return MultiPoly({_ONE_MONO: obj} if obj else {})
     if isinstance(obj, Indeterminate):
         return MultiPoly({Monomial(((obj, 1),)): 1})

@@ -9,7 +9,7 @@ A permutation is stored in one-line notation.  Indices are 1-based.
 
 from collections import Counter, namedtuple
 from functools import partial
-from itertools import chain, permutations as _itperms, starmap
+from itertools import permutations as _itperms, starmap
 
 from .mpoly import Indeterminate, Monomial, MultiPoly, as_poly, monomial, \
     sum_of_products
@@ -36,10 +36,14 @@ def lookup(table, key):
 
 ObjectKind = namedtuple(
     "ObjectKind",
-    "name objects kernel ncounts width profile totals weights family")
+    "name objects tally kernel ncounts width profile totals weights family")
 ObjectKind.__doc__ = """One object type as the enumeration core sees it.
 
-`objects(n)` yields the objects of size n.  `kernel(x)` returns
+`objects(n)` yields the objects of size n.  `tally(n)` returns the
+signature histogram of all of them as a Counter, visiting each object
+once: for permutations it runs `kernel` on each object of `objects(n)`;
+set partitions and matchings are grown left to right, objects with a
+common prefix share its work, and no object is built.  `kernel(x)` returns
 (counts, records): the `ncounts` totals that no profile gives, and one
 profile record per index, a list of `width` small ints.  `profile(*record)`
 builds the profile a weight map reads, and `totals(profiles, *counts)` the
@@ -51,14 +55,19 @@ filters take (profiles, totals).
 """
 
 
+def pack(counts, records):
+    """Signature bytes: the counts, then the records sorted, each record a
+    bytes object of `width` fields (every field is below 256 at any size
+    that can be enumerated).  This is the one writer of the format, for
+    `signature` and every `tally`; `decode` is the one reader."""
+    return bytes(counts) + b"".join(sorted(records))
+
+
 def signature(kind, x):
     """Signature of object x: the compact hashable key that `histogram`
-    tallies.  Bytes of the kernel's counts followed by its records, sorted,
-    `kind.width` bytes each (every field is below 256 at any size that can
-    be enumerated).  This is the one writer of the format; `decode` is the
-    one reader."""
+    tallies, packed from the kernel's counts and records."""
     counts, records = kind.kernel(x)
-    return bytes([*counts, *chain.from_iterable(sorted(records))])
+    return pack(counts, map(bytes, records))
 
 
 def decode(kind, sig):
@@ -81,8 +90,8 @@ def histogram(kind, n, family="all", cache=None):
     """Signature histogram of the objects of size n in `family`: a Counter
     mapping each signature to the number of objects that have it.
 
-    The signature kernel runs once per object of size n; a family's
-    histogram is the "all" histogram restricted signature by signature.
+    The "all" histogram is `kind.tally(n)`; a family's histogram is the
+    "all" histogram restricted signature by signature.
     With a `cache` dict, every histogram is kept under (kind.name, n,
     family) and later requests for that set read it.
     """
@@ -91,7 +100,7 @@ def histogram(kind, n, family="all", cache=None):
     if hist is None:
         keep = kind.family(family)
         if keep is None:
-            hist = Counter(map(partial(signature, kind), kind.objects(n)))
+            hist = kind.tally(n)
         else:
             hist = Counter({sig: count for sig, count
                             in histogram(kind, n, "all", cache).items()
@@ -627,6 +636,11 @@ def iter_permutations(n):
         yield Permutation(word, _trusted=True)
 
 
-PERM = ObjectKind("perm", iter_permutations, _perm_kernel, 3, 4, _profile,
-                  _perm_totals, PERM_WEIGHTS, partial(lookup, PERM_FAMILIES))
+def _perm_tally(n):
+    return Counter(map(partial(signature, PERM), iter_permutations(n)))
+
+
+PERM = ObjectKind("perm", iter_permutations, _perm_tally, _perm_kernel, 3, 4,
+                  _profile, _perm_totals, PERM_WEIGHTS,
+                  partial(lookup, PERM_FAMILIES))
 

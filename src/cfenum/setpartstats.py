@@ -6,11 +6,11 @@ reversal, and weighted enumeration via restricted-growth words.
 Elements are 1-based; the arc graph joins consecutive elements of a block.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .mpoly import monomial
 from .permstats import ObjectKind, RecordWeight, UnknownWeightMap, \
-    is_indecomposable, lookup, unit_weight, zeta_cc_weight
+    is_indecomposable, lookup, pack, unit_weight, zeta_cc_weight
 
 
 class NotAPartition(ValueError):
@@ -472,6 +472,87 @@ def iter_set_partitions(n):
         yield setpart_from_rgs(word)
 
 
+def _sp_tally(n):
+    """Signature histogram of the partitions of [n], grown element by
+    element.  Element j is a singleton, the opener of a new block, or an
+    insider or the closer of the open block at rank r, the open blocks
+    ordered by their last element; a placement is made only if the blocks
+    then open still fit in the elements left.  Blocks are labelled 0, 1,
+    ... by their minima, as in the restricted-growth word.
+
+    qne(j) is the number of other open blocks.  When j joins the block
+    whose last element is p, the open blocks with a smaller last element
+    nest over the arc (p, j): ne(p) = r and cr(p) = qne(p) - r.  When the
+    block closes, cov(e) of each of its openers and insiders e counts the
+    blocks still open whose minimum is below e, and ov(e) = qne(e) -
+    cov(e).  The counts of _sp_kernel: lb gains, at j joining a block, the
+    blocks started after it; ls gains each element's label; a closing block
+    adds to rb the earlier elements with a smaller label and to rs those
+    with a larger one; iota gains, at j, the blocks whose last element
+    comes after the last element of j's block (every block, if j starts
+    one); cc counts the elements after which no block is open."""
+    hist = Counter()
+    opens = []  # (label, min, last, qne(last), class(last), pending) each
+    done = []  # the records of the finished elements, packed
+    sizes = [0] * n  # elements placed so far, per label
+    closed = [0] * (n + 1)  # closed[i]: blocks closed at elements <= i
+
+    def step(j, started, lb, ls, rb, rs, iota, cc):
+        if j > n:
+            key = pack((lb, ls, rb, rs, iota, cc), done)
+            hist[key] = hist.get(key, 0) + 1
+            return
+        count = len(opens)
+        left = n - j
+        before = closed[j - 1]
+        # a new block gets the label `started`
+        if count <= left:  # singleton
+            closed[j] = before + 1
+            sizes[started] += 1
+            done.append(bytes((3, 0, 0, count, 0, 0)))
+            step(j + 1, started + 1, lb, ls + started, rb + j - 1, rs,
+                 iota + started, cc + (count == 0))
+            done.pop()
+            sizes[started] -= 1
+        if count < left:  # opener
+            closed[j] = before
+            sizes[started] += 1
+            opens.append((started, j, j, count, 0, ()))
+            step(j + 1, started + 1, lb, ls + started, rb, rs,
+                 iota + started, cc)
+            opens.pop()
+            sizes[started] -= 1
+        for r in range(count):
+            block = opens.pop(r)
+            label, first, p, qne, cls, pending = block
+            pending += ((cls, qne - r, r, qne, p),)
+            lb_j = lb + started - 1 - label
+            iota_j = iota + count - 1 - r + before - closed[p]
+            smaller = sum(sizes[:label])
+            larger = j - 1 - smaller - sizes[label]
+            sizes[label] += 1
+            if count <= left:  # insider
+                closed[j] = before
+                opens.append((label, first, j, count - 1, 2, pending))
+                step(j + 1, started, lb_j, ls + label, rb, rs, iota_j, cc)
+                opens.pop()
+            # closer
+            closed[j] = before + 1
+            mark = len(done)
+            done.append(bytes((1, 0, 0, count - 1, 0, 0)))
+            for e_cls, cr, ne, e_qne, e in pending:
+                cov = sum(1 for other in opens if other[1] < e)
+                done.append(bytes((e_cls, cr, ne, e_qne, e_qne - cov, cov)))
+            step(j + 1, started, lb_j, ls + label, rb + smaller, rs + larger,
+                 iota_j, cc + (count == 1))
+            del done[mark:]
+            sizes[label] -= 1
+            opens.insert(r, block)
+
+    step(1, 0, 0, 0, 0, 0, 0, 0)
+    return hist
+
+
 SP_FAMILIES = {
     "all": None,
     "indecomposable": is_indecomposable,
@@ -489,6 +570,6 @@ def _sp_family(family):
     return lookup(SP_FAMILIES, family)
 
 
-SETPART = ObjectKind("setpart", iter_set_partitions, _sp_kernel, 6, 6,
-                     _profile, _sp_totals, SP_WEIGHTS, _sp_family)
+SETPART = ObjectKind("setpart", iter_set_partitions, _sp_tally, _sp_kernel, 6,
+                     6, _profile, _sp_totals, SP_WEIGHTS, _sp_family)
 

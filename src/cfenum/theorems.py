@@ -160,16 +160,17 @@ def _enum(obj, n, family="all", weight="unit", zeta=False):
 def _holds_per_signature(obj, holds):
     """Identity checker n -> (ok, detail) for a predicate
     `holds(profiles, totals)`: it is tested once per distinct signature of
-    the cached "all" histogram of size n.  The histogram lists signatures
-    in the order their first objects came, so the detail, the first object
-    with the first failing signature, is the first object that fails."""
+    the cached "all" histogram of size n.  On failure the detail is the
+    first object of `objects(n)` whose signature fails: the histogram's
+    own order is the order of its tally, not of `objects`."""
     def check(n):
         kind = KINDS[obj]
-        for sig in histogram(kind, n, "all", _ENUM_CACHE):
-            if not holds(*decode(kind, sig)):
-                return False, repr(next(x for x in kind.objects(n)
-                                        if signature(kind, x) == sig))
-        return True, None
+        failed = {sig for sig in histogram(kind, n, "all", _ENUM_CACHE)
+                  if not holds(*decode(kind, sig))}
+        if not failed:
+            return True, None
+        return False, repr(next(x for x in kind.objects(n)
+                                if signature(kind, x) in failed))
     return check
 
 

@@ -173,6 +173,17 @@ def test_substitution_zero_coefficient_term(runner, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_substitution_bool_value_rejected(runner, tmp_path):
+    # JSON true is not the integer 1
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"x": True, "y": 2}))
+    res = _run(runner, ["enumerate", "--object", "perm", "--n", "3",
+                        "--weight", "two-var", "--subst", str(sub)])
+    assert res.exit_code == 2
+    assert res.output.startswith("error: bad substitution value for 'x'")
+    assert "Traceback" not in res.output
+
+
 def test_stats_perm(runner):
     res = _run(runner, ["stats", "--object", "perm", "--oneline", "2,1"])
     assert res.exit_code == 0

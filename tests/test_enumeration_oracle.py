@@ -1,6 +1,8 @@
 """Differential tests: the signature-histogram enumeration against the
 per-object reference loop of enum_oracle, exhaustively at small n."""
 
+from collections import Counter
+
 import pytest
 
 from cfenum import theorems
@@ -15,6 +17,13 @@ from cfenum.theorems import KINDS
 import enum_oracle
 
 N_MAX = {"perm": 6, "setpart": 6, "match": 5}
+
+
+def _with_kernel(kind, kernel):
+    """`kind` with another kernel, tallied object by object through it."""
+    mutant = kind._replace(kernel=kernel)
+    return mutant._replace(tally=lambda n: Counter(
+        signature(mutant, x) for x in mutant.objects(n)))
 
 
 def _mismatches(obj, kind, weights=None):
@@ -67,6 +76,18 @@ def test_record_weight_from_bytes_matches_its_call():
                                     zeta=True) == want, n
 
 
+@pytest.mark.parametrize("kind, n_max, sizes", [
+    (SETPART, 8, [1, 1, 2, 5, 15, 52, 203, 877, 4140]),  # Bell numbers
+    (MATCH, 6, [1, 1, 3, 15, 105, 945, 10395])])  # (2n-1)!!
+def test_tally_matches_per_object(kind, n_max, sizes):
+    # the fused tally against the kernel run on every object, every key
+    # and every count
+    for n in range(n_max + 1):
+        hist = kind.tally(n)
+        assert hist == Counter(signature(kind, x) for x in kind.objects(n)), n
+        assert sum(hist.values()) == sizes[n]
+
+
 @pytest.mark.parametrize("obj", ["perm", "setpart", "match"])
 def test_signature_totals_match_oracle(obj):
     oracle = enum_oracle.KINDS[obj]
@@ -99,7 +120,7 @@ def test_mutated_signature_is_caught():
         counts, records = PERM.kernel(sigma)
         return counts, [record[:3] + [0] for record in records]
 
-    mutant = PERM._replace(kernel=without_pred_unest)
+    mutant = _with_kernel(PERM, without_pred_unest)
     bad = _mismatches("perm", mutant, ["master2", "four-var-arec"])
     assert bad
     assert {weight for weight, _, _, _ in bad} == {"master2"}
@@ -108,16 +129,16 @@ def test_mutated_signature_is_caught():
 def test_one_kernel_pass_per_object_set(monkeypatch):
     calls = []
 
-    def counted(pi):
-        calls.append(pi)
-        return SETPART.kernel(pi)
+    def counted(n):
+        calls.append(n)
+        return SETPART.tally(n)
 
-    monkeypatch.setitem(KINDS, "setpart", SETPART._replace(kernel=counted))
+    monkeypatch.setitem(KINDS, "setpart", SETPART._replace(tally=counted))
     monkeypatch.setattr(theorems, "_ENUM_CACHE", {})
     for tid in ("sp.masterJ1", "sp.masterJ2", "sp.masterJ3", "sp.masterJ4"):
         assert theorems.verify_theorem(tid, n_max=6).ok, tid
-    assert len(calls) == sum([1, 1, 2, 5, 15, 52, 203])  # Bell(0..6)
-    # a new weight, family or zeta for a cached set runs no kernel
+    assert calls == list(range(7))  # one tally per n
+    # a new weight, family or zeta for a cached set runs no tally
     del calls[:]
     for n in range(7):
         theorems._enum("setpart", n, "all", "x-lb")
@@ -132,7 +153,7 @@ def _inv_decomp_with_inv(monkeypatch, shift):
         (cyc, inv, cc), records = PERM.kernel(sigma)
         return (cyc, inv + shift(inv), cc), records
 
-    monkeypatch.setitem(KINDS, "perm", PERM._replace(kernel=kernel))
+    monkeypatch.setitem(KINDS, "perm", _with_kernel(PERM, kernel))
     monkeypatch.setattr(theorems, "_ENUM_CACHE", {})
     return theorems.check_identity("inv.decomp", n_max=4)
 
@@ -147,3 +168,17 @@ def test_inv_off_by_one_fails_inv_decomp(monkeypatch):
     assert [c["ok"] for c in report.checks] == [True, True] + [False] * 3
     assert report.first_discrepancy["detail"] == "Permutation([2, 1])"
     assert report.checks[3]["detail"] == "Permutation([1, 3, 2])"
+
+
+@pytest.mark.parametrize("holds", [
+    lambda profiles, t: not theorems._crne_eq_ovcov(profiles, t),
+    lambda profiles, t: not theorems._iota_formula(profiles, t),
+    lambda profiles, t: t.cr == 0])
+def test_identity_detail_is_first_failing_object(monkeypatch, holds):
+    # the tally lists signatures in its own order; the detail is still the
+    # first failing object in SETPART.objects order
+    monkeypatch.setattr(theorems, "_ENUM_CACHE", {})
+    want = next(x for x in SETPART.objects(5)
+                if not holds(*decode(SETPART, signature(SETPART, x))))
+    assert theorems._holds_per_signature("setpart", holds)(5) \
+        == (False, repr(want))

@@ -75,6 +75,13 @@ def test_zero_coefficient_terms_are_dropped():
         from_text("0*x^40000")
 
 
+def test_bool_is_not_a_coefficient():
+    for value in (True, False):
+        with pytest.raises(TypeError, match="cannot make a polynomial"):
+            as_poly(value)
+    assert as_poly(1) == 1 and to_text(as_poly(1)) == "1"
+
+
 def test_coefficients_above_4300_digits_round_trip():
     # past the interpreter's default limit on int-to-str conversion
     c = 10 ** 4999 + 7  # 5,000 digits
