@@ -18,8 +18,8 @@ import click
 from . import __version__
 from .mpoly import ExponentError, Indeterminate, ParseError, as_poly, \
     from_text, to_text
-from .permstats import Permutation, NotABijection, UnknownWeightMap, \
-    enumerate_polynomial, stat_totals
+from .permstats import Permutation, NotABijection, SizeTooLarge, \
+    UnknownWeightMap, enumerate_polynomial, stat_totals
 from .setpartstats import NotAPartition, setpart_from_blocks
 from .matchstats import Matching, NotAMatching
 from . import paths as pathmod
@@ -248,6 +248,8 @@ def enumerate(obj, n, family, weight, subst_path, zeta, fmt):
         poly = enumerate_polynomial(thm.KINDS[obj], n, family, weight, zeta)
     except UnknownWeightMap as exc:
         _fail_usage("unknown weight or family: %s" % exc)
+    except SizeTooLarge as exc:
+        _fail_usage("cannot enumerate: %s" % exc)
     if subst:
         try:
             poly = poly.substitute(subst)

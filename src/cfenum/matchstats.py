@@ -12,8 +12,8 @@ from collections import Counter, namedtuple
 from functools import partial
 
 from .mpoly import Indeterminate, Monomial, MultiPoly, monomial
-from .permstats import ObjectKind, RecordWeight, is_indecomposable, \
-    lookup, pack, unit_weight, zeta_cc_weight
+from .permstats import ObjectKind, factors, is_indecomposable, lookup, \
+    pack, unit_weight, zeta_cc_weight
 
 
 class NotAMatching(ValueError):
@@ -170,12 +170,11 @@ def _match_totals(profiles, cc):
     return t
 
 
-@RecordWeight
-def matching_master_weight(p):
+def matching_master_weight(profiles, totals=None):
     """Product over arcs (j, l) of a[cr,ne] for the opener j and b[qne]
-    for the closer l.  A RecordWeight: this is the factor of arc profile
-    p."""
-    return monomial([(("a", p.cr, p.ne), 1), (("b", p.qne), 1)])
+    for the closer l."""
+    return monomial([(v, 1) for p in profiles
+                     for v in (("a", p.cr, p.ne), ("b", p.qne))])
 
 
 def touchard_riordan(n):
@@ -267,14 +266,14 @@ def _w_cr_ne(profiles, t):
 
 MATCH_WEIGHTS = {
     "unit": unit_weight,
-    "four-var-cp": _w_four_var_cp,
-    "four-var-cv": _w_four_var_cv,
-    "six-var": _w_six_var,
-    "pq": _w_pq,
-    "pq-cv": _w_pq_cv,
-    "cr": _w_cr,
-    "cr-ne": _w_cr_ne,
-    "master": matching_master_weight,
+    "four-var-cp": factors(_w_four_var_cp),
+    "four-var-cv": factors(_w_four_var_cv),
+    "six-var": factors(_w_six_var),
+    "pq": factors(_w_pq),
+    "pq-cv": factors(_w_pq_cv),
+    "cr": factors(_w_cr),
+    "cr-ne": factors(_w_cr_ne),
+    "master": factors(matching_master_weight),
     "zeta-cc": zeta_cc_weight,
 }
 
@@ -347,7 +346,8 @@ MATCH_FAMILIES = {
 }
 
 
+# cc reaches n, and every other field stays below it
 MATCH = ObjectKind("match", iter_matchings, _match_tally, _match_kernel, 1, 4,
                    _arc_profile, _match_totals, MATCH_WEIGHTS,
-                   partial(lookup, MATCH_FAMILIES))
+                   partial(lookup, MATCH_FAMILIES), 255)
 

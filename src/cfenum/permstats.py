@@ -11,8 +11,7 @@ from collections import Counter, namedtuple
 from functools import partial
 from itertools import permutations as _itperms, starmap
 
-from .mpoly import Indeterminate, Monomial, MultiPoly, as_poly, monomial, \
-    sum_of_products
+from .mpoly import Monomial, monomial, sum_of_products
 
 
 class NotABijection(ValueError):
@@ -21,6 +20,10 @@ class NotABijection(ValueError):
 
 class UnknownWeightMap(KeyError):
     """No weight map registered under that id."""
+
+
+class SizeTooLarge(ValueError):
+    """A field of the size's signatures would not fit in a byte."""
 
 
 def lookup(table, key):
@@ -36,7 +39,8 @@ def lookup(table, key):
 
 ObjectKind = namedtuple(
     "ObjectKind",
-    "name objects tally kernel ncounts width profile totals weights family")
+    "name objects tally kernel ncounts width profile totals weights family "
+    "max_n")
 ObjectKind.__doc__ = """One object type as the enumeration core sees it.
 
 `objects(n)` yields the objects of size n.  `tally(n)` returns the
@@ -47,18 +51,18 @@ common prefix share its work, and no object is built.  `kernel(x)` returns
 (counts, records): the `ncounts` totals that no profile gives, and one
 profile record per index, a list of `width` small ints.  `profile(*record)`
 builds the profile a weight map reads, and `totals(profiles, *counts)` the
-totals object.  The last count of every kind is cc, the number of
-connected components, which `weighted_sum` reads for zeta^cc.  `weights`
-maps weight-map ids to weight maps, and `family(key)` resolves a family
-id to its filter (None keeps every object).  Weight maps and family
-filters take (profiles, totals).
+totals object, whose cc (connected components) `zeta_cc_weight` reads.
+`weights` maps weight-map ids to weight maps (profiles, totals) ->
+Monomial, most of them marked by `factors`, and `family(key)` resolves a
+family id to its filter (profiles, totals) -> bool, or None to keep every
+object.  `max_n` is the largest size whose signature fields fit in bytes.
 """
 
 
 def pack(counts, records):
     """Signature bytes: the counts, then the records sorted, each record a
-    bytes object of `width` fields (every field is below 256 at any size
-    that can be enumerated).  This is the one writer of the format, for
+    bytes object of `width` fields (every field is below 256 at sizes up
+    to the kind's `max_n`).  This is the one writer of the format, for
     `signature` and every `tally`; `decode` is the one reader."""
     return bytes(counts) + b"".join(sorted(records))
 
@@ -93,8 +97,12 @@ def histogram(kind, n, family="all", cache=None):
     The "all" histogram is `kind.tally(n)`; a family's histogram is the
     "all" histogram restricted signature by signature.
     With a `cache` dict, every histogram is kept under (kind.name, n,
-    family) and later requests for that set read it.
+    family) and later requests for that set read it.  Sizes above
+    `kind.max_n` raise SizeTooLarge.
     """
+    if n > kind.max_n:
+        raise SizeTooLarge("%s signatures hold sizes up to %d, not %d"
+                           % (kind.name, kind.max_n, n))
     key = (kind.name, n, family)
     hist = None if cache is None else cache.get(key)
     if hist is None:
@@ -110,78 +118,70 @@ def histogram(kind, n, family="all", cache=None):
     return hist
 
 
-class RecordWeight:
-    """A weight map that is a product over an object's profile records:
-    the product of the Monomials factor(profile).  Callable as
-    (profiles, totals) like every weight map; `weighted_sum` applies it
-    straight from the signature bytes, calling factor once per distinct
-    record."""
-
-    __slots__ = ("factor",)
-
-    def __init__(self, factor):
-        self.factor = factor
-
-    def __call__(self, profiles, totals=None):
-        product = Monomial()
-        for p in profiles:
-            product = product * self.factor(p)
-        return product
+def factors(weight):
+    """Mark the weight map `weight` as one that factors: its Monomial is
+    the product of the map on each profile record alone (every count 0)
+    and on each count alone (no records).  `weighted_sum` then weights
+    each distinct record and count value once, straight from the
+    signature bytes.  Returns `weight`."""
+    weight.factors = True
+    return weight
 
 
 def weighted_sum(hist, kind, weight, zeta=False):
     """Exact weighted sum over a signature histogram of `kind`: the one
     enumeration loop.
 
-    `weight(profiles, totals)` returns a Monomial or polynomial; it is
-    applied once per distinct signature and multiplied by the number of
-    objects with that signature.  With `zeta` it is multiplied by zeta^cc.
-    A RecordWeight skips `decode`: each signature is cut into its records,
-    and each distinct record is weighted once.
+    The sum of count times weight(profiles, totals), a Monomial, times
+    zeta^cc with `zeta`, in one pass of packed-int sums.  Each signature
+    is cut into keys, each distinct key weighted once: for a map marked
+    by `factors`, its `width`-byte records and each count field whose
+    factor is not 1 at some value that occurs; else the whole signature.
     """
-    if isinstance(weight, RecordWeight):
-        return _record_sum(hist, kind, weight.factor, zeta)
-    acc = {}
-    zvar = Indeterminate("zeta")
-    for sig, count in hist.items():
-        profiles, totals = decode(kind, sig)
-        wt = weight(profiles, totals)
-        if zeta and totals.cc:
-            wt = wt * Monomial({zvar: totals.cc})
-        if isinstance(wt, Monomial):
-            acc[wt] = acc.get(wt, 0) + count
-        else:
-            for m, c in as_poly(wt).terms.items():
-                acc[m] = acc.get(m, 0) + c * count
-    return MultiPoly({m: c for m, c in acc.items() if c})
-
-
-def _record_sum(hist, kind, factor, zeta):
-    """`weighted_sum` of RecordWeight(factor): the keys of a signature are
-    its `kind.width`-byte records, and with `zeta` also its cc count, an
-    int, which no record equals."""
     start, width = kind.ncounts, kind.width
+    keyed = getattr(weight, "factors", False)
+    head = bytes(start) if keyed else b""
 
-    def key_factor(key):
-        if isinstance(key, int):
-            return monomial([("zeta", key)])
-        return factor(kind.profile(*key))
+    def factor(key):
+        if isinstance(key, int):  # count field key >> 8 at value key & 255
+            sig = bytearray(start)
+            sig[key >> 8] = key & 255
+        else:  # a record, or a whole signature
+            sig = head + key
+        profiles, totals = decode(kind, sig)
+        m = weight(profiles, totals)
+        if not isinstance(m, Monomial):
+            raise TypeError("weight map %s returned %r, not a Monomial"
+                            % (getattr(weight, "__name__", weight), m))
+        return m * zeta_cc_weight(profiles, totals) if zeta else m
+
+    sizes = set(map(len, hist))
+    if keyed:
+        cuts = {size: [slice(i, i + width) for i in range(start, size, width)]
+                for size in sizes}
+        fields = [i for i in range(start)
+                  if any(factor(i << 8 | v) != Monomial()
+                         for v in {sig[i] for sig in hist})]
+    else:  # the whole signature is the one key
+        cuts, fields = {size: [slice(0, size)] for size in sizes}, ()
 
     def rows():
         for sig, count in hist.items():
-            keys = [sig[i:i + width] for i in range(start, len(sig), width)]
-            if zeta:
-                keys.append(sig[start - 1])
+            keys = list(map(sig.__getitem__, cuts[len(sig)]))
+            if fields:
+                keys += [i << 8 | sig[i] for i in fields]
             yield keys, count
 
-    return sum_of_products(rows(), key_factor)
+    return sum_of_products(rows(), factor)
 
 
+@factors
 def unit_weight(profiles, totals):
     """The weight map "unit" of every object type: each object counts 1."""
     return Monomial()
 
 
+@factors
 def zeta_cc_weight(profiles, totals):
     """The weight map "zeta-cc" of every object type: zeta^cc."""
     return monomial([("zeta", totals.cc)])
@@ -191,8 +191,8 @@ def enumerate_polynomial(kind, n, family="all", weight="unit", zeta=False,
                          cache=None):
     """Exact weighted sum over the objects of size n in `family`: the
     histogram of `histogram`, weighted by `weighted_sum`.  `weight` is a
-    weight-map id of `kind` or a callable (profiles, totals) ->
-    Monomial/MultiPoly."""
+    weight-map id of `kind` or a callable (profiles, totals) -> Monomial,
+    which `factors` may mark."""
     weight = lookup(kind.weights, weight)
     return weighted_sum(histogram(kind, n, family, cache), kind, weight,
                         zeta)
@@ -453,48 +453,37 @@ def perm_dividers(sigma):
 # ---------------------------------------------------------------------------
 # Master weights
 
-@RecordWeight
-def perm_master_weight_first(p):
+def _perm_master_indices(profiles, second):
+    """The indeterminate of each index in the first or second master
+    weight, as a family tuple for `monomial`."""
+    for p in profiles:
+        cc = p.cycle_class
+        if cc == "cval":
+            yield ("a", p.ucross + p.unest) if second \
+                else ("a", p.ucross, p.unest)
+        elif cc == "cdrise":
+            yield ("d", p.ucross + p.unest, p.pred_unest) if second \
+                else ("d", p.ucross, p.unest)
+        elif cc == "fix":
+            yield ("e", p.lev)
+        else:
+            yield ("b" if cc == "cpeak" else "c", p.lcross, p.lnest)
+
+
+def perm_master_weight_first(profiles, totals=None):
     """Product over indices of a/b/c/d/e indeterminates: cycle valleys get
     a[ucross,unest], cycle peaks b[lcross,lnest], cycle double falls
     c[lcross,lnest], cycle double rises d[ucross,unest], fixed points
-    e[lev].  A RecordWeight: this is the factor of index profile p."""
-    cc = p.cycle_class
-    if cc == "cval":
-        v = ("a", p.ucross, p.unest)
-    elif cc == "cpeak":
-        v = ("b", p.lcross, p.lnest)
-    elif cc == "cdfall":
-        v = ("c", p.lcross, p.lnest)
-    elif cc == "cdrise":
-        v = ("d", p.ucross, p.unest)
-    else:
-        v = ("e", p.lev)
-    return monomial([(v, 1)])
+    e[lev]."""
+    return monomial([(v, 1) for v in _perm_master_indices(profiles, False)])
 
 
 def perm_master_weight_second(profiles, totals):
     """lam^cyc times the product where cycle valleys get the single-indexed
     a[ucross+unest], cycle double rises get d[ucross+unest, unest of the
     cycle predecessor], and b, c, e are as in the first master weight."""
-    pairs = []
-    for p in profiles:
-        cc = p.cycle_class
-        if cc == "cval":
-            v = Indeterminate("a", p.ucross + p.unest)
-        elif cc == "cpeak":
-            v = Indeterminate("b", p.lcross, p.lnest)
-        elif cc == "cdfall":
-            v = Indeterminate("c", p.lcross, p.lnest)
-        elif cc == "cdrise":
-            v = Indeterminate("d", p.ucross + p.unest, p.pred_unest)
-        else:
-            v = Indeterminate("e", p.lev)
-        pairs.append((v, 1))
-    if totals.cyc:
-        lam = Indeterminate("lam")
-        pairs.append((lam, totals.cyc))
-    return Monomial(pairs)
+    return monomial([(v, 1) for v in _perm_master_indices(profiles, True)]
+                    + [("lam", totals.cyc)])
 
 
 # ---------------------------------------------------------------------------
@@ -581,21 +570,21 @@ def _w_seven_var_cyc(profiles, t):
 
 
 PERM_WEIGHTS = {
-    "four-var-arec": _w_four_var_arec,
-    "four-var-cyc": _w_four_var_cyc,
-    "two-var": _w_two_var,
-    "two-var-cyc": _w_two_var_cyc,
-    "two-var-inv": _w_two_var_inv,
-    "inv-cyc": _w_inv_cyc,
-    "ten-var": _w_ten_var,
-    "ten-var-cyc": _w_ten_var_cyc,
-    "pq-eleven": _w_pq_eleven,
-    "big": _w_big,
-    "big-cyc": _w_big_cyc,
-    "eight-var-pq": _w_eight_var_pq,
-    "seven-var-cyc": _w_seven_var_cyc,
-    "master1": perm_master_weight_first,
-    "master2": perm_master_weight_second,
+    "four-var-arec": factors(_w_four_var_arec),
+    "four-var-cyc": _w_four_var_cyc,  # u^(n - exc - cyc) does not factor
+    "two-var": factors(_w_two_var),
+    "two-var-cyc": factors(_w_two_var_cyc),
+    "two-var-inv": factors(_w_two_var_inv),
+    "inv-cyc": factors(_w_inv_cyc),
+    "ten-var": factors(_w_ten_var),
+    "ten-var-cyc": factors(_w_ten_var_cyc),
+    "pq-eleven": factors(_w_pq_eleven),
+    "big": factors(_w_big),
+    "big-cyc": factors(_w_big_cyc),
+    "eight-var-pq": factors(_w_eight_var_pq),
+    "seven-var-cyc": factors(_w_seven_var_cyc),
+    "master1": factors(perm_master_weight_first),
+    "master2": factors(perm_master_weight_second),
     "unit": unit_weight,
     "zeta-cc": zeta_cc_weight,
 }
@@ -640,7 +629,8 @@ def _perm_tally(n):
     return Counter(map(partial(signature, PERM), iter_permutations(n)))
 
 
+# inv reaches n(n-1)/2, which is 253 at n = 23
 PERM = ObjectKind("perm", iter_permutations, _perm_tally, _perm_kernel, 3, 4,
                   _profile, _perm_totals, PERM_WEIGHTS,
-                  partial(lookup, PERM_FAMILIES))
+                  partial(lookup, PERM_FAMILIES), 23)
 

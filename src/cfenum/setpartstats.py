@@ -9,7 +9,7 @@ Elements are 1-based; the arc graph joins consecutive elements of a block.
 from collections import Counter, namedtuple
 
 from .mpoly import monomial
-from .permstats import ObjectKind, RecordWeight, UnknownWeightMap, \
+from .permstats import ObjectKind, UnknownWeightMap, factors, \
     is_indecomposable, lookup, pack, unit_weight, zeta_cc_weight
 
 
@@ -285,18 +285,21 @@ def _sp_master(variant):
     op_ovcov = variant in (2, 3)
     in_ovcov = variant in (2, 4)
 
-    def factor(p):
-        cls = p.element_class
-        if cls == "opener":
-            v = ("a", p.ov, p.cov) if op_ovcov else ("a", p.cr, p.ne)
-        elif cls == "closer":
-            v = ("b", p.qne)
-        elif cls == "insider":
-            v = ("d", p.ov, p.cov) if in_ovcov else ("d", p.cr, p.ne)
-        else:
-            v = ("e", p.qne)
-        return monomial([(v, 1)])
-    return RecordWeight(factor)
+    def weight(profiles, totals=None):
+        pairs = []
+        for p in profiles:
+            cls = p.element_class
+            if cls == "opener":
+                v = ("a", p.ov, p.cov) if op_ovcov else ("a", p.cr, p.ne)
+            elif cls == "closer":
+                v = ("b", p.qne)
+            elif cls == "insider":
+                v = ("d", p.ov, p.cov) if in_ovcov else ("d", p.cr, p.ne)
+            else:
+                v = ("e", p.qne)
+            pairs.append((v, 1))
+        return monomial(pairs)
+    return factors(weight)
 
 
 _SP_MASTER = {variant: _sp_master(variant) for variant in (1, 2, 3, 4)}
@@ -408,26 +411,26 @@ def _w_x_iota_prime(profiles, t):
 
 SP_WEIGHTS = {
     "unit": unit_weight,
-    "block-count": _w_block_count,
-    "three-var": _w_three_var,
-    "six-var": _w_six_var,
-    "pq-eleven": _w_pq_eleven,
-    "ovcov-eleven": _w_ovcov_eleven,
-    "mixed-three": _w_mixed_three,
-    "mixed-four": _w_mixed_four,
+    "block-count": factors(_w_block_count),
+    "three-var": _w_three_var,  # v^(n - blocks - erec) does not factor
+    "six-var": factors(_w_six_var),
+    "pq-eleven": factors(_w_pq_eleven),
+    "ovcov-eleven": factors(_w_ovcov_eleven),
+    "mixed-three": factors(_w_mixed_three),
+    "mixed-four": factors(_w_mixed_four),
     "master1": _SP_MASTER[1],
     "master2": _SP_MASTER[2],
     "master3": _SP_MASTER[3],
     "master4": _SP_MASTER[4],
-    "x-lb": _w_x_lb,
-    "x-ls": _w_x_ls,
-    "x-lsprime": _w_x_lsprime,
-    "x-rb": _w_x_rb,
-    "x-rs": _w_x_rs,
-    "lb-ls": _w_lb_ls,
-    "rs-rb": _w_rs_rb,
-    "x-iota": _w_x_iota,
-    "x-iota-prime": _w_x_iota_prime,
+    "x-lb": factors(_w_x_lb),
+    "x-ls": factors(_w_x_ls),
+    "x-lsprime": _w_x_lsprime,  # nor does ls - blocks(blocks - 1)/2
+    "x-rb": factors(_w_x_rb),
+    "x-rs": factors(_w_x_rs),
+    "lb-ls": factors(_w_lb_ls),
+    "rs-rb": factors(_w_rs_rb),
+    "x-iota": factors(_w_x_iota),
+    "x-iota-prime": _w_x_iota_prime,  # nor iota - blocks(blocks - 1)/2
     "zeta-cc": zeta_cc_weight,
 }
 
@@ -570,6 +573,7 @@ def _sp_family(family):
     return lookup(SP_FAMILIES, family)
 
 
+# ls, rb and iota reach n(n-1)/2, which is 253 at n = 23
 SETPART = ObjectKind("setpart", iter_set_partitions, _sp_tally, _sp_kernel, 6,
-                     6, _profile, _sp_totals, SP_WEIGHTS, _sp_family)
+                     6, _profile, _sp_totals, SP_WEIGHTS, _sp_family, 23)
 

@@ -17,8 +17,8 @@ from .series import (expand_sfraction, expand_jfraction,
                      attach_component_weight, indecomposable_series,
                      jfraction_from_series,
                      TerminatedFraction, NonUnitConstantTerm)
-from .permstats import PERM, decode, enumerate_polynomial, histogram, \
-    is_avoid321, signature, stat_totals
+from .permstats import PERM, decode, enumerate_polynomial, factors, \
+    histogram, is_avoid321, signature, stat_totals
 from .setpartstats import SETPART, setpart_from_blocks, sp_block_pair_counts, \
     sp_records, sp_reverse
 from .matchstats import MATCH, touchard_riordan
@@ -878,7 +878,7 @@ _register(TheoremCase(
     "perm.inv.sixstat", "JFraction",
     "Weights a^cval b^cdrise c^cpeak d^cdfall w^fix q^inv.",
     7,
-    poly=_poly("perm", weight=_w_inv_sixstat),
+    poly=_poly("perm", weight=factors(_w_inv_sixstat)),
     gamma=lambda n: as_poly(W_) if n == 0 else
         (Q_ ** n) * qint(n, Q_) * (B_ + D_) + (Q_ ** (2 * n)) * W_,
     beta=lambda n: (Q_ ** (2 * n - 1)) * qint(n, Q_) ** 2 * A_ * C_,
@@ -989,7 +989,7 @@ _register(TheoremCase(
     "q-secant numbers: sum of q^inv over cycle-alternating permutations; "
     "alpha_n = q^(2n-1) [n]_q^2.",
     4,
-    poly=_poly("perm", family="cycle_alternating", weight=_w_q_inv,
+    poly=_poly("perm", family="cycle_alternating", weight=factors(_w_q_inv),
                double=True),
     alpha=_qsecant_alpha,
     extra=(_s_coherence("specialization of the cycle-alternating "

@@ -101,6 +101,16 @@ def test_enumerate(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("obj, n, limit", [
+    ("perm", 24, 23), ("setpart", 24, 23), ("match", 300, 255)])
+def test_enumerate_size_above_signature_limit(runner, obj, n, limit):
+    # a field of the signature would not fit in a byte: exit 2 at once,
+    # before any object is visited
+    res = _run(runner, ["enumerate", "--object", obj, "--n", str(n)])
+    assert res.exit_code == 2
+    assert "sizes up to %d, not %d" % (limit, n) in res.output
+
+
 def test_enumerate_with_substitution(runner, tmp_path):
     sub = tmp_path / "sub.json"
     sub.write_text(json.dumps({"x": "1", "y": "1*q", "u": "1", "v": "1"}))

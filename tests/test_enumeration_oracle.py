@@ -2,15 +2,16 @@
 per-object reference loop of enum_oracle, exhaustively at small n."""
 
 from collections import Counter
+from functools import partial
 
 import pytest
 
 from cfenum import theorems
-from cfenum.matchstats import MATCH, matching_master_weight
-from cfenum.mpoly import ExponentError, MultiPoly, as_poly, monomial
-from cfenum.permstats import (PERM, IndexProfile, RecordWeight, decode,
-                              enumerate_polynomial, histogram, signature,
-                              stat_totals)
+from cfenum.mpoly import ExponentError, as_poly, monomial
+from cfenum.permstats import (PERM, IndexProfile, decode,
+                              enumerate_polynomial, factors, histogram,
+                              signature, stat_totals, weighted_sum)
+from cfenum.matchstats import MATCH
 from cfenum.setpartstats import SETPART, SPIndexProfile
 from cfenum.theorems import KINDS
 
@@ -57,23 +58,55 @@ def test_record_weight_range_checked_per_record():
     # x^20000 per record: the second record of any partition of [2] or
     # [4] passes the limit; over [4], a check of the whole product alone
     # would find x^80000 already wrapped into the next field
-    huge = RecordWeight(lambda p: monomial([("x", 20000)]))
+    @factors
+    def huge(profiles, totals):
+        return monomial([("x", 20000 * len(profiles))])
     for n in (2, 4):
         with pytest.raises(ExponentError, match="exponent 40000 of x"):
             enumerate_polynomial(SETPART, n, weight=huge)
 
 
-def test_record_weight_from_bytes_matches_its_call():
-    # the signature-byte path of a RecordWeight against its (profiles,
-    # totals) call on each decoded signature
-    for n in range(N_MAX["match"] + 1):
-        want = MultiPoly()
-        for sig, count in histogram(MATCH, n).items():
-            profiles, totals = decode(MATCH, sig)
-            want = want + as_poly(matching_master_weight(profiles, totals)
-                                  * monomial([("zeta", totals.cc)])) * count
-        assert enumerate_polynomial(MATCH, n, weight="master",
-                                    zeta=True) == want, n
+_UNMARKED = {"perm": {"four-var-cyc"},
+             "setpart": {"three-var", "x-lsprime", "x-iota-prime"},
+             "match": set()}
+
+
+@pytest.mark.parametrize("obj", ["perm", "setpart", "match"])
+def test_factoring_weights_match_whole_signature(obj):
+    # every map marked by `factors`, weighted record by record and count
+    # by count, against the same map unmarked, weighted per signature
+    kind = KINDS[obj]
+    weights = dict(kind.weights)
+    if obj == "perm":
+        weights.update(inv_sixstat=theorems._w_inv_sixstat,
+                       q_inv=theorems._w_q_inv)
+    assert {wid for wid, w in weights.items()
+            if not getattr(w, "factors", False)} == _UNMARKED[obj]
+    for n in range(N_MAX[obj] + 1):
+        hist = histogram(kind, n)
+        for wid, weight in weights.items():
+            if wid in _UNMARKED[obj]:
+                continue
+            whole = partial(_call, weight)
+            for zeta in (False, True):
+                assert weighted_sum(hist, kind, weight, zeta) \
+                    == weighted_sum(hist, kind, whole, zeta), (wid, n, zeta)
+
+
+def _call(weight, profiles, totals):
+    return weight(profiles, totals)
+
+
+def test_weight_map_must_return_a_monomial():
+    def poly_weight(profiles, totals):
+        return as_poly(1)
+
+    @factors
+    def marked_poly_weight(profiles, totals):
+        return as_poly(1)
+    for weight in (poly_weight, marked_poly_weight):
+        with pytest.raises(TypeError, match=weight.__name__):
+            enumerate_polynomial(MATCH, 2, weight=weight)
 
 
 @pytest.mark.parametrize("kind, n_max, sizes", [
