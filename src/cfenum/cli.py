@@ -9,7 +9,6 @@ verification failure, 2 usage or I/O error.
 
 import json
 import math
-import re
 import sys
 import time
 
@@ -17,16 +16,13 @@ import click
 
 from . import __version__
 from .mpoly import ExponentError, Indeterminate, ParseError, as_poly, \
-    from_text, to_text
+    from_text, parse_factor, to_text
 from .permstats import Permutation, NotABijection, SizeTooLarge, \
     UnknownWeightMap, enumerate_polynomial, stat_totals
 from .setpartstats import NotAPartition, setpart_from_blocks
 from .matchstats import Matching, NotAMatching
 from . import paths as pathmod
 from . import theorems as thm
-
-_INDET_KEY = re.compile(
-    r"^([A-Za-z_][A-Za-z0-9_]*?)(?:\[(\d+(?:,\d+)*)\])?$")
 
 
 def _report_json(obj):
@@ -68,21 +64,17 @@ def load_substitution(path):
         _fail_usage("substitution file must be a JSON object")
     subst = {}
     for key, val in data.items():
-        m = _INDET_KEY.match(key)
-        if not m:
+        try:
+            family, indices, exp = parse_factor(key)
+        except ParseError:
+            family = None
+        if family is None or exp is not None:
             _fail_usage("bad substitution key %r" % (key,))
         try:
             poly = from_text(val) if isinstance(val, str) else as_poly(val)
         except (ParseError, TypeError) as exc:
             _fail_usage("bad substitution value for %r: %s" % (key, exc))
-        if m.group(2) is None:
-            subst[m.group(1)] = poly
-            continue
-        try:
-            indices = tuple(int(t) for t in m.group(2).split(","))
-        except ValueError as exc:  # more digits than int() converts
-            _fail_usage("bad substitution key %r: %s" % (key, exc))
-        subst[Indeterminate(m.group(1), *indices)] = poly
+        subst[Indeterminate(family, *indices) if indices else family] = poly
     return subst
 
 
@@ -130,13 +122,13 @@ def main():
 # ---------------------------------------------------------------------------
 # verify / verify-all / conjecture
 
-def _run_verify(tid, n, order, seed):
-    try:
-        report = thm.verify_theorem(tid, n_max=n, order=order, seed=seed)
-    except (thm.UnknownTheorem, thm.UnknownIdentity):
-        _fail_usage("unknown theorem id %r (see list in README or "
-                    "`verify-all` output)" % (tid,))
-    return report
+def _emit_verification(report, fmt):
+    """Emit a verification report, stamped with its own id, n_max, order
+    and seed, and exit 0 if it holds, 1 if not."""
+    _emit(_stamp(report.to_dict(), theorem_id=report.theorem_id,
+                 n_max=report.n_max, order=report.order, seed=report.seed),
+          fmt)
+    sys.exit(0 if report.ok else 1)
 
 
 @main.command()
@@ -149,11 +141,13 @@ def _run_verify(tid, n, order, seed):
 @_FMT
 def verify(theorem_id, n, order, seed, fmt):
     """Verify one registered theorem, corollary, identity, or witness."""
-    report = _run_verify(theorem_id, n, order, seed)
-    out = _stamp(report.to_dict(), theorem_id=report.theorem_id,
-                 n_max=report.n_max, order=report.order, seed=report.seed)
-    _emit(out, fmt)
-    sys.exit(0 if report.ok else 1)
+    try:
+        report = thm.verify_theorem(theorem_id, n_max=n, order=order,
+                                    seed=seed)
+    except thm.UnknownTheorem:
+        _fail_usage("unknown theorem id %r (see list in README or "
+                    "`verify-all` output)" % (theorem_id,))
+    _emit_verification(report, fmt)
 
 
 def _finite(ctx, param, value):
@@ -202,11 +196,8 @@ def verify_all(budget, seed, fmt):
 @_FMT
 def conjecture(n, order, fmt):
     """Forward-check the conjectured second J-fraction."""
-    report = thm.verify_theorem("conj.v2.full", n_max=n, order=order)
-    out = _stamp(report.to_dict(), theorem_id=report.theorem_id,
-                 n_max=report.n_max, order=report.order, seed=report.seed)
-    _emit(out, fmt)
-    sys.exit(0 if report.ok else 1)
+    _emit_verification(
+        thm.verify_theorem("conj.v2.full", n_max=n, order=order), fmt)
 
 
 # ---------------------------------------------------------------------------

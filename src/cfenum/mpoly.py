@@ -485,6 +485,22 @@ class ParseError(ValueError):
     pass
 
 
+def parse_factor(text):
+    """(family, indices, exponent) of the factor text `name[i,j,...]^e`:
+    indices () where it has no brackets, exponent None where it has no
+    `^e`.  ParseError for any other text."""
+    mt = _VAR_RE.match(text)
+    if not mt:
+        raise ParseError("bad factor %r" % text)
+    family, idx, exp = mt.groups()
+    try:
+        indices = tuple(int(i) for i in idx.split(",")) if idx else ()
+        e = int(exp) if exp else None
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError("bad factor %r: %s" % (text, exc)) from None
+    return family, indices, e
+
+
 def from_text(text):
     """Parse the canonical text form back into a MultiPoly."""
     text = text.strip()
@@ -503,17 +519,9 @@ def from_text(text):
                              "coefficient" % term) from None
         exps = {}
         for fac in factors[1:]:
-            mt = _VAR_RE.match(fac.strip())
-            if not mt:
-                raise ParseError("bad factor %r" % fac)
-            family, idx, exp = mt.groups()
-            try:
-                indices = tuple(int(i) for i in idx.split(",")) if idx else ()
-                e = int(exp) if exp else 1
-            except ValueError as exc:  # more digits than int() converts
-                raise ParseError("bad factor %r: %s" % (fac, exc)) from None
+            family, indices, e = parse_factor(fac.strip())
             v = Indeterminate(family, *indices)
-            exps[v] = exps.get(v, 0) + e
+            exps[v] = exps.get(v, 0) + (1 if e is None else e)
         total = total + _parsed_term(exps, coeff)
     return total
 

@@ -3,9 +3,10 @@ Stieltjes- and Jacobi-type continued fractions.  A series truncated at
 t^order is the list of its coefficients [t^0..t^order].
 
 An S-fraction is 1/(1 - a1 t/(1 - a2 t/(1 - ...))); a J-fraction is
-1/(1 - g0 t - b1 t^2/(1 - g1 t - b2 t^2/(1 - ...))).  Both are expanded by
-Flajolet's reading of a continued fraction as a sum over weighted lattice
-paths (Dyck paths for S, Motzkin paths for J), one height at a time.
+1/(1 - g0 t - b1 t^2/(1 - g1 t - b2 t^2/(1 - ...))).  A J-fraction is
+expanded by Flajolet's reading of a continued fraction as a sum over
+weighted Motzkin paths.  An S-fraction in t is the J-fraction in u with
+t = u^2, all g zero and b = a, so it is expanded by the same engine.
 """
 
 from fractions import Fraction
@@ -43,29 +44,17 @@ def reciprocal(coeffs):
     return out
 
 
-# Both expansions run a dynamic programme over path heights: state[h] is
+# The expansion runs a dynamic programme over path heights: state[h] is
 # the weighted sum of the path prefixes of the current length that end at
 # height h.  Unlike nested series reciprocals, the intermediate polynomial
 # sizes are bounded by the weighted counts of path prefixes, which keeps
 # symbolic master weights tractable.
 
 def expand_sfraction(alpha, order):
-    """Taylor coefficients of the S-fraction through t^order: Dyck paths
-    of semilength n with falls from height h weighted alpha(h)."""
-    a = cache(lambda h: as_poly(alpha(h)))
-    coeffs = [MultiPoly.one()]
-    state = {0: MultiPoly.one()}
-    for j in range(1, 2 * order + 1):
-        nxt = {}
-        for h, w in state.items():
-            if h <= 2 * order - j - 1:
-                nxt[h + 1] = nxt.get(h + 1, MultiPoly.zero()) + w
-            if h > 0:
-                nxt[h - 1] = nxt.get(h - 1, MultiPoly.zero()) + w * a(h)
-        state = {h: w for h, w in nxt.items() if w}
-        if j % 2 == 0:
-            coeffs.append(state.get(0, MultiPoly.zero()))
-    return coeffs
+    """Taylor coefficients of the S-fraction through t^order: the
+    J-fraction in u = sqrt(t) with gamma = 0 and beta = alpha, at the even
+    powers of u."""
+    return expand_jfraction(lambda h: 0, alpha, 2 * order)[::2]
 
 
 def expand_jfraction(gamma, beta, order):
@@ -79,8 +68,10 @@ def expand_jfraction(gamma, beta, order):
     for j in range(1, order + 1):
         nxt = {}
         for h, w in state.items():
-            nxt[h] = nxt.get(h, MultiPoly.zero()) + w * g(h)
-            nxt[h + 1] = nxt.get(h + 1, MultiPoly.zero()) + w
+            if g(h):
+                nxt[h] = nxt.get(h, MultiPoly.zero()) + w * g(h)
+            if h < order - j:
+                nxt[h + 1] = nxt.get(h + 1, MultiPoly.zero()) + w
             if h > 0:
                 nxt[h - 1] = nxt.get(h - 1, MultiPoly.zero()) + w * b(h)
         # a path above height order - j cannot return to 0 in time

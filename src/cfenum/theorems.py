@@ -199,6 +199,20 @@ def _star(f, m):
     return total
 
 
+def _pq_coeff(k, p, q, first, rest):
+    """The paper's recurring (p,q) coefficient p^(k-1) first +
+    q [k-1]_{p,q} rest, in closed form.  It is built from pqint alone: the
+    coherence extras compare it with _star of _pq_master, so it must not
+    be built from either."""
+    return p ** (k - 1) * first + q * pqint(k - 1, p, q) * rest
+
+
+def _pq_master(p, q, first, rest):
+    """The master specialisation a(l, l') = p^l q^l' (first if l' = 0 else
+    rest), whose _star at k - 1 is _pq_coeff(k, p, q, first, rest)."""
+    return lambda l, lp: p ** l * q ** lp * (first if lp == 0 else rest)
+
+
 def _perm_master1_cf(afun, bfun, cfun, dfun, efun):
     """(gamma, beta) of the first master J-fraction for permutations at
     the weights a(l, l') .. d(l, l') and e(l)."""
@@ -658,14 +672,12 @@ _register(TheoremCase(
 def _perm_big_gamma(n):
     if n == 0:
         return as_poly(_w(0))
-    return ((PM2 ** (n - 1)) * X2 + QM2 * pqint(n - 1, PM2, QM2) * U2) \
-        + ((PP2 ** (n - 1)) * Y2 + QP2 * pqint(n - 1, PP2, QP2) * V2) \
+    return _pq_coeff(n, PM2, QM2, X2, U2) + _pq_coeff(n, PP2, QP2, Y2, V2) \
         + (S_ ** n) * _w(n)
 
 
 def _perm_big_beta(n):
-    return ((PM1 ** (n - 1)) * X1 + QM1 * pqint(n - 1, PM1, QM1) * U1) \
-        * ((PP1 ** (n - 1)) * Y1 + QP1 * pqint(n - 1, PP1, QP1) * V1)
+    return _pq_coeff(n, PM1, QM1, X1, U1) * _pq_coeff(n, PP1, QP1, Y1, V1)
 
 
 _register(TheoremCase(
@@ -679,10 +691,8 @@ _register(TheoremCase(
     extra=(_j_coherence(
         "derived from first master J-fraction",
         *_perm_master1_cf(
-            lambda l, lp: (PP1 ** l) * (QP1 ** lp) * (Y1 if lp == 0 else V1),
-            lambda l, lp: (PM1 ** l) * (QM1 ** lp) * (X1 if lp == 0 else U1),
-            lambda l, lp: (PM2 ** l) * (QM2 ** lp) * (X2 if lp == 0 else U2),
-            lambda l, lp: (PP2 ** l) * (QP2 ** lp) * (Y2 if lp == 0 else V2),
+            _pq_master(PP1, QP1, Y1, V1), _pq_master(PM1, QM1, X1, U1),
+            _pq_master(PM2, QM2, X2, U2), _pq_master(PP2, QP2, Y2, V2),
             lambda l: (S_ ** l) * _w(l))),),
 ))
 
@@ -728,9 +738,8 @@ _register(TheoremCase(
     alpha=_alt(lambda k: pqint(k, PM, QM), lambda k: pqint(k, PP, QP)),
 ))
 
-_eightvar_alpha = _alt(
-    lambda k: (PM ** (k - 1)) * X + QM * pqint(k - 1, PM, QM) * U,
-    lambda k: (PP ** (k - 1)) * Y + QP * pqint(k - 1, PP, QP) * V)
+_eightvar_alpha = _alt(lambda k: _pq_coeff(k, PM, QM, X, U),
+                       lambda k: _pq_coeff(k, PP, QP, Y, V))
 
 _register(TheoremCase(
     "perm.pq.S.BIG1", "SFraction",
@@ -775,11 +784,13 @@ _register(TheoremCase(
     beta=_pm1_beta,
 ))
 
+_master_y = _pq_master(PP, QP, Y, V)
+_master_x = _pq_master(PM, QM, X, U)
 _MASTERS1_SPEC = {
-    "a": lambda l, lp: (PP ** l) * (QP ** lp) * (Y if lp == 0 else V),
-    "d": lambda l, lp: (PP ** l) * (QP ** lp) * (Y if lp == 0 else V),
-    "b": lambda l, lp: (PM ** l) * (QM ** lp) * (X if lp == 0 else U),
-    "c": lambda l, lp: (PM ** (l + 1)) * (QM ** lp) * (X if lp == 0 else U),
+    "a": _master_y,
+    "d": _master_y,
+    "b": _master_x,
+    "c": lambda l, lp: PM * _master_x(l, lp),
     "e": lambda l: as_poly(X) if l == 0 else (QM ** l) * U,
 }
 
@@ -798,13 +809,12 @@ _register(TheoremCase(
 def _perm_pqj2_gamma(n):
     if n == 0:
         return LAM * _w(0)
-    return ((PM2 ** (n - 1)) * X2 + QM2 * pqint(n - 1, PM2, QM2) * U2) \
-        + n * (PP2 ** (n - 1)) * Y2 + LAM * (S_ ** n) * _w(n)
+    return _pq_coeff(n, PM2, QM2, X2, U2) + n * (PP2 ** (n - 1)) * Y2 \
+        + LAM * (S_ ** n) * _w(n)
 
 
 def _perm_pqj2_beta(n):
-    return (LAM + (n - 1)) \
-        * ((PM1 ** (n - 1)) * X1 + QM1 * pqint(n - 1, PM1, QM1) * U1) \
+    return (LAM + (n - 1)) * _pq_coeff(n, PM1, QM1, X1, U1) \
         * (PP1 ** (n - 1)) * Y1
 
 
@@ -825,7 +835,7 @@ _register(TheoremCase(
     8,
     poly=_poly("perm", weight="seven-var-cyc"),
     alpha=_alt(lambda k: (LAM + (k - 1)) * (PP ** (k - 1)) * Y,
-               lambda k: (PM ** (k - 1)) * X + QM * pqint(k - 1, PM, QM) * U),
+               lambda k: _pq_coeff(k, PM, QM, X, U)),
 ))
 
 
@@ -924,8 +934,7 @@ _register(TheoremCase(
 ))
 
 _ca_pq_alpha = lambda m: \
-    ((PM1 ** (m - 1)) * X1 + QM1 * pqint(m - 1, PM1, QM1) * U1) \
-    * ((PP1 ** (m - 1)) * Y1 + QP1 * pqint(m - 1, PP1, QP1) * V1)
+    _pq_coeff(m, PM1, QM1, X1, U1) * _pq_coeff(m, PP1, QP1, Y1, V1)
 
 _register(TheoremCase(
     "perm.ca.pq.S", "SFraction",
@@ -962,8 +971,7 @@ _register(TheoremCase(
     4,
     poly=_poly("perm", family="cycle_alternating", weight="big-cyc",
                subst={"v1": Y1, "qp1": PP1}, double=True),
-    alpha=lambda m: (LAM + (m - 1))
-        * ((PM1 ** (m - 1)) * X1 + QM1 * pqint(m - 1, PM1, QM1) * U1)
+    alpha=lambda m: (LAM + (m - 1)) * _pq_coeff(m, PM1, QM1, X1, U1)
         * (PP1 ** (m - 1)) * Y1,
 ))
 
@@ -1140,12 +1148,11 @@ def _sp_j_beta(n):
 def _sp_pqj_gamma(n):
     if n == 0:
         return as_poly(X1)
-    return (R_ ** n) * X1 + (P1 ** (n - 1)) * Y1 \
-        + Q1 * pqint(n - 1, P1, Q1) * V1
+    return (R_ ** n) * X1 + _pq_coeff(n, P1, Q1, Y1, V1)
 
 
 def _sp_pqj_beta(n):
-    return X2 * ((P2 ** (n - 1)) * Y2 + Q2 * pqint(n - 1, P2, Q2) * V2)
+    return X2 * _pq_coeff(n, P2, Q2, Y2, V2)
 
 
 _SP_J_FROM_PQ = {"p1": 1, "p2": 1, "q1": 1, "q2": 1, "r": 1}
@@ -1174,9 +1181,9 @@ _register(TheoremCase(
     extra=(_j_coherence(
         "derived from the first master J-fraction",
         *_sp_master_cf(
-            lambda l, lp: (P2 ** l) * (Q2 ** lp) * (Y2 if lp == 0 else V2),
+            _pq_master(P2, Q2, Y2, V2),
             lambda l: X2,
-            lambda l, lp: (P1 ** l) * (Q1 ** lp) * (Y1 if lp == 0 else V1),
+            _pq_master(P1, Q1, Y1, V1),
             lambda l: (R_ ** l) * X1)),),
 ))
 
@@ -1190,7 +1197,7 @@ _register(TheoremCase(
     9,
     poly=_poly("setpart", weight="pq-eleven", subst=_SP_PQ_S_SPEC),
     alpha=_alt(lambda k: (R_ ** (k - 1)) * X,
-               lambda k: (P_ ** (k - 1)) * Y + Q_ * pqint(k - 1, P_, Q_) * V),
+               lambda k: _pq_coeff(k, P_, Q_, Y, V)),
 ))
 
 _register(TheoremCase(
@@ -1322,8 +1329,7 @@ _match4_alpha = _alt(lambda k: X + (2 * k - 2) * U,
                      lambda k: Y + (2 * k - 1) * V)
 
 _match_pq_alpha = lambda m: \
-    ((PM ** (m - 1)) * X + QM * pqint(m - 1, PM, QM) * U) if m % 2 else \
-    ((PP ** (m - 1)) * Y + QP * pqint(m - 1, PP, QP) * V)
+    _pq_coeff(m, PM, QM, X, U) if m % 2 else _pq_coeff(m, PP, QP, Y, V)
 
 _MATCH4_FROM_PQ = {"pp": 1, "pm": 1, "qp": 1, "qm": 1}
 

@@ -141,19 +141,46 @@ def test_expand_registered():
 
 def test_dp_expansion_matches_series_sfraction():
     x, u = var("x"), var("u")
-    alpha = lambda n: x + (n - 1) * u
-    for order in range(7):
-        assert expand_sfraction(alpha, order) \
-            == nested_sfraction(alpha, order)
+    # the second alpha terminates: it is zero from height 3 on
+    for alpha in (lambda n: x + (n - 1) * u,
+                  lambda n: x + (n - 1) * u if n < 3 else 0):
+        for order in range(9):
+            assert expand_sfraction(alpha, order) \
+                == nested_sfraction(alpha, order)
 
 
 def test_dp_expansion_matches_series_jfraction():
     y, v = var("y"), var("v")
-    gamma = lambda n: (n + 1) * y
     beta = lambda n: n * v + n * n
-    for order in range(8):
-        assert expand_jfraction(gamma, beta, order) \
-            == nested_jfraction(gamma, beta, order)
+    # the second gamma is zero at every odd height
+    for gamma in (lambda n: (n + 1) * y,
+                  lambda n: 0 if n % 2 else (n + 1) * y):
+        for order in range(9):
+            assert expand_jfraction(gamma, beta, order) \
+                == nested_jfraction(gamma, beta, order)
+
+
+def test_pq_closed_form_and_master_specialisation_are_independent(
+        monkeypatch):
+    # The coherence extras compare _star of the master specialisation
+    # with the closed form; that proves something only while neither is
+    # built from the other.
+    p, q, x, u = (var(f) for f in ("p_ind", "q_ind", "x_ind", "u_ind"))
+    ks = range(1, 7)
+    master = theorems._pq_master(p, q, x, u)
+    closed = [theorems._pq_coeff(k, p, q, x, u) for k in ks]
+    assert closed == [theorems._star(master, k - 1) for k in ks]
+
+    def refuse(*args):
+        raise AssertionError("built from the other route")
+
+    with monkeypatch.context() as m:
+        m.setattr(theorems, "_star", refuse)
+        m.setattr(theorems, "_pq_master", refuse)
+        assert [theorems._pq_coeff(k, p, q, x, u) for k in ks] == closed
+    with monkeypatch.context() as m:
+        m.setattr(theorems, "pqint", refuse)
+        assert [theorems._star(master, k - 1) for k in ks] == closed
 
 
 def test_registry_expansions_match_nested_oracle():
