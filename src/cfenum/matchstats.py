@@ -57,6 +57,8 @@ class Matching:
         return self.partner[i]
 
     def __eq__(self, other):
+        if not isinstance(other, Matching):
+            return NotImplemented
         return self.partner == other.partner
 
     def __hash__(self):

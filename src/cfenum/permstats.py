@@ -44,14 +44,14 @@ ObjectKind = namedtuple(
 ObjectKind.__doc__ = """One object type as the enumeration core sees it.
 
 `objects(n)` yields the objects of size n.  `tally(n)` returns the
-signature histogram of all of them as a Counter, visiting each object
-once: for permutations it runs `kernel` on each object of `objects(n)`;
-set partitions and matchings are grown left to right, objects with a
-common prefix share its work, and no object is built.  `kernel(x)` returns
-(counts, records): the `ncounts` totals that no profile gives, and one
-profile record per index, a list of `width` small ints.  `profile(*record)`
-builds the profile a weight map reads, and `totals(profiles, *counts)` the
-totals object, whose cc (connected components) `zeta_cc_weight` reads.
+signature histogram of all of them as a Counter, the same as `signature`
+on each object of `objects(n)`: the objects are grown left to right,
+objects with a common prefix share its work, and no object is built.
+`kernel(x)` returns (counts, records): the `ncounts` totals that no
+profile gives, and one profile record per index, a list of `width` small
+ints.  `profile(*record)` builds the profile a weight map reads, and
+`totals(profiles, *counts)` the totals object, whose cc (connected
+components) `zeta_cc_weight` reads.
 `weights` maps weight-map ids to weight maps (profiles, totals) ->
 Monomial, most of them marked by `factors`, and `family(key)` resolves a
 family id to its filter (profiles, totals) -> bool, or None to keep every
@@ -227,6 +227,8 @@ class Permutation:
         return Permutation(self.inv_oneline, _trusted=True)
 
     def __eq__(self, other):
+        if not isinstance(other, Permutation):
+            return NotImplemented
         return self.oneline == other.oneline
 
     def __hash__(self):
@@ -626,7 +628,75 @@ def iter_permutations(n):
 
 
 def _perm_tally(n):
-    return Counter(map(partial(signature, PERM), iter_permutations(n)))
+    """Signature histogram of S_n, grown index by index: step i picks
+    sigma(i) = v among the unused values, and `used` has bit u set for
+    each value u of sigma(1..i-1).  Index i's record is final at step i,
+    as the values after it are exactly the unused ones.
+
+    i is a record when v exceeds the prefix maximum, and an antirecord
+    when v is the smallest unused value.  The value i is used iff
+    sigma^-1(i) < i, which splits the cycle valleys from the double rises
+    and the cycle peaks from the double falls.  ucross and unest count
+    used values in (i, v) and above v; lcross and lnest count unused
+    values in (v, i) and below v; lev counts used values above i.  z is
+    the unest stored at index sigma^-1(i).  inv gains the used values
+    above v.  The edges i -> sigma(i) placed so far form paths, and
+    head[t] is the first index of the path whose last index is t, tail[h]
+    the last of the path whose first is h; the edge i -> v closes a cycle
+    when v is the head of i's path, and else joins the two paths.  cc
+    counts the steps after which the prefix maximum is i."""
+    hist = Counter()
+    done = []  # the records of indices 1..i-1
+    pos = [0] * (n + 1)  # pos[v] = sigma^-1(v), for used values v
+    unest = [0] * (n + 1)
+    head = list(range(n + 1))
+    tail = list(range(n + 1))
+    full = (1 << (n + 1)) - 2  # the values 1..n
+
+    def step(i, used, pmax, cyc, inv, cc):
+        if i > n:
+            key = pack((cyc, inv, cc), done)
+            hist[key] = hist.get(key, 0) + 1
+            return
+        below_i = (used & ((1 << i) - 1)).bit_count()
+        above_i = (used >> (i + 1)).bit_count()
+        i_used = used >> i & 1
+        h = head[i]
+        free = full & ~used
+        while free:
+            bit = free & -free
+            free ^= bit
+            v = bit.bit_length() - 1
+            low = used & (bit - 1)
+            # index into _RECORD_CLASSES: 1 if a smaller value is unused,
+            # plus 2 if v is below the prefix maximum
+            rc = (low != bit - 2) + 2 * (v < pmax)
+            above_v = (used >> (v + 1)).bit_count()
+            z = 0
+            if v == i:
+                cls, x, y = _FIX, above_i, 0
+            elif v > i:
+                cls = _CDRISE if i_used else _CVAL
+                x, y = above_i - above_v, above_v
+                if i_used:
+                    z = unest[pos[i]]
+                unest[i] = y
+            else:
+                below_v = low.bit_count()
+                cls = _CPEAK if i_used else _CDFALL
+                x, y = i - 1 - v - (below_i - below_v), v - 1 - below_v
+            pos[v] = i
+            done.append(bytes((4 * cls + rc, x, y, z)))
+            top = v if v > pmax else pmax
+            t = tail[v]  # i when h == v, and then the join changes nothing
+            head[t], tail[h] = h, t
+            step(i + 1, used | bit, top, cyc + (h == v), inv + above_v,
+                 cc + (top == i))
+            head[t], tail[h] = v, i
+            done.pop()
+
+    step(1, 0, 0, 0, 0, 0)
+    return hist
 
 
 # inv reaches n(n-1)/2, which is 253 at n = 23

@@ -51,6 +51,8 @@ class SetPartition:
         self.arcs = tuple(arcs)
 
     def __eq__(self, other):
+        if not isinstance(other, SetPartition):
+            return NotImplemented
         return self.blocks == other.blocks
 
     def __hash__(self):

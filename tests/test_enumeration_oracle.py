@@ -1,11 +1,15 @@
 """Differential tests: the signature-histogram enumeration against the
 per-object reference loop of enum_oracle, exhaustively at small n."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
 from functools import partial
 
 import pytest
 
+import cfenum
 from cfenum import theorems
 from cfenum.mpoly import ExponentError, as_poly, monomial
 from cfenum.permstats import (PERM, IndexProfile, decode,
@@ -111,7 +115,8 @@ def test_weight_map_must_return_a_monomial():
 
 @pytest.mark.parametrize("kind, n_max, sizes", [
     (SETPART, 8, [1, 1, 2, 5, 15, 52, 203, 877, 4140]),  # Bell numbers
-    (MATCH, 6, [1, 1, 3, 15, 105, 945, 10395])])  # (2n-1)!!
+    (MATCH, 6, [1, 1, 3, 15, 105, 945, 10395]),  # (2n-1)!!
+    (PERM, 7, [1, 1, 2, 6, 24, 120, 720, 5040])])  # n!
 def test_tally_matches_per_object(kind, n_max, sizes):
     # the fused tally against the kernel run on every object, every key
     # and every count
@@ -119,6 +124,20 @@ def test_tally_matches_per_object(kind, n_max, sizes):
         hist = kind.tally(n)
         assert hist == Counter(signature(kind, x) for x in kind.objects(n)), n
         assert sum(hist.values()) == sizes[n]
+
+
+def test_enumeration_side_imports_no_fraction_side():
+    # the enumeration stays an oracle for the fractions only while it never
+    # reaches the path DP, the series or the registry
+    code = ("import sys, cfenum.permstats, cfenum.setpartstats, "
+            "cfenum.matchstats; print(' '.join(sorted(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(cfenum.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "cfenum.permstats" in out
+    for name in ("cfenum.paths", "cfenum.series", "cfenum.theorems"):
+        assert name not in out
 
 
 @pytest.mark.parametrize("obj", ["perm", "setpart", "match"])

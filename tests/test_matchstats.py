@@ -29,6 +29,13 @@ def test_matching_construction():
         matching_from_pairs([(1, 3)])
 
 
+def test_compare_with_other_types():
+    m = matching_from_pairs([(1, 3), (2, 4)])
+    assert m != 1 and not m == None  # noqa: E711
+    assert m not in [None, 3, m.partner]
+    assert m in [None, matching_from_pairs([(2, 4), (1, 3)])]
+
+
 def test_stat_totals_examples():
     t = stat_totals(MATCH, Matching([(1, 2)]))
     assert t.ecpar == 1 and t.ocvr == 1

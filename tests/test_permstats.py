@@ -32,6 +32,12 @@ def test_inverse():
     assert inv.inverse() == FIG3
 
 
+def test_compare_with_other_types():
+    assert FIG3 != 1 and not FIG3 == None  # noqa: E711
+    assert FIG3 not in [None, 3, (5, 6, 1, 4, 2, 7, 3)]
+    assert FIG3 in [None, perm_from_oneline([5, 6, 1, 4, 2, 7, 3])]
+
+
 def test_index_profile_identity():
     for p in perm_index_profile(perm_from_oneline([1, 2, 3])):
         assert p.cycle_class == "fix"

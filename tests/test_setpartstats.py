@@ -28,6 +28,12 @@ def test_setpart_from_blocks():
         setpart_from_blocks([[1, 3]])
 
 
+def test_compare_with_other_types():
+    assert FIG9 != 1 and not FIG9 == None  # noqa: E711
+    assert FIG9 not in [None, 3, FIG9.blocks]
+    assert FIG9 in [None, setpart_from_blocks([[2, 4, 5], [1, 3, 6]])]
+
+
 def test_index_profile_examples():
     prof = sp_index_profile(setpart_from_blocks([[1, 2]]))
     assert prof[0].element_class == "opener"

@@ -1,6 +1,6 @@
 """Write a BENCH_<n>.json: the bench/run.py medians of a base revision and
-of the working tree, from alternating pairs, with one Tier-1 wall time and
-the src/cfenum line counts.
+of the working tree, from alternating pairs, with one Tier-1 wall time, its
+eight slowest tests and the src/cfenum line counts.
 
     python3 tools/bench_json.py --base REV --seed SEED --out BENCH_6.json
 
@@ -9,7 +9,8 @@ base revision is exported with `git archive` into a temporary directory;
 the change is the working tree.  Pair i of the ten runs every workload of
 bench/run.py on both trees with seed SEED+i, the base first in even pairs
 and the change first in odd ones.  Choose a SEED whose ten seeds were not
-used while writing the change.  Tier-1 runs once, on the change.
+used while writing the change.  Tier-1 runs once, on the change, with
+pytest's --durations=8, whose lines become tier1.slowest.
 """
 
 import argparse
@@ -28,7 +29,9 @@ PAIRS = 10
 WORKLOADS = ("master-verify", "registry-sweep", "expand-master")
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 TIER1 = [sys.executable, "-m", "pytest", "-q",
-         "--continue-on-collection-errors"]
+         "--continue-on-collection-errors", "--durations=8"]
+# a --durations line: "17.52s call     tests/test_x.py::test_y"
+DURATION = re.compile(r"^(\d+\.\d+)s (\w+) +(\S+)$", re.M)
 
 
 def git(*args):
@@ -78,11 +81,15 @@ def tier1(tree):
     wall = time.monotonic() - t0
     last = proc.stdout.strip().splitlines()[-1] if proc.stdout else ""
     counts = {k: int(v) for v, k in re.findall(r"(\d+) (\w+)", last)}
+    slowest = [{"test": test if phase == "call" else
+                "%s (%s)" % (test, phase), "seconds": float(seconds)}
+               for seconds, phase, test in DURATION.findall(proc.stdout)]
     return {"command": "PYTHONPATH=src python -m pytest -q "
-                       "--continue-on-collection-errors",
+                       "--continue-on-collection-errors --durations=8",
             "wall_s": wall, "summary": last,
             "passed": counts.get("passed", 0),
-            "failed": counts.get("failed", 0)}
+            "failed": counts.get("failed", 0),
+            "slowest": slowest}
 
 
 def main():
