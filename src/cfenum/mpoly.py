@@ -17,9 +17,10 @@ field, and a guard bit set in a sum is an exponent over the limit.
 from array import array
 from decimal import Decimal
 from fractions import Fraction
+from functools import reduce
 from itertools import compress, count
 import json
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, or_
 import re
 import sys
 
@@ -75,6 +76,8 @@ class Indeterminate:
         return self is other
 
     def __lt__(self, other):
+        if not isinstance(other, Indeterminate):
+            return NotImplemented
         return self._key < other._key
 
     def __repr__(self):
@@ -192,7 +195,10 @@ class Monomial:
         return hash(self._packed)
 
     def __eq__(self, other):
-        return self._packed == other._packed
+        try:  # not isinstance: every dict lookup of MultiPoly.__eq__ runs this
+            return self._packed == other._packed
+        except AttributeError:
+            return NotImplemented
 
     @property
     def exps(self):
@@ -246,6 +252,43 @@ def sum_of_products(rows, factor):
                 _checked(packed)
         acc[packed] = acc.get(packed, 0) + count
     return MultiPoly({_wrap(k): c for k, c in acc.items() if c})
+
+
+def add_product(acc, a, b):
+    """Add a*b into acc, all three dicts from packed monomials to
+    coefficients: the one multiplication loop.  Sums are not range-checked
+    and zero coefficients stay in acc, for checked_terms to handle once
+    per term (a field cannot carry, so a product of two checked keys above
+    the limit keeps its guard bit)."""
+    if len(a) < len(b):
+        a, b = b, a
+    a = a.items()
+    for k2, c2 in b.items():
+        for k1, c1 in a:
+            k = k1 + k2
+            acc[k] = acc.get(k, 0) + c1 * c2
+
+
+def checked_terms(terms):
+    """terms without its zero coefficients, after a range check of every
+    key: the keys' union has a guard bit set exactly when one of them
+    does, and _checked names that key's exponent."""
+    if 0 in terms.values():
+        terms = {k: c for k, c in terms.items() if c}
+    if reduce(or_, terms, 0) & _guard:
+        for k in terms:
+            _checked(k)
+    return terms
+
+
+def packed(obj):
+    """{packed int: coefficient} of what as_poly makes of obj."""
+    return {m._packed: c for m, c in as_poly(obj).terms.items()}
+
+
+def from_packed(terms):
+    """The MultiPoly of checked_terms' {packed int: coefficient}."""
+    return MultiPoly({_wrap(k): c for k, c in terms.items()})
 
 
 def as_poly(obj):
@@ -319,41 +362,23 @@ class MultiPoly:
         return as_poly(other) + (-self)
 
     def __mul__(self, other):
-        other = as_poly(other)
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return MultiPoly({})
-        if len(a) < len(b):
-            a, b = b, a
-        # products of packed ints, keyed by int; range-checked once per
-        # result term (a field cannot carry, so a product above the limit
-        # keeps its guard bit in its term)
-        a = [(m._packed, c) for m, c in a.items()]
         out = {}
-        for m2, c2 in b.items():
-            k2 = m2._packed
-            for k1, c1 in a:
-                k = k1 + k2
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
-        return MultiPoly({_wrap(_checked(k)): c for k, c in out.items()})
+        add_product(out, packed(self), packed(other))
+        return from_packed(checked_terms(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = MultiPoly.one()
+        result = None  # not 1: a product by 1 is still a product
         base = self
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if e > 1 else base
             e >>= 1
-        return result
+        return MultiPoly.one() if result is None else result
 
     def coeff_of(self, m):
         """Exact coefficient of monomial m (0 if absent)."""
@@ -383,16 +408,17 @@ class MultiPoly:
         out = MultiPoly({})
         for m, c in self.terms.items():
             term = as_poly(c)
+            kept = []  # the symbolic factors, multiplied in as one monomial
             for v, e in m.exps:
                 img = cache.get(v, False)
                 if img is False:
                     img = image(v)
                     cache[v] = img
                 if img is None:
-                    term = term * as_poly(Monomial(((v, e),)))
+                    kept.append((v, e))
                 else:
                     term = term * img ** e
-            out = out + term
+            out = out + (term * Monomial(kept) if kept else term)
         return out
 
     def evaluate(self, point, default=None):

@@ -9,10 +9,12 @@ weighted Motzkin paths.  An S-fraction in t is the J-fraction in u with
 t = u^2, all g zero and b = a, so it is expanded by the same engine.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 
-from .mpoly import MultiPoly, as_poly
+from .mpoly import (MultiPoly, add_product, as_poly, checked_terms,
+                    from_packed, packed)
 
 
 class NonUnitConstantTerm(ValueError):
@@ -48,7 +50,10 @@ def reciprocal(coeffs):
 # the weighted sum of the path prefixes of the current length that end at
 # height h.  Unlike nested series reciprocals, the intermediate polynomial
 # sizes are bounded by the weighted counts of path prefixes, which keeps
-# symbolic master weights tractable.
+# symbolic master weights tractable.  Each state[h] is a dict of packed
+# monomials (see mpoly); a step adds w*gamma(h), w and w*beta(h) into the
+# next heights' dicts in place, then drops zeros and range-checks every
+# key once.  Only the coefficient of t^j becomes a MultiPoly.
 
 def expand_sfraction(alpha, order):
     """Taylor coefficients of the S-fraction through t^order: the
@@ -61,22 +66,23 @@ def expand_jfraction(gamma, beta, order):
     """Taylor coefficients of the J-fraction through t^order: Motzkin
     paths with level steps at height h weighted gamma(h) and falls from
     height h weighted beta(h)."""
-    g = cache(lambda h: as_poly(gamma(h)))
-    b = cache(lambda h: as_poly(beta(h)))
+    g = cache(lambda h: packed(gamma(h)))
+    b = cache(lambda h: packed(beta(h)))
+    one = {0: 1}
     coeffs = [MultiPoly.one()]
-    state = {0: MultiPoly.one()}
+    state = {0: one}
     for j in range(1, order + 1):
-        nxt = {}
+        top = order - j  # a path above top cannot return to 0 in time
+        nxt = defaultdict(dict)
         for h, w in state.items():
-            if g(h):
-                nxt[h] = nxt.get(h, MultiPoly.zero()) + w * g(h)
-            if h < order - j:
-                nxt[h + 1] = nxt.get(h + 1, MultiPoly.zero()) + w
-            if h > 0:
-                nxt[h - 1] = nxt.get(h - 1, MultiPoly.zero()) + w * b(h)
-        # a path above height order - j cannot return to 0 in time
-        state = {h: w for h, w in nxt.items() if w and h <= order - j}
-        coeffs.append(state.get(0, MultiPoly.zero()))
+            if h <= top:
+                add_product(nxt[h], w, g(h))
+            if h < top:
+                add_product(nxt[h + 1], w, one)
+            if h:
+                add_product(nxt[h - 1], w, b(h))
+        state = {h: checked_terms(terms) for h, terms in nxt.items()}
+        coeffs.append(from_packed(state.get(0, {})))
     return coeffs
 
 

@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -83,6 +84,29 @@ def test_expand(runner):
     res = _run(runner, ["expand", "--theorem", "perm.euler.factorial",
                         "--order", "-1"])
     assert res.exit_code == 2
+
+
+# (entry, order, sha256 of the coefficient texts joined by newlines),
+# recorded from the expansion by MultiPoly products (commit 76f7e77)
+EXPAND_DIGESTS = (
+    ("perm.masterJ1", 6,
+     "30dbea0b2d269a8c7cbc44ce021c56f1335845e2d8c7e0d49b027a9232b289da"),
+    ("sp.masterJ1", 7,
+     "99c9efe156e736a811a5676b51c48773d0b1a52e1eaca0cd908e9d36d2de382d"),
+    ("match.master.S", 5,
+     "2f9667422c44bc0fcb724b94e1ad9557a72ee2a40238f306a1521f4e494eecbc"),
+    ("match.pq.S", 7,
+     "44cfa587e49423f849b913b7797a8b43d4dbd75109793f758d4a1bafbaed183f"),
+)
+
+
+@pytest.mark.parametrize("tid, order, digest", EXPAND_DIGESTS)
+def test_expand_symbolic_output_is_pinned(runner, tid, order, digest):
+    res = _run(runner, ["expand", "--theorem", tid, "--order", str(order)])
+    assert res.exit_code == 0
+    coeffs = json.loads(res.output)["coefficients"]
+    assert len(coeffs) == order + 1
+    assert hashlib.sha256("\n".join(coeffs).encode()).hexdigest() == digest
 
 
 def test_enumerate(runner):

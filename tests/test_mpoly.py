@@ -28,6 +28,8 @@ def test_operator_overloading():
     p = (x + y) * (x - y)
     assert p == x * x - y * y
     assert (x + 1) ** 2 == x * x + 2 * x + 1
+    assert (x + 1) ** 0 == 1 and (x + 1) ** 1 == x + 1
+    assert (x - 1) ** 5 == (x - 1) ** 2 * (x - 1) ** 3
     assert 3 * x - x - x - x == as_poly(0)
 
 
@@ -124,6 +126,19 @@ def test_evaluate_fractions():
     p = x * y + 2
     assert p.evaluate({x: Fraction(1, 2), y: Fraction(1, 3)}) \
         == Fraction(13, 6)
+
+
+def test_compare_with_other_types():
+    x, y = var("x"), var("y")
+    m = Monomial({x: 1})
+    assert not m == 1 and m != 1 and m != "x"
+    assert m not in [None, 3] and m in [None, m]
+    assert Monomial() != 1  # the constant monomial is not the int 1
+    assert x != 1 and x not in [None, 3]
+    for other in (1, "x", None):
+        with pytest.raises(TypeError):
+            x < other
+    assert x < y and sorted([y, x]) == [x, y]
 
 
 def test_monomial_ordering_is_stable():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cfenum.mpoly import MultiPoly, as_poly, var
+from cfenum.mpoly import ExponentError, MultiPoly, as_poly, var
 from cfenum.series import (InsufficientOrder, NonUnitConstantTerm,
                            TerminatedFraction, attach_component_weight,
                            expand_jfraction, expand_sfraction,
@@ -86,6 +86,16 @@ def test_contraction_matches_direct_expansion():
         gamma = lambda n, a=alpha: a(1) if n == 0 else a(2 * n) + a(2 * n + 1)
         beta = lambda n, a=alpha: a(2 * n - 1) * a(2 * n)
         assert expand_sfraction(alpha, 8) == expand_jfraction(gamma, beta, 8)
+
+
+def test_expansion_range_checks_every_step():
+    # b_1^2 = x^40000 first appears on the path UDUD: the path DP
+    # range-checks its state after every step
+    x = var("x")
+    with pytest.raises(ExponentError, match="exponent 40000 of x"):
+        expand_sfraction(lambda n: x ** 20000, 2)
+    assert expand_sfraction(lambda n: x ** 16000, 2)[2] \
+        == 2 * as_poly(x) ** 32000
 
 
 def test_attach_component_weight():

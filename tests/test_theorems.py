@@ -160,6 +160,21 @@ def test_dp_expansion_matches_series_jfraction():
                 == nested_jfraction(gamma, beta, order)
 
 
+def test_dp_expansion_matches_series_with_cancelling_weights():
+    # multi-term weights with negative coefficients, so path weights
+    # cancel inside the DP's sums; alpha, also as a gamma, cancels some
+    # terms to exactly zero
+    x, y = var("x"), var("y")
+    beta = lambda n: y - x + n
+    alpha = lambda n: x - y if n % 2 else y - x
+    for order in range(9):
+        for gamma in (lambda n: (x - y) * (n + 1) - 1, alpha):
+            assert expand_jfraction(gamma, beta, order) \
+                == nested_jfraction(gamma, beta, order)
+        assert expand_sfraction(alpha, order) \
+            == nested_sfraction(alpha, order)
+
+
 def test_pq_closed_form_and_master_specialisation_are_independent(
         monkeypatch):
     # The coherence extras compare _star of the master specialisation

@@ -11,6 +11,14 @@ bench/run.py on both trees with seed SEED+i, the base first in even pairs
 and the change first in odd ones.  Choose a SEED whose ten seeds were not
 used while writing the change.  Tier-1 runs once, on the change, with
 pytest's --durations=8, whose lines become tier1.slowest.
+
+Per workload, better_pairs counts for each metric the pairs in which the
+change reads lower (ties count for neither side; every metric is lower-is-
+better), and median_gap_exceeds_base_iqr is true where the two medians
+differ by more than the base's q3 - q1.  A gain is claimed only where the
+change wins nine pairs in ten and the gap exceeds the base's spread.
+wall_s_change_faster_pairs repeats better_pairs["wall_s"], the key that
+BENCH_6..13.json carry.
 """
 
 import argparse
@@ -73,6 +81,21 @@ def summary(rows):
     return out
 
 
+def compare(base_rows, change_rows):
+    """One workload's entry: both summaries, the pairs the change wins per
+    metric, and whether each median gap exceeds the base's spread."""
+    base, change = summary(base_rows), summary(change_rows)
+    better = {k: sum(c[k] < b[k] for b, c in zip(base_rows, change_rows))
+              for k in METRICS}
+    return {"base": base, "change": change,
+            "wall_s_change_faster_pairs": better["wall_s"],
+            "better_pairs": better,
+            "median_gap_exceeds_base_iqr": {
+                k: abs(change[k]["median"] - base[k]["median"])
+                > base[k]["q3"] - base[k]["q1"] for k in METRICS},
+            "runs": {"base": base_rows, "change": change_rows}}
+
+
 def tier1(tree):
     env = dict(os.environ, PYTHONPATH="src")
     t0 = time.monotonic()
@@ -130,13 +153,7 @@ def main():
         "workloads": {},
     }
     for w in WORKLOADS:
-        base_rows, change_rows = rows[w]["base"], rows[w]["change"]
-        report["workloads"][w] = {
-            "base": summary(base_rows), "change": summary(change_rows),
-            "wall_s_change_faster_pairs": sum(
-                c["wall_s"] < b["wall_s"]
-                for b, c in zip(base_rows, change_rows)),
-            "runs": {"base": base_rows, "change": change_rows}}
+        report["workloads"][w] = compare(rows[w]["base"], rows[w]["change"])
     report["tier1"] = tier1(change)
     with open(args.out, "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
