@@ -11,7 +11,7 @@ from bisect import bisect_left, insort
 from collections import Counter, namedtuple
 from functools import partial
 
-from .mpoly import Indeterminate, Monomial, MultiPoly, monomial
+from .mpoly import Indeterminate, Monomial, monomial, sum_of_products
 from .permstats import ObjectKind, factors, is_indecomposable, lookup, \
     pack, unit_weight, zeta_cc_weight
 
@@ -218,11 +218,8 @@ def touchard_riordan(n):
     if back != orig:
         raise InexactDivision("division by (1-p)^%d is not exact" % n)
     p = Indeterminate("p")
-    total = MultiPoly({})
-    for k, c in enumerate(coeffs):
-        if c:
-            total = total + MultiPoly({Monomial({p: k}): c})
-    return total
+    return sum_of_products((((k,), c) for k, c in enumerate(coeffs)),
+                           lambda k: Monomial({p: k}))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Indeterminates belong to named indexed families created lazily: a plain
 variable like x1 has no indices, w[3] has one index, a[0,2] has two.  A
-polynomial is a dict from monomials to nonzero integer coefficients, so all
-arithmetic is exact and there is no overflow.
+polynomial is a dict from packed monomials to nonzero integer
+coefficients, so all arithmetic is exact and there is no overflow.
 
 A monomial is a packed exponent vector (Monagan and Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", 2007):
@@ -56,6 +56,10 @@ class Indeterminate:
         hit = _registry.get(key)
         if hit is not None:
             return hit
+        if not isinstance(family, str) \
+                or any(type(i) is not int for i in key[1]):
+            raise TypeError("an indeterminate is a family name and int "
+                            "indices, not %r" % (key,))
         self = object.__new__(cls)
         self.family = family
         self.indices = key[1]
@@ -174,6 +178,12 @@ def _checked(packed):
     return packed
 
 
+def _exps(packed):
+    """[(Indeterminate, exponent)] of a packed monomial in display
+    order."""
+    return _factors(_display(packed, _rank_codes()))
+
+
 class Monomial:
     """A product of indeterminate powers, packed into one int (see the
     module docstring).  Built from a dict or from (Indeterminate,
@@ -195,15 +205,14 @@ class Monomial:
         return hash(self._packed)
 
     def __eq__(self, other):
-        try:  # not isinstance: every dict lookup of MultiPoly.__eq__ runs this
-            return self._packed == other._packed
-        except AttributeError:
+        if not isinstance(other, Monomial):
             return NotImplemented
+        return self._packed == other._packed
 
     @property
     def exps(self):
         """((Indeterminate, exponent), ...) in display order."""
-        return tuple(_factors(_display(self._packed, _rank_codes())))
+        return tuple(_exps(self._packed))
 
     def __mul__(self, other):
         return _wrap(_checked(self._packed + other._packed))
@@ -221,9 +230,6 @@ def _wrap(packed):
     return m
 
 
-_ONE_MONO = Monomial()
-
-
 def monomial(pairs):
     """Monomial from (family, exponent) pairs.  A family is a name like
     "x" or a tuple like ("w", 3); zero exponents are dropped and repeated
@@ -238,7 +244,8 @@ def sum_of_products(rows, factor):
     product of the Monomials factor(key) over the row's keys.  factor is
     called once per distinct key; each product is a sum of packed ints,
     range-checked after every addition (as in Monomial), so no exponent
-    wraps, and each output term becomes one Monomial."""
+    wraps, even in a row whose count is 0 or cancels.  Zero coefficients
+    are dropped once, at the end."""
     packed_of = {}
     acc = {}
     for keys, count in rows:
@@ -251,7 +258,7 @@ def sum_of_products(rows, factor):
             if packed & _guard:
                 _checked(packed)
         acc[packed] = acc.get(packed, 0) + count
-    return MultiPoly({_wrap(k): c for k, c in acc.items() if c})
+    return MultiPoly({k: c for k, c in acc.items() if c})
 
 
 def add_product(acc, a, b):
@@ -271,24 +278,15 @@ def add_product(acc, a, b):
 
 def checked_terms(terms):
     """terms without its zero coefficients, after a range check of every
-    key: the keys' union has a guard bit set exactly when one of them
-    does, and _checked names that key's exponent."""
-    if 0 in terms.values():
-        terms = {k: c for k, c in terms.items() if c}
+    key, a key whose terms cancelled too: the keys' union has a guard bit
+    set exactly when one of them does, and _checked names that key's
+    exponent."""
     if reduce(or_, terms, 0) & _guard:
         for k in terms:
             _checked(k)
+    if 0 in terms.values():
+        terms = {k: c for k, c in terms.items() if c}
     return terms
-
-
-def packed(obj):
-    """{packed int: coefficient} of what as_poly makes of obj."""
-    return {m._packed: c for m, c in as_poly(obj).terms.items()}
-
-
-def from_packed(terms):
-    """The MultiPoly of checked_terms' {packed int: coefficient}."""
-    return MultiPoly({_wrap(k): c for k, c in terms.items()})
 
 
 def as_poly(obj):
@@ -298,16 +296,18 @@ def as_poly(obj):
     if isinstance(obj, MultiPoly):
         return obj
     if isinstance(obj, int) and not isinstance(obj, bool):
-        return MultiPoly({_ONE_MONO: obj} if obj else {})
+        return MultiPoly({0: obj} if obj else {})
     if isinstance(obj, Indeterminate):
-        return MultiPoly({Monomial(((obj, 1),)): 1})
+        return MultiPoly({1 << obj._shift: 1})
     if isinstance(obj, Monomial):
-        return MultiPoly({obj: 1})
+        return MultiPoly({obj._packed: 1})
     raise TypeError("cannot make a polynomial from %r" % (obj,))
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial with integer coefficients."""
+    """Sparse multivariate polynomial with integer coefficients: terms is
+    a dict from packed monomials (ints, see the module docstring) to
+    nonzero coefficients."""
 
     __slots__ = ("terms",)
 
@@ -315,15 +315,11 @@ class MultiPoly:
         self.terms = terms if terms is not None else {}
 
     @staticmethod
-    def zero():
-        return MultiPoly({})
-
-    @staticmethod
     def one():
-        return MultiPoly({_ONE_MONO: 1})
+        return MultiPoly({0: 1})
 
     def constant_term(self):
-        return self.terms.get(_ONE_MONO, 0)
+        return self.terms.get(0, 0)
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -363,8 +359,8 @@ class MultiPoly:
 
     def __mul__(self, other):
         out = {}
-        add_product(out, packed(self), packed(other))
-        return from_packed(checked_terms(out))
+        add_product(out, self.terms, as_poly(other).terms)
+        return MultiPoly(checked_terms(out))
 
     __rmul__ = __mul__
 
@@ -382,7 +378,7 @@ class MultiPoly:
 
     def coeff_of(self, m):
         """Exact coefficient of monomial m (0 if absent)."""
-        return self.terms.get(m, 0)
+        return self.terms.get(m._packed, 0)
 
     def substitute(self, subs):
         """Simultaneous substitution of indeterminates by polynomials.
@@ -405,21 +401,21 @@ class MultiPoly:
             return as_poly(rule)
 
         cache = {}
-        out = MultiPoly({})
-        for m, c in self.terms.items():
+        acc = {}
+        for k, c in self.terms.items():
             term = as_poly(c)
-            kept = []  # the symbolic factors, multiplied in as one monomial
-            for v, e in m.exps:
+            kept = 0  # the symbolic factors, multiplied in as one monomial
+            for v, e in _exps(k):
                 img = cache.get(v, False)
                 if img is False:
                     img = image(v)
                     cache[v] = img
                 if img is None:
-                    kept.append((v, e))
+                    kept += e << v._shift
                 else:
                     term = term * img ** e
-            out = out + (term * Monomial(kept) if kept else term)
-        return out
+            add_product(acc, term.terms, {kept: 1})
+        return MultiPoly(checked_terms(acc))
 
     def evaluate(self, point, default=None):
         """Evaluate at a numeric point (dict Indeterminate -> number).
@@ -429,9 +425,9 @@ class MultiPoly:
         """
         total = Fraction(0) if any(
             isinstance(x, Fraction) for x in point.values()) else 0
-        for m, c in self.terms.items():
+        for k, c in self.terms.items():
             term = c
-            for v, e in m.exps:
+            for v, e in _exps(k):
                 if v in point:
                     x = point[v]
                 elif default is not None:
@@ -444,22 +440,20 @@ class MultiPoly:
 
     def indeterminates(self):
         """Sorted list of all indeterminates appearing in the polynomial."""
-        union = 0
-        for m in self.terms:
-            union |= m._packed
-        return [v for v, _ in _factors(_display(union, _rank_codes()))]
+        return [v for v, _ in _exps(reduce(or_, self.terms, 0))]
 
     def _display_terms(self):
-        """[(display key, monomial, coefficient)] in monomial order, each
-        term decoded once."""
+        """[(display key, packed monomial, coefficient)] in monomial
+        order, each term decoded once."""
         rank_code = _rank_codes()
-        rows = [(_display(m._packed, rank_code), m, c)
-                for m, c in self.terms.items()]
+        rows = [(_display(k, rank_code), k, c)
+                for k, c in self.terms.items()]
         rows.sort(key=itemgetter(0))
         return rows
 
     def sorted_terms(self):
-        return [(m, c) for _, m, c in self._display_terms()]
+        """[(Monomial, coefficient)] in monomial order."""
+        return [(_wrap(k), c) for _, k, c in self._display_terms()]
 
     def __repr__(self):
         return to_text(self)
@@ -528,38 +522,33 @@ def parse_factor(text):
 
 
 def from_text(text):
-    """Parse the canonical text form back into a MultiPoly."""
+    """Parse the canonical text form back into a MultiPoly, through
+    sum_of_products: repeated monomials add up, and each is range-checked
+    (ParseError) even where its coefficient is 0."""
     text = text.strip()
-    if text == "0":
-        return MultiPoly.zero()
-    total = MultiPoly.zero()
-    for term in text.split("+"):
-        term = term.strip()
-        if not term:
-            raise ParseError("empty term in %r" % text)
-        factors = term.split("*")
-        try:
-            coeff = _coeff(factors[0])
-        except ValueError:
-            raise ParseError("term %r must start with an integer "
-                             "coefficient" % term) from None
-        exps = {}
-        for fac in factors[1:]:
-            family, indices, e = parse_factor(fac.strip())
-            v = Indeterminate(family, *indices)
-            exps[v] = exps.get(v, 0) + (1 if e is None else e)
-        total = total + _parsed_term(exps, coeff)
-    return total
 
+    def factor(fac):
+        family, indices, e = parse_factor(fac.strip())
+        return Monomial(((Indeterminate(family, *indices),
+                          1 if e is None else e),))
 
-def _parsed_term(exps, coeff):
-    """The term coeff * monomial of exps, 0 when coeff is 0; the monomial
-    is range-checked either way."""
+    def rows():
+        for term in text.split("+"):
+            term = term.strip()
+            if not term:
+                raise ParseError("empty term in %r" % text)
+            factors = term.split("*")
+            try:
+                coeff = _coeff(factors[0])
+            except ValueError:
+                raise ParseError("term %r must start with an integer "
+                                 "coefficient" % term) from None
+            yield factors[1:], coeff
+
     try:
-        m = Monomial(exps)
+        return sum_of_products(rows(), factor)
     except ExponentError as exc:
         raise ParseError(str(exc)) from None
-    return MultiPoly({m: coeff} if coeff else {})
 
 
 # ---------------------------------------------------------------------------
@@ -578,14 +567,27 @@ def to_json(p):
 
 
 def from_json_obj(obj):
-    total = MultiPoly.zero()
-    for t in obj["terms"]:
-        exps = {}
-        for family, indices, e in t["exps"]:
-            v = Indeterminate(family, *indices)
-            exps[v] = exps.get(v, 0) + e
-        total = total + _parsed_term(exps, _coeff(t["coeff"]))
-    return total
+    """Parse the JSON form back into a MultiPoly, as from_text does.  A
+    coefficient that is not a string of decimal digits, an exponent that
+    is not an int (a bool included), and a family or index of the wrong
+    type are a ParseError."""
+    def factor(key):
+        family, indices, e = key
+        if type(e) is not int:
+            raise ParseError("exponent %r of %r is not an int" % (e, family))
+        return Monomial(((Indeterminate(family, *indices), e),))
+
+    def rows():
+        for t in obj["terms"]:
+            coeff = t["coeff"]
+            if not isinstance(coeff, str) or not _COEFF_RE.fullmatch(coeff):
+                raise ParseError("bad coefficient %r" % (coeff,))
+            yield [(f, tuple(i), e) for f, i, e in t["exps"]], _coeff(coeff)
+
+    try:
+        return sum_of_products(rows(), factor)
+    except (ExponentError, TypeError) as exc:  # TypeError: a wrong type
+        raise ParseError(str(exc)) from None
 
 
 def from_json(text):

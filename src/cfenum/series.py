@@ -13,8 +13,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 
-from .mpoly import (MultiPoly, add_product, as_poly, checked_terms,
-                    from_packed, packed)
+from .mpoly import MultiPoly, add_product, as_poly, checked_terms
 
 
 class NonUnitConstantTerm(ValueError):
@@ -50,10 +49,10 @@ def reciprocal(coeffs):
 # the weighted sum of the path prefixes of the current length that end at
 # height h.  Unlike nested series reciprocals, the intermediate polynomial
 # sizes are bounded by the weighted counts of path prefixes, which keeps
-# symbolic master weights tractable.  Each state[h] is a dict of packed
-# monomials (see mpoly); a step adds w*gamma(h), w and w*beta(h) into the
-# next heights' dicts in place, then drops zeros and range-checks every
-# key once.  Only the coefficient of t^j becomes a MultiPoly.
+# symbolic master weights tractable.  Each state[h] is a MultiPoly's terms
+# dict (see mpoly); a step adds w*gamma(h), w and w*beta(h) into the next
+# heights' dicts in place, then range-checks every key and drops zeros
+# once.  The coefficient of t^j is the MultiPoly of state[0].
 
 def expand_sfraction(alpha, order):
     """Taylor coefficients of the S-fraction through t^order: the
@@ -66,8 +65,8 @@ def expand_jfraction(gamma, beta, order):
     """Taylor coefficients of the J-fraction through t^order: Motzkin
     paths with level steps at height h weighted gamma(h) and falls from
     height h weighted beta(h)."""
-    g = cache(lambda h: packed(gamma(h)))
-    b = cache(lambda h: packed(beta(h)))
+    g = cache(lambda h: as_poly(gamma(h)).terms)
+    b = cache(lambda h: as_poly(beta(h)).terms)
     one = {0: 1}
     coeffs = [MultiPoly.one()]
     state = {0: one}
@@ -82,7 +81,7 @@ def expand_jfraction(gamma, beta, order):
             if h:
                 add_product(nxt[h - 1], w, b(h))
         state = {h: checked_terms(terms) for h, terms in nxt.items()}
-        coeffs.append(from_packed(state.get(0, {})))
+        coeffs.append(MultiPoly(state.get(0, {})))
     return coeffs
 
 

@@ -216,7 +216,7 @@ def _build(spec):
     new, old = MultiPoly({}), oracle.Poly()
     for exps, c in spec:
         if c:
-            new = new + MultiPoly({Monomial(exps): c})
+            new = new + c * as_poly(Monomial(exps))
             old = old + oracle.Poly({oracle.Monomial(exps): c})
     return new, old
 
@@ -255,7 +255,8 @@ def check_against_oracle(vs, p_spec, q_spec, images, point):
         assert a.evaluate(point, default=3) == ao.evaluate(point, default=3)
     _same(p + q, po + qo)
     _same_or_exponent_error(lambda: p * q, po * qo)
-    for m1, m2 in itertools.product(p.terms, q.terms):
+    for (m1, _), (m2, _) in itertools.product(p.sorted_terms(),
+                                              q.sorted_terms()):
         mo = oracle.Monomial(m1.exps) * oracle.Monomial(m2.exps)
         _same_or_exponent_error(lambda: as_poly(m1 * m2),
                                 oracle.Poly({mo: 1}))
@@ -354,6 +355,11 @@ def test_exponent_limits():
     with pytest.raises(ExponentError):
         Monomial([(x, 2 ** 14), (x, 2 ** 14)])
     assert repr(half * Monomial({x: 2 ** 14 - 1})) == "x^%d" % MAX_EXPONENT
+    # each substituted term is range-checked, also where two cancel
+    z = var("z")
+    top = as_poly(z) ** MAX_EXPONENT
+    with pytest.raises(ExponentError, match="exponent 32768 of z"):
+        (x * top - y * top).substitute({x: z, y: z})
 
 
 @pytest.mark.parametrize("text", [
@@ -369,3 +375,53 @@ def test_json_exponent_out_of_range_is_parse_error(e):
     with pytest.raises(ParseError):
         from_json(json.dumps({"terms": [{"coeff": "1",
                                          "exps": [["x", [], e]]}]}))
+
+
+def _json_terms(*terms):
+    return json.dumps({"terms": [{"coeff": c, "exps": exps}
+                                 for c, exps in terms]})
+
+
+def test_repeated_monomials_add_up_and_cancel():
+    x = var("x")
+    x1 = [["x", [], 1]]
+    big = [["x", [], 40000]]
+    for parse, same, cancel, bad in (
+            (from_text, "2*x + 3*x", "1*x + -1*x",
+             "1*x^40000 + -1*x^40000"),
+            (from_json, _json_terms(("2", x1), ("3", x1)),
+             _json_terms(("1", x1), ("-1", x1)),
+             _json_terms(("1", big), ("-1", big)))):
+        assert parse(same) == 5 * x
+        assert parse(cancel) == 0 and not parse(cancel)
+        with pytest.raises(ParseError, match="exponent 40000 of x"):
+            parse(bad)
+
+
+@pytest.mark.parametrize("coeff, factor", [
+    (1.5, ["x", [], 1]),      # int() would truncate it to 1
+    (True, ["x", [], 1]),     # a bool is not a coefficient
+    ("1", ["x", [], True]),   # nor an exponent
+    ("1", ["x", [], 1.5]),
+    ("1", ["x", "ab", 1]),    # would print x[a,b]
+    ("1", [5, [], 1]),        # would break the sort of every to_text
+    ("1", ["x", [1, True], 1]),
+])
+def test_malformed_json_term_is_parse_error(coeff, factor):
+    with pytest.raises(ParseError):
+        from_json(_json_terms((coeff, [factor])))
+    assert to_text(3 * var("x")) == "3*x"
+
+
+def test_terms_are_keyed_by_packed_ints():
+    from cfenum.permstats import PERM, enumerate_polynomial
+    from cfenum.series import expand_jfraction
+    x, y = var("x"), var("y")
+    p = (x + 2 * y) * x - 1
+    polys = [as_poly(3), as_poly(x), as_poly(Monomial({x: 2, y: 1})),
+             p + y, p * p, p ** 3, p.substitute({"y": x + 1, x: 2}),
+             from_text(to_text(p)), from_json(to_json(p)),
+             *expand_jfraction(lambda h: x, lambda h: y, 4),
+             enumerate_polynomial(PERM, 4, weight="two-var")]
+    for q in polys:
+        assert q.terms and all(type(k) is int for k in q.terms), q

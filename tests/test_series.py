@@ -109,7 +109,7 @@ def test_attach_component_weight():
         == expand_sfraction(alpha, 6)
     # z=0 kills every nonempty object.
     assert [c.substitute({"z": 0}) for c in f[1:]] \
-        == [MultiPoly.zero()] * 6
+        == [MultiPoly()] * 6
     # Matchings of [4]: two with one component, one with two.
     assert f[2] == 2 * as_poly(z) + as_poly(z) ** 2
 

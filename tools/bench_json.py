@@ -10,7 +10,8 @@ the change is the working tree.  Pair i of the ten runs every workload of
 bench/run.py on both trees with seed SEED+i, the base first in even pairs
 and the change first in odd ones.  Choose a SEED whose ten seeds were not
 used while writing the change.  Tier-1 runs once, on the change, with
-pytest's --durations=8, whose lines become tier1.slowest.
+pytest's --durations=8, whose lines become tier1.slowest.  The script
+exits 1, after writing the file, when Tier-1 has failures or errors.
 
 Per workload, better_pairs counts for each metric the pairs in which the
 change reads lower (ties count for neither side; every metric is lower-is-
@@ -112,6 +113,8 @@ def tier1(tree):
             "wall_s": wall, "summary": last,
             "passed": counts.get("passed", 0),
             "failed": counts.get("failed", 0),
+            # pytest says "1 error" but "2 errors"
+            "errors": counts.get("error", 0) + counts.get("errors", 0),
             "slowest": slowest}
 
 
@@ -158,6 +161,8 @@ def main():
     with open(args.out, "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")
+    if report["tier1"]["failed"] or report["tier1"]["errors"]:
+        sys.exit(1)
 
 
 if __name__ == "__main__":
