@@ -7,13 +7,12 @@ A matching is viewed both as a partition of [2n] into pairs and as a
 fixed-point-free involution.
 """
 
-from bisect import bisect_left, insort
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import partial
 
 from .mpoly import Indeterminate, Monomial, monomial, sum_of_products
 from .permstats import ObjectKind, factors, is_indecomposable, lookup, \
-    pack, unit_weight, zeta_cc_weight
+    unit_weight, walk_kernel, walk_tally, zeta_cc_weight
 
 
 class NotAMatching(ValueError):
@@ -80,33 +79,6 @@ ArcProfile = namedtuple("ArcProfile",
 ArcProfile.__doc__ = """Per-arc profile of an arc (j, l) of a matching:
 the parities j % 2 and l % 2, cr = #{arcs (a,b) : a < j < b < l},
 ne = #{arcs (a,b) : a < j, b > l} and qne = #{arcs (a,b) : a < l < b}."""
-
-
-def _match_kernel(m):
-    """(counts, records) of a matching: counts is (cc,), the number of
-    connected components, and records are the per-arc profile records
-    [2 * (j % 2) + l % 2, cr, ne, qne], in closer order, from one sweep
-    over the positions with the arcs open there."""
-    w = m.partner
-    open_closers = []  # closers of the arcs open here, ascending
-    pending = [None] * len(w)
-    records = []
-    cc = 0
-    for i in range(1, len(w)):
-        l = w[i]
-        if l > i:
-            cr = bisect_left(open_closers, l)
-            pending[l] = [2 * (i % 2), cr, len(open_closers) - cr]
-            insort(open_closers, l)
-        else:
-            del open_closers[0]  # i is the smallest open closer
-            rec = pending[i]
-            rec[0] += i % 2
-            rec.append(len(open_closers))
-            records.append(rec)
-            if not open_closers:
-                cc += 1
-    return (cc,), records
 
 
 def _arc_profile(parities, cr, ne, qne):
@@ -302,41 +274,61 @@ def iter_matchings(n):
     return rec(list(range(1, 2 * n + 1)))
 
 
-def _match_tally(n):
-    """Signature histogram of the matchings of [2n], grown position by
-    position.  A position opens an arc, if the arcs then open still fit in
-    the positions left, or closes the open arc at rank r in opening order.
-    An arc opened at j while c arcs were open, and closed at l while
-    `count` arcs (itself included) were open, has the record
-    [2 * (j % 2) + l % 2, cr = c - r, ne = r, qne = count - 1] of
-    _match_kernel; cc counts the positions after which no arc is open."""
-    hist = Counter()
+def _match_path(m):
+    """The choices of _match_walk that grow m, one per position, as the
+    step's (opening, ranks): (True, ()) to open an arc, or (False, (r,)) to
+    close the open arc at rank r in opening order."""
+    opens = []  # the openers of the open arcs, in opening order
+    path = []
+    for l in range(1, 2 * m.n + 1):
+        j = m.partner[l]
+        if j > l:
+            opens.append(l)
+            path.append((True, ()))
+        else:
+            r = opens.index(j)
+            del opens[r]
+            path.append((False, (r,)))
+    return path
+
+
+def _match_walk(n, leaf, path=None):
+    """The walk of `walk_tally` over the matchings of [2n], grown position
+    by position.  A position opens an arc, if the arcs then open still fit
+    in the positions left, or closes the open arc at rank r in opening
+    order; on a path, position l makes the one choice path[l - 1] of
+    _match_path.  The counts are (cc,), the positions after which no arc
+    is open.  An arc opened at j while c arcs were open, and closed at l
+    while `count` arcs (itself included) were open, has the record
+    [2 * (j % 2) + l % 2, cr = c - r, ne = r, qne = count - 1], so the
+    records come in closer order."""
+    record = bytes if path is None else list
     size = 2 * n
     arcs = []  # the open arcs in opening order: (2 * (j % 2), c)
-    done = []  # the records of the closed arcs, packed
+    done = []  # the records of the closed arcs
 
     def step(l, cc):
         count = len(arcs)
-        if count < size - l:
+        opening, ranks = (count < size - l, range(count)) if path is None \
+            else path[l - 1]
+        if opening:
             arcs.append((2 * (l % 2), count))
             step(l + 1, cc)
             arcs.pop()
-        for r in range(count):
+        for r in ranks:
             arc = arcs.pop(r)
-            done.append(bytes((arc[0] + l % 2, arc[1] - r, r, count - 1)))
+            done.append(record((arc[0] + l % 2, arc[1] - r, r, count - 1)))
             if l < size:
                 step(l + 1, cc + (count == 1))
             else:
-                key = pack((cc + 1,), done)
-                hist[key] = hist.get(key, 0) + 1
+                leaf((cc + 1,), done)
             done.pop()
             arcs.insert(r, arc)
 
     if n:
         step(1, 0)
     else:
-        hist[pack((0,), done)] = 1
-    return hist
+        leaf((0,), done)
 
 
 MATCH_FAMILIES = {
@@ -346,7 +338,8 @@ MATCH_FAMILIES = {
 
 
 # cc reaches n, and every other field stays below it
-MATCH = ObjectKind("match", iter_matchings, _match_tally, _match_kernel, 1, 4,
+MATCH = ObjectKind("match", iter_matchings, walk_tally(_match_walk),
+                   walk_kernel(_match_walk, _match_path), 1, 4,
                    _arc_profile, _match_totals, MATCH_WEIGHTS,
                    partial(lookup, MATCH_FAMILIES), 255)
 

@@ -569,8 +569,9 @@ def to_json(p):
 def from_json_obj(obj):
     """Parse the JSON form back into a MultiPoly, as from_text does.  A
     coefficient that is not a string of decimal digits, an exponent that
-    is not an int (a bool included), and a family or index of the wrong
-    type are a ParseError."""
+    is not an int (a bool included), a family or index of the wrong type,
+    a missing "terms" or "coeff" key and an exps entry that is not a
+    (family, indices, exponent) triple are a ParseError."""
     def factor(key):
         family, indices, e = key
         if type(e) is not int:
@@ -586,7 +587,11 @@ def from_json_obj(obj):
 
     try:
         return sum_of_products(rows(), factor)
-    except (ExponentError, TypeError) as exc:  # TypeError: a wrong type
+    except KeyError as exc:
+        raise ParseError("missing key %s" % exc) from None
+    # TypeError: a wrong type; ValueError (ExponentError included): an exps
+    # entry of the wrong length, or an exponent out of range
+    except (TypeError, ValueError) as exc:
         raise ParseError(str(exc)) from None
 
 

@@ -10,6 +10,7 @@ A permutation is stored in one-line notation.  Indices are 1-based.
 from collections import Counter, namedtuple
 from functools import partial
 from itertools import permutations as _itperms, starmap
+import sys
 
 from .mpoly import Monomial, monomial, sum_of_products
 
@@ -47,11 +48,12 @@ ObjectKind.__doc__ = """One object type as the enumeration core sees it.
 signature histogram of all of them as a Counter, the same as `signature`
 on each object of `objects(n)`: the objects are grown left to right,
 objects with a common prefix share its work, and no object is built.
-`kernel(x)` returns (counts, records): the `ncounts` totals that no
-profile gives, and one profile record per index, a list of `width` small
-ints.  `profile(*record)` builds the profile a weight map reads, and
-`totals(profiles, *counts)` the totals object, whose cc (connected
-components) `zeta_cc_weight` reads.
+`kernel(x)` runs the same walk down object x's choices alone and returns
+(counts, records): the `ncounts` totals that no profile gives, and the
+profile records, one per index, element or arc in the walk's finishing
+order, each a list of `width` ints.  `profile(*record)` builds the
+profile a weight map reads, and `totals(profiles, *counts)` the totals
+object, whose cc (connected components) `zeta_cc_weight` reads.
 `weights` maps weight-map ids to weight maps (profiles, totals) ->
 Monomial, most of them marked by `factors`, and `family(key)` resolves a
 family id to its filter (profiles, totals) -> bool, or None to keep every
@@ -59,11 +61,49 @@ object.  `max_n` is the largest size whose signature fields fit in bytes.
 """
 
 
+def walk_tally(walk):
+    """The `tally` of an object type whose walk is `walk`.
+
+    `walk(n, leaf, path=None)` grows every object of size n, or with a
+    `path` only the object that makes those choices, and calls
+    `leaf(counts, records)` once per object; the records are bytes in a
+    full walk and lists of ints on a path, and the walk reuses the list.
+    The tally's leaf packs each object's signature and counts it."""
+    def tally(n):
+        hist = Counter()
+
+        def leaf(counts, records):
+            key = pack(counts, records)
+            hist[key] = hist.get(key, 0) + 1
+        walk(n, leaf)
+        return hist
+    return tally
+
+
+def walk_kernel(walk, path):
+    """The `kernel` of an object type whose walk is `walk`: object x's
+    (counts, records) from the walk down `path(x)`, x's choices.  The walk
+    recurses once per choice, so the run lifts the recursion limit by the
+    path's length and restores it after."""
+    def kernel(x):
+        choices = path(x)
+        out = []
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + len(choices))
+        try:
+            walk(x.n, lambda counts, records:
+                 out.append((counts, list(records))), choices)
+        finally:
+            sys.setrecursionlimit(limit)
+        return out[0]
+    return kernel
+
+
 def pack(counts, records):
     """Signature bytes: the counts, then the records sorted, each record a
     bytes object of `width` fields (every field is below 256 at sizes up
     to the kind's `max_n`).  This is the one writer of the format, for
-    `signature` and every `tally`; `decode` is the one reader."""
+    `signature` and `walk_tally`; `decode` is the one reader."""
     return bytes(counts) + b"".join(sorted(records))
 
 
@@ -272,74 +312,6 @@ _RECORD_CLASSES = ("rar", "erec", "earec", "nrar")
 _CVAL, _CPEAK, _CDRISE, _CDFALL, _FIX = range(5)
 
 
-def _perm_kernel(sigma):
-    """(counts, records) of a permutation.  counts is (cyc, inv, cc), the
-    totals that no index profile gives.  records are the per-index profile
-    records in index order, as small-int lists [class code, x, y, z]: the
-    class code is 4 * cycle class + record class (indices into
-    _CYCLE_CLASSES and _RECORD_CLASSES); x, y are (ucross, unest) at cycle
-    valleys and double rises, (lcross, lnest) at cycle peaks and double
-    falls, (lev, 0) at fixed points; z is the unest of the cycle
-    predecessor at double rises, else 0."""
-    n = sigma.n
-    w = sigma.oneline
-    inv = sigma.inv_oneline
-    # antirecord test: suffix minima
-    suffix_min = [0] * (n + 2)
-    suffix_min[n + 1] = n + 1
-    for i in range(n, 0, -1):
-        suffix_min[i] = min(w[i - 1], suffix_min[i + 1])
-    records = []
-    unest = [0] * (n + 1)
-    prefix_max = 0
-    for i in range(1, n + 1):
-        si = w[i - 1]
-        is_rec = si > prefix_max
-        if is_rec:
-            prefix_max = si
-        if si < suffix_min[i + 1]:
-            rc = 0 if is_rec else 2
-        else:
-            rc = 1 if is_rec else 3
-        x = y = 0
-        if si == i:
-            cc = _FIX
-            x = sum(1 for j in range(i - 1) if w[j] > i)
-        elif si > i:
-            cc = _CVAL if inv[i - 1] > i else _CDRISE
-            for j in range(i - 1):
-                sj = w[j]
-                if i < sj < si:
-                    x += 1
-                elif sj > si:  # then sj > si > i
-                    y += 1
-            unest[i] = y
-        else:
-            cc = _CPEAK if inv[i - 1] < i else _CDFALL
-            for l in range(i, n):
-                sl = w[l]
-                if si < sl < i:
-                    x += 1
-                elif sl < si:  # then sl < si < i
-                    y += 1
-        records.append([4 * cc + rc, x, y, 0])
-    for i, rec in enumerate(records, start=1):
-        if rec[0] >> 2 == _CDRISE:
-            rec[3] = unest[inv[i - 1]]
-    seen = [False] * (n + 1)
-    cyc = 0
-    for i in range(1, n + 1):
-        if not seen[i]:
-            cyc += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = w[j - 1]
-    inversions = sum(1 for i in range(n) for j in range(i + 1, n)
-                     if w[i] > w[j])
-    return (cyc, inversions, len(perm_dividers(sigma))), records
-
-
 def _profile(code, x, y, z):
     cc = _CYCLE_CLASSES[code >> 2]
     rc = _RECORD_CLASSES[code & 3]
@@ -439,17 +411,6 @@ def _perm_totals(profiles, cyc, inv, components):
     t.psnest = psnest
     t.fix_by_level = fix_by_level
     return t
-
-
-def perm_dividers(sigma):
-    """Indices i such that sigma maps [1,i] onto itself."""
-    out = []
-    pmax = 0
-    for i in range(1, sigma.n + 1):
-        pmax = max(pmax, sigma.oneline[i - 1])
-        if pmax == i:
-            out.append(i)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -627,11 +588,17 @@ def iter_permutations(n):
         yield Permutation(word, _trusted=True)
 
 
-def _perm_tally(n):
-    """Signature histogram of S_n, grown index by index: step i picks
-    sigma(i) = v among the unused values, and `used` has bit u set for
-    each value u of sigma(1..i-1).  Index i's record is final at step i,
-    as the values after it are exactly the unused ones.
+def _perm_walk(n, leaf, path=None):
+    """The walk of `walk_tally` over S_n, grown index by index: step i
+    picks sigma(i) = v among the unused values, or path[i - 1] on a path,
+    and `used` has bit u set for each value u of sigma(1..i-1).  Index i's
+    record is final at step i, as the values after it are exactly the
+    unused ones.  The counts are (cyc, inv, cc), and a record is [class
+    code, x, y, z]: the class code is 4 * cycle class + record class
+    (indices into _CYCLE_CLASSES and _RECORD_CLASSES); x, y are (ucross,
+    unest) at cycle valleys and double rises, (lcross, lnest) at cycle
+    peaks and double falls, (lev, 0) at fixed points; z is the unest of
+    the cycle predecessor at double rises, else 0.
 
     i is a record when v exceeds the prefix maximum, and an antirecord
     when v is the smallest unused value.  The value i is used iff
@@ -645,7 +612,7 @@ def _perm_tally(n):
     the last of the path whose first is h; the edge i -> v closes a cycle
     when v is the head of i's path, and else joins the two paths.  cc
     counts the steps after which the prefix maximum is i."""
-    hist = Counter()
+    record = bytes if path is None else list
     done = []  # the records of indices 1..i-1
     pos = [0] * (n + 1)  # pos[v] = sigma^-1(v), for used values v
     unest = [0] * (n + 1)
@@ -655,14 +622,13 @@ def _perm_tally(n):
 
     def step(i, used, pmax, cyc, inv, cc):
         if i > n:
-            key = pack((cyc, inv, cc), done)
-            hist[key] = hist.get(key, 0) + 1
+            leaf((cyc, inv, cc), done)
             return
         below_i = (used & ((1 << i) - 1)).bit_count()
         above_i = (used >> (i + 1)).bit_count()
         i_used = used >> i & 1
         h = head[i]
-        free = full & ~used
+        free = full & ~used if path is None else 1 << path[i - 1]
         while free:
             bit = free & -free
             free ^= bit
@@ -686,7 +652,7 @@ def _perm_tally(n):
                 cls = _CPEAK if i_used else _CDFALL
                 x, y = i - 1 - v - (below_i - below_v), v - 1 - below_v
             pos[v] = i
-            done.append(bytes((4 * cls + rc, x, y, z)))
+            done.append(record((4 * cls + rc, x, y, z)))
             top = v if v > pmax else pmax
             t = tail[v]  # i when h == v, and then the join changes nothing
             head[t], tail[h] = h, t
@@ -696,11 +662,11 @@ def _perm_tally(n):
             done.pop()
 
     step(1, 0, 0, 0, 0, 0)
-    return hist
 
 
 # inv reaches n(n-1)/2, which is 253 at n = 23
-PERM = ObjectKind("perm", iter_permutations, _perm_tally, _perm_kernel, 3, 4,
+PERM = ObjectKind("perm", iter_permutations, walk_tally(_perm_walk),
+                  walk_kernel(_perm_walk, lambda sigma: sigma.oneline), 3, 4,
                   _profile, _perm_totals, PERM_WEIGHTS,
                   partial(lookup, PERM_FAMILIES), 23)
 

@@ -6,11 +6,12 @@ reversal, and weighted enumeration via restricted-growth words.
 Elements are 1-based; the arc graph joins consecutive elements of a block.
 """
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from .mpoly import monomial
 from .permstats import ObjectKind, UnknownWeightMap, factors, \
-    is_indecomposable, lookup, pack, unit_weight, zeta_cc_weight
+    is_indecomposable, lookup, unit_weight, walk_kernel, walk_tally, \
+    zeta_cc_weight
 
 
 class NotAPartition(ValueError):
@@ -96,95 +97,6 @@ and a block record iff it is an opener or insider with cov(j)=0."""
 _ELEMENT_CLASSES = ("opener", "closer", "insider", "singleton")
 
 
-def _sp_kernel(pi):
-    """(counts, records) of a partition.  counts is (lb, ls, rb, rs, iota,
-    cc), the Wachs-White, intertwining and component totals, which no
-    element profile gives (see sp_block_pair_counts).  records are the
-    per-element profile records of sp_records."""
-    return (*sp_block_pair_counts(pi.blocks), len(sp_dividers(pi))), \
-        sp_records(pi)
-
-
-def sp_records(pi):
-    """The per-element profile records in element order, as small-int
-    lists [class, cr, ne, qne, ov, cov] with the class an index into
-    _ELEMENT_CLASSES."""
-    n = pi.n
-    arcs = pi.arcs
-    spans = [(b[0], b[-1]) for b in pi.blocks]
-    block_of = [0] * (n + 1)
-    nxt = [0] * (n + 1)  # next element in the block, 0 if largest
-    for bi, b in enumerate(pi.blocks):
-        for i, e in enumerate(b):
-            block_of[e] = bi
-            if i + 1 < len(b):
-                nxt[e] = b[i + 1]
-    records = []
-    for j in range(1, n + 1):
-        b = pi.blocks[block_of[j]]
-        if len(b) == 1:
-            cls = 3
-        elif j == b[0]:
-            cls = 0
-        elif j == b[-1]:
-            cls = 1
-        else:
-            cls = 2
-        cr = ne = qne = 0
-        k = nxt[j]
-        for (i, l) in arcs:
-            if i < j < l:
-                qne += 1
-            if k:
-                if i < j < l < k:
-                    cr += 1
-                elif i < j and l > k:
-                    ne += 1
-        ov = cov = 0
-        mx = spans[block_of[j]][1]
-        for bi, (lo, hi) in enumerate(spans):
-            if bi == block_of[j]:
-                continue
-            if lo < j < hi < mx:
-                ov += 1
-            elif lo < j < mx < hi:
-                cov += 1
-        records.append([cls, cr, ne, qne, ov, cov])
-    return records
-
-
-def sp_block_pair_counts(bl):
-    """(lb, ls, rb, rs, iota): the Wachs-White statistics and the
-    intertwining number, over the ordered pairs of blocks (by minimum)."""
-    lb = ls = rb = rs = iota = 0
-    for i1 in range(len(bl)):
-        for i2 in range(i1 + 1, len(bl)):
-            b1, b2 = bl[i1], bl[i2]  # min b1 < min b2
-            lb += sum(1 for k in b1 if k > b2[0])
-            ls += len(b2)
-            rb += sum(1 for k in b1 if k < b2[-1])
-            rs += sum(1 for k in b2 if k < b1[-1])
-            iota += _intertwining(b1, b2)
-    return lb, ls, rb, rs, iota
-
-
-def _intertwining(b1, b2):
-    """The pairs (b,c) from the two blocks that are adjacent in the sorted
-    union of the two blocks: the changes of block along a linear merge."""
-    i = j = changes = 0
-    side = b1[0] > b2[0]
-    while i < len(b1) and j < len(b2):
-        here = b1[i] > b2[j]
-        if here:
-            j += 1
-        else:
-            i += 1
-        changes += here != side
-        side = here
-    # what is left comes from the block that is not exhausted
-    return changes + (side != (j < len(b2)))
-
-
 def _profile(cls, cr, ne, qne, ov, cov):
     name = _ELEMENT_CLASSES[cls]
     if name in ("opener", "insider"):
@@ -209,7 +121,7 @@ class SPStatTotals:
 
 def _sp_totals(profiles, lb, ls, rb, rs, iota, cc):
     """Totals from the element profiles (in any order) and the counts of
-    _sp_kernel."""
+    _sp_walk."""
     t = SPStatTotals()
     t.n = len(profiles)
     t.m1 = t.mge2 = 0
@@ -263,21 +175,6 @@ def _sp_totals(profiles, lb, ls, rb, rs, iota, cc):
     t.iota_prime = iota - (t.blocks * (t.blocks - 1)) // 2
     t.cc = cc
     return t
-
-
-def sp_dividers(pi):
-    """Indices i such that [1,i] is a union of blocks."""
-    block_max = [0] * (pi.n + 1)
-    for b in pi.blocks:
-        for e in b:
-            block_max[e] = b[-1]
-    out = []
-    run = 0
-    for i in range(1, pi.n + 1):
-        run = max(run, block_max[i])
-        if run == i:
-            out.append(i)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -477,49 +374,80 @@ def iter_set_partitions(n):
         yield setpart_from_rgs(word)
 
 
-def _sp_tally(n):
-    """Signature histogram of the partitions of [n], grown element by
-    element.  Element j is a singleton, the opener of a new block, or an
-    insider or the closer of the open block at rank r, the open blocks
+def _sp_path(pi):
+    """The choices of _sp_walk that grow pi, one per element, as the
+    step's (single, opener, ranks, inside, close): a singleton, an opener,
+    or an insider or the closer of the open block at rank r, ranks (r,)."""
+    block_of = {e: b for b in pi.blocks for e in b}
+    opens = []  # the open blocks, ordered by their last element
+    path = []
+    for j in range(1, pi.n + 1):
+        b = block_of[j]
+        if j == b[0]:
+            path.append((len(b) == 1, len(b) > 1, (), False, False))
+        else:
+            r = opens.index(b)
+            del opens[r]
+            path.append((False, False, (r,), j != b[-1], j == b[-1]))
+        if j != b[-1]:
+            opens.append(b)
+    return path
+
+
+def _sp_walk(n, leaf, path=None):
+    """The walk of `walk_tally` over the partitions of [n], grown element
+    by element.  Element j is a singleton, the opener of a new block, or
+    an insider or the closer of the open block at rank r, the open blocks
     ordered by their last element; a placement is made only if the blocks
-    then open still fit in the elements left.  Blocks are labelled 0, 1,
-    ... by their minima, as in the restricted-growth word.
+    then open still fit in the elements left.  On a path, j makes the one
+    choice path[j - 1] of _sp_path.  Blocks are labelled 0, 1, ... by
+    their minima, as in the restricted-growth word.
+
+    The counts are (lb, ls, rb, rs, iota, cc), the Wachs-White,
+    intertwining and component totals, which no element profile gives.
+    A record is [class, cr, ne, qne, ov, cov], with the class an index
+    into _ELEMENT_CLASSES; each is finished when its element's block gains
+    its next element or closes, so the records come in closing order.
 
     qne(j) is the number of other open blocks.  When j joins the block
     whose last element is p, the open blocks with a smaller last element
     nest over the arc (p, j): ne(p) = r and cr(p) = qne(p) - r.  When the
     block closes, cov(e) of each of its openers and insiders e counts the
     blocks still open whose minimum is below e, and ov(e) = qne(e) -
-    cov(e).  The counts of _sp_kernel: lb gains, at j joining a block, the
-    blocks started after it; ls gains each element's label; a closing block
-    adds to rb the earlier elements with a smaller label and to rs those
-    with a larger one; iota gains, at j, the blocks whose last element
-    comes after the last element of j's block (every block, if j starts
-    one); cc counts the elements after which no block is open."""
-    hist = Counter()
+    cov(e).  lb gains, at j joining a block, the blocks started after it;
+    ls gains each element's label; a closing block adds to rb the earlier
+    elements with a smaller label and to rs those with a larger one; iota
+    gains, at j, the blocks whose last element comes after the last
+    element of j's block (every block, if j starts one); cc counts the
+    elements after which no block is open."""
+    record = bytes if path is None else list
     opens = []  # (label, min, last, qne(last), class(last), pending) each
-    done = []  # the records of the finished elements, packed
+    done = []  # the records of the finished elements
     sizes = [0] * n  # elements placed so far, per label
     closed = [0] * (n + 1)  # closed[i]: blocks closed at elements <= i
 
     def step(j, started, lb, ls, rb, rs, iota, cc):
         if j > n:
-            key = pack((lb, ls, rb, rs, iota, cc), done)
-            hist[key] = hist.get(key, 0) + 1
+            leaf((lb, ls, rb, rs, iota, cc), done)
             return
         count = len(opens)
         left = n - j
         before = closed[j - 1]
+        if path is None:
+            single = inside = count <= left
+            opener, ranks, close = count < left, range(count), True
+        else:
+            single, opener, ranks, inside, close = path[j - 1]
         # a new block gets the label `started`
-        if count <= left:  # singleton
+        if single:
             closed[j] = before + 1
             sizes[started] += 1
-            done.append(bytes((3, 0, 0, count, 0, 0)))
+            done.append(record((3, 0, 0, count, 0, 0)))
             step(j + 1, started + 1, lb, ls + started, rb + j - 1, rs,
                  iota + started, cc + (count == 0))
             done.pop()
             sizes[started] -= 1
-        if count < left:  # opener
+        if opener:
             closed[j] = before
             sizes[started] += 1
             opens.append((started, j, j, count, 0, ()))
@@ -527,7 +455,7 @@ def _sp_tally(n):
                  iota + started, cc)
             opens.pop()
             sizes[started] -= 1
-        for r in range(count):
+        for r in ranks:
             block = opens.pop(r)
             label, first, p, qne, cls, pending = block
             pending += ((cls, qne - r, r, qne, p),)
@@ -536,26 +464,26 @@ def _sp_tally(n):
             smaller = sum(sizes[:label])
             larger = j - 1 - smaller - sizes[label]
             sizes[label] += 1
-            if count <= left:  # insider
+            if inside:
                 closed[j] = before
                 opens.append((label, first, j, count - 1, 2, pending))
                 step(j + 1, started, lb_j, ls + label, rb, rs, iota_j, cc)
                 opens.pop()
-            # closer
-            closed[j] = before + 1
-            mark = len(done)
-            done.append(bytes((1, 0, 0, count - 1, 0, 0)))
-            for e_cls, cr, ne, e_qne, e in pending:
-                cov = sum(1 for other in opens if other[1] < e)
-                done.append(bytes((e_cls, cr, ne, e_qne, e_qne - cov, cov)))
-            step(j + 1, started, lb_j, ls + label, rb + smaller, rs + larger,
-                 iota_j, cc + (count == 1))
-            del done[mark:]
+            if close:
+                closed[j] = before + 1
+                mark = len(done)
+                done.append(record((1, 0, 0, count - 1, 0, 0)))
+                for e_cls, cr, ne, e_qne, e in pending:
+                    cov = sum(1 for other in opens if other[1] < e)
+                    done.append(record((e_cls, cr, ne, e_qne, e_qne - cov,
+                                        cov)))
+                step(j + 1, started, lb_j, ls + label, rb + smaller,
+                     rs + larger, iota_j, cc + (count == 1))
+                del done[mark:]
             sizes[label] -= 1
             opens.insert(r, block)
 
     step(1, 0, 0, 0, 0, 0, 0, 0)
-    return hist
 
 
 SP_FAMILIES = {
@@ -576,6 +504,7 @@ def _sp_family(family):
 
 
 # ls, rb and iota reach n(n-1)/2, which is 253 at n = 23
-SETPART = ObjectKind("setpart", iter_set_partitions, _sp_tally, _sp_kernel, 6,
-                     6, _profile, _sp_totals, SP_WEIGHTS, _sp_family, 23)
+SETPART = ObjectKind("setpart", iter_set_partitions, walk_tally(_sp_walk),
+                     walk_kernel(_sp_walk, _sp_path), 6, 6, _profile,
+                     _sp_totals, SP_WEIGHTS, _sp_family, 23)
 

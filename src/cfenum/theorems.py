@@ -19,8 +19,7 @@ from .series import (expand_sfraction, expand_jfraction,
                      TerminatedFraction, NonUnitConstantTerm)
 from .permstats import PERM, decode, enumerate_polynomial, factors, \
     histogram, is_avoid321, signature, stat_totals
-from .setpartstats import SETPART, setpart_from_blocks, sp_block_pair_counts, \
-    sp_records, sp_reverse
+from .setpartstats import SETPART, setpart_from_blocks, sp_reverse
 from .matchstats import MATCH, touchard_riordan
 
 
@@ -1527,14 +1526,14 @@ _register(TheoremCase(
 
 
 def _id_rs_formula(n):
-    # only rs of pi, and the totals of its reversal without the block-pair
-    # and divider counts of the kernel
+    # one kernel run per partition: rs, and the sum that the reversal of
+    # the partition must match
+    sides = {}
     for pi in SETPART.objects(n):
-        t = SETPART.totals([SETPART.profile(*r)
-                            for r in sp_records(sp_reverse(pi))],
-                           *(0,) * 6)
-        if sp_block_pair_counts(pi.blocks)[3] \
-                != t.ov + 2 * t.cov + t.covin + t.pscov:
+        t = stat_totals(SETPART, pi)
+        sides[pi] = t.rs, t.ov + 2 * t.cov + t.covin + t.pscov
+    for pi, (rs, _) in sides.items():
+        if rs != sides[sp_reverse(pi)][1]:
             return False, "pi=%r" % (pi.blocks,)
     return True, None
 

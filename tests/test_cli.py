@@ -250,7 +250,15 @@ def test_stats_setpart_and_match(runner):
     # 257 nested arcs: ne = C(257, 2)
     ("match", "--pairs", ",".join("%d-%d" % (i, 515 - i)
                                   for i in range(1, 258)), "ne", 32896),
-], ids=["perm", "setpart", "match"])
+    # objects deeper than the default recursion limit of 1,000
+    ("perm", "--oneline", ",".join(map(str, range(1100, 0, -1))), "inv",
+     604450),
+    ("setpart", "--blocks", ";".join(map(str, range(1, 1101))), "ls",
+     604450),
+    ("match", "--pairs", ",".join("%d-%d" % (i, 1201 - i)
+                                  for i in range(1, 601)), "ne", 179700),
+], ids=["perm", "setpart", "match", "perm-deep", "setpart-deep",
+        "match-deep"])
 def test_stats_totals_above_255(runner, obj, option, value, stat, total):
     res = _run(runner, ["stats", "--object", obj, option, value])
     assert res.exit_code == 0

@@ -406,10 +406,15 @@ def test_repeated_monomials_add_up_and_cancel():
     ("1", ["x", "ab", 1]),    # would print x[a,b]
     ("1", [5, [], 1]),        # would break the sort of every to_text
     ("1", ["x", [1, True], 1]),
+    ("1", ["x", []]),         # an exps entry of two items
+    # factor None: coeff is the whole document
+    pytest.param('{"terms": [{"exps": []}]}', None, id="no-coeff"),
+    pytest.param('{"term": []}', None, id="no-terms"),
 ])
 def test_malformed_json_term_is_parse_error(coeff, factor):
+    text = coeff if factor is None else _json_terms((coeff, [factor]))
     with pytest.raises(ParseError):
-        from_json(_json_terms((coeff, [factor])))
+        from_json(text)
     assert to_text(3 * var("x")) == "3*x"
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from cfenum.mpoly import Monomial, MultiPoly, as_poly, var
 from cfenum.permstats import (PERM, NotABijection, Permutation,
                               UnknownWeightMap, decode, enumerate_polynomial,
-                              is_avoid321, iter_permutations, perm_dividers,
+                              is_avoid321, iter_permutations,
                               perm_from_oneline, perm_master_weight_first,
                               perm_master_weight_second, signature,
                               stat_totals)
@@ -72,7 +72,6 @@ def test_stat_totals_fig3():
 
 
 def test_dividers_and_cc():
-    assert perm_dividers(perm_from_oneline([2, 1, 3, 5, 4])) == [2, 3, 5]
     assert stat_totals(PERM, perm_from_oneline([2, 1, 3, 5, 4])).cc == 3
 
 

@@ -239,15 +239,16 @@ def test_enum_cache_keys_callable_weights_by_identity():
 def test_rs_formula_failure_names_partition(monkeypatch):
     # rs off by one for one partition of [3]: only n=3 fails, and the
     # detail names that partition
-    real = theorems.sp_block_pair_counts
+    real = theorems.SETPART.kernel
 
-    def off_by_one(blocks):
-        counts = real(blocks)
-        if blocks == ((1, 3), (2,)):
-            return counts[:3] + (counts[3] + 1,) + counts[4:]
-        return counts
+    def off_by_one(pi):
+        counts, records = real(pi)
+        if pi.blocks == ((1, 3), (2,)):
+            counts = counts[:3] + (counts[3] + 1,) + counts[4:]
+        return counts, records
 
-    monkeypatch.setattr(theorems, "sp_block_pair_counts", off_by_one)
+    monkeypatch.setattr(theorems, "SETPART",
+                        theorems.SETPART._replace(kernel=off_by_one))
     report = check_identity("rs.formula", n_max=4)
     assert [c["ok"] for c in report.checks] == [True] * 3 + [False, True]
     assert report.first_discrepancy == {"n": 3, "ok": False,

@@ -1,6 +1,7 @@
 """Write a BENCH_<n>.json: the bench/run.py medians of a base revision and
 of the working tree, from alternating pairs, with one Tier-1 wall time, its
-eight slowest tests and the src/cfenum line counts.
+eight slowest tests and the src/cfenum line counts, in all
+(src_cfenum_lines) and per module (src_cfenum_module_lines).
 
     python3 tools/bench_json.py --base REV --seed SEED --out BENCH_6.json
 
@@ -48,14 +49,15 @@ def git(*args):
                           text=True).stdout.strip()
 
 
-def src_lines(tree):
+def module_lines(tree):
+    """The line count of each module of src/cfenum, by file name."""
     src = os.path.join(tree, "src", "cfenum")
-    total = 0
+    counts = {}
     for name in sorted(os.listdir(src)):
         if name.endswith(".py"):
             with open(os.path.join(src, name), "rb") as f:
-                total += sum(1 for _ in f)
-    return total
+                counts[name] = sum(1 for _ in f)
+    return counts
 
 
 def bench_run(tree, workload, seed):
@@ -140,7 +142,8 @@ def main():
                     row = bench_run(tree, w, args.seed + i)
                     rows[w][side].append(row)
                     print("pair %d %s %s %s" % (i, w, side, row), flush=True)
-        lines = {"base": src_lines(base), "change": src_lines(change)}
+        modules = {"base": module_lines(base),
+                   "change": module_lines(change)}
     report = {
         "stamp": {"python": platform.python_version(),
                   "nproc": len(os.sched_getaffinity(0)),
@@ -152,7 +155,9 @@ def main():
         "settings": {"pairs": PAIRS,
                      "seeds": [args.seed + i for i in range(PAIRS)],
                      "bench": "python3 bench/run.py --workload W --seed S"},
-        "src_cfenum_lines": lines,
+        "src_cfenum_lines": {side: sum(counts.values())
+                             for side, counts in modules.items()},
+        "src_cfenum_module_lines": modules,
         "workloads": {},
     }
     for w in WORKLOADS:
