@@ -393,28 +393,43 @@ class MultiPoly:
             if v in subs:
                 return as_poly(subs[v])
             rule = subs.get(v.family)
-            if rule is None:
-                return None
             if callable(rule):
-                r = rule(*v.indices)
-                return None if r is None else as_poly(r)
-            return as_poly(rule)
+                rule = rule(*v.indices)
+            return None if rule is None else as_poly(rule)
 
-        cache = {}
+        images = {}  # slot -> the image of its indeterminate, if covered
+        symbolic = 0  # the fields of the indeterminates no rule covers
+        for slot in compress(count(), _fields(reduce(or_, self.terms, 0))):
+            img = image(_by_slot[slot])
+            if img is None:
+                symbolic |= _FIELD << _BITS * slot
+            else:
+                images[slot] = img
+        powers = {}  # packed v^e -> (image of v)^e, or its one term (m, c)
         acc = {}
         for k, c in self.terms.items():
-            term = as_poly(c)
-            kept = 0  # the symbolic factors, multiplied in as one monomial
-            for v, e in _exps(k):
-                img = cache.get(v, False)
-                if img is False:
-                    img = image(v)
-                    cache[v] = img
-                if img is None:
-                    kept += e << v._shift
+            kept = k & symbolic  # times the one-term images, folded in
+            term = None  # the product of the other images, a MultiPoly
+            fields = _fields(k ^ kept)
+            for slot in compress(count(), fields):
+                key = fields[slot] << _BITS * slot  # v^e, packed
+                p = powers.get(key)
+                if p is None:
+                    p = images[slot] ** fields[slot]
+                    if len(p.terms) == 1:
+                        p = next(iter(p.terms.items()))
+                    powers[key] = p
+                if isinstance(p, MultiPoly):
+                    term = p if term is None else term * p
                 else:
-                    term = term * img ** e
-            add_product(acc, term.terms, {kept: 1})
+                    kept += p[0]
+                    c *= p[1]
+                    if kept & _guard:
+                        _checked(kept)
+            if term is None:
+                acc[kept] = acc.get(kept, 0) + c
+            else:
+                add_product(acc, term.terms, {kept: c})
         return MultiPoly(checked_terms(acc))
 
     def evaluate(self, point, default=None):

@@ -48,34 +48,49 @@ ObjectKind.__doc__ = """One object type as the enumeration core sees it.
 signature histogram of all of them as a Counter, the same as `signature`
 on each object of `objects(n)`: the objects are grown left to right,
 objects with a common prefix share its work, and no object is built.
-`kernel(x)` runs the same walk down object x's choices alone and returns
-(counts, records): the `ncounts` totals that no profile gives, and the
-profile records, one per index, element or arc in the walk's finishing
-order, each a list of `width` ints.  `profile(*record)` builds the
-profile a weight map reads, and `totals(profiles, *counts)` the totals
-object, whose cc (connected components) `zeta_cc_weight` reads.
+`tally(n, prune)` counts only the objects whose records all pass the
+predicate `prune`; the permutation walk grows only those (the
+cycle-alternating and 321-avoiding families are grown this way), and
+the other walks drop the rest at their leaf.  `kernel(x)` runs the same
+walk down object x's choices alone and returns (counts, records): the
+`ncounts` totals that no profile gives, and the profile records, one per
+index, element or arc in the walk's finishing order, each a list of
+`width` ints.  `profile(*record)` builds the profile a weight map reads,
+and `totals(profiles, *counts)` the totals object, whose cc (connected
+components) `zeta_cc_weight` reads.
 `weights` maps weight-map ids to weight maps (profiles, totals) ->
 Monomial, most of them marked by `factors`, and `family(key)` resolves a
 family id to its filter (profiles, totals) -> bool, or None to keep every
-object.  `max_n` is the largest size whose signature fields fit in bytes.
+object; a filter marked by `per_record` carries its `prune`.  `max_n`
+is the largest size whose signature fields fit in bytes.
 """
 
 
-def walk_tally(walk):
+def walk_tally(walk, prunes=False):
     """The `tally` of an object type whose walk is `walk`.
 
     `walk(n, leaf, path=None)` grows every object of size n, or with a
     `path` only the object that makes those choices, and calls
     `leaf(counts, records)` once per object; the records are bytes in a
     full walk and lists of ints on a path, and the walk reuses the list.
-    The tally's leaf packs each object's signature and counts it."""
-    def tally(n):
+    The tally's leaf packs each object's signature and counts it.
+    `tally(n, prune)` counts only the objects whose records all pass the
+    per-record predicate `prune`.  A walk that `prunes` (the permutation
+    walk) takes it as `walk(n, leaf, prune=prune)` and grows only those
+    objects; for any other walk the leaf drops the rest."""
+    def tally(n, prune=None):
         hist = Counter()
 
         def leaf(counts, records):
             key = pack(counts, records)
             hist[key] = hist.get(key, 0) + 1
-        walk(n, leaf)
+        if prune is None:
+            walk(n, leaf)
+        elif prunes:
+            walk(n, leaf, prune=prune)
+        else:
+            walk(n, lambda counts, records: all(map(prune, records))
+                 and leaf(counts, records))
         return hist
     return tally
 
@@ -134,8 +149,12 @@ def histogram(kind, n, family="all", cache=None):
     """Signature histogram of the objects of size n in `family`: a Counter
     mapping each signature to the number of objects that have it.
 
-    The "all" histogram is `kind.tally(n)`; a family's histogram is the
-    "all" histogram restricted signature by signature.
+    The "all" histogram is `kind.tally(n)`.  A family whose filter is
+    marked by `per_record` (the permutation families "cycle_alternating"
+    and "avoid321") is tallied by `kind.tally(n, prune)`, which grows it
+    directly for permutations, and no "all" histogram is made for it;
+    every other family's histogram is the "all" histogram restricted
+    signature by signature.
     With a `cache` dict, every histogram is kept under (kind.name, n,
     family) and later requests for that set read it.  Sizes above
     `kind.max_n` raise SizeTooLarge.
@@ -147,8 +166,11 @@ def histogram(kind, n, family="all", cache=None):
     hist = None if cache is None else cache.get(key)
     if hist is None:
         keep = kind.family(family)
+        prune = getattr(keep, "prune", None)
         if keep is None:
             hist = kind.tally(n)
+        elif prune is not None:
+            hist = kind.tally(n, prune)
         else:
             hist = Counter({sig: count for sig, count
                             in histogram(kind, n, "all", cache).items()
@@ -166,6 +188,16 @@ def factors(weight):
     signature bytes.  Returns `weight`."""
     weight.factors = True
     return weight
+
+
+def per_record(keep, prune):
+    """Mark the family filter `keep` as one that means "every record
+    passes `prune`", a predicate on one record as the tally's walk builds
+    it (the fields of one signature record).  `histogram` then grows the
+    family with `kind.tally(n, prune)` instead of filtering the "all"
+    histogram.  Returns `keep`."""
+    keep.prune = prune
+    return keep
 
 
 def weighted_sum(hist, kind, weight, zeta=False):
@@ -310,6 +342,7 @@ is unest(sigma^-1(i)) for cycle double rises i."""
 _CYCLE_CLASSES = ("cval", "cpeak", "cdrise", "cdfall", "fix")
 _RECORD_CLASSES = ("rar", "erec", "earec", "nrar")
 _CVAL, _CPEAK, _CDRISE, _CDFALL, _FIX = range(5)
+_NRAR = _RECORD_CLASSES.index("nrar")
 
 
 def _profile(code, x, y, z):
@@ -574,10 +607,13 @@ def is_indecomposable(profiles, totals):
     return totals.cc == 1
 
 
+# The record's class code is 4 * cycle class + record class (see
+# _perm_walk); the differential test ties each prune to its filter.
 PERM_FAMILIES = {
     "all": None,
-    "avoid321": is_avoid321,
-    "cycle_alternating": is_cycle_alternating,
+    "avoid321": per_record(is_avoid321, lambda rec: rec[0] & 3 != _NRAR),
+    "cycle_alternating": per_record(
+        is_cycle_alternating, lambda rec: rec[0] >> 2 in (_CVAL, _CPEAK)),
     "fpf_involutions": is_fpf_involution,
     "indecomposable": is_indecomposable,
 }
@@ -588,7 +624,7 @@ def iter_permutations(n):
         yield Permutation(word, _trusted=True)
 
 
-def _perm_walk(n, leaf, path=None):
+def _perm_walk(n, leaf, path=None, prune=None):
     """The walk of `walk_tally` over S_n, grown index by index: step i
     picks sigma(i) = v among the unused values, or path[i - 1] on a path,
     and `used` has bit u set for each value u of sigma(1..i-1).  Index i's
@@ -611,7 +647,11 @@ def _perm_walk(n, leaf, path=None):
     head[t] is the first index of the path whose last index is t, tail[h]
     the last of the path whose first is h; the edge i -> v closes a cycle
     when v is the head of i's path, and else joins the two paths.  cc
-    counts the steps after which the prefix maximum is i."""
+    counts the steps after which the prefix maximum is i.
+
+    With a `prune`, a predicate on one record, the walk skips every choice
+    whose record fails it, so it grows only the permutations whose records
+    all pass: a family marked by `per_record`."""
     record = bytes if path is None else list
     done = []  # the records of indices 1..i-1
     pos = [0] * (n + 1)  # pos[v] = sigma^-1(v), for used values v
@@ -651,8 +691,11 @@ def _perm_walk(n, leaf, path=None):
                 below_v = low.bit_count()
                 cls = _CPEAK if i_used else _CDFALL
                 x, y = i - 1 - v - (below_i - below_v), v - 1 - below_v
+            rec = record((4 * cls + rc, x, y, z))
+            if prune is not None and not prune(rec):
+                continue
             pos[v] = i
-            done.append(record((4 * cls + rc, x, y, z)))
+            done.append(rec)
             top = v if v > pmax else pmax
             t = tail[v]  # i when h == v, and then the join changes nothing
             head[t], tail[h] = h, t
@@ -665,7 +708,8 @@ def _perm_walk(n, leaf, path=None):
 
 
 # inv reaches n(n-1)/2, which is 253 at n = 23
-PERM = ObjectKind("perm", iter_permutations, walk_tally(_perm_walk),
+PERM = ObjectKind("perm", iter_permutations,
+                  walk_tally(_perm_walk, prunes=True),
                   walk_kernel(_perm_walk, lambda sigma: sigma.oneline), 3, 4,
                   _profile, _perm_totals, PERM_WEIGHTS,
                   partial(lookup, PERM_FAMILIES), 23)

@@ -25,10 +25,14 @@ N_MAX = {"perm": 6, "setpart": 6, "match": 5}
 
 
 def _with_kernel(kind, kernel):
-    """`kind` with another kernel, tallied object by object through it."""
+    """`kind` with another kernel, tallied object by object through it; a
+    prune keeps the objects whose kernel records all pass it."""
     mutant = kind._replace(kernel=kernel)
-    return mutant._replace(tally=lambda n: Counter(
-        signature(mutant, x) for x in mutant.objects(n)))
+
+    def tally(n, prune=None):
+        return Counter(signature(mutant, x) for x in mutant.objects(n)
+                       if prune is None or all(map(prune, kernel(x)[1])))
+    return mutant._replace(tally=tally)
 
 
 def _mismatches(obj, kind, weights=None):

@@ -121,6 +121,21 @@ def test_substitute_is_simultaneous():
     assert q == x * x + 2 * x + 1
 
 
+def test_substitute_folds_one_term_images_with_range_checks():
+    x, y, w, u, z = (var(name) for name in "xywuz")
+    p = 3 * x ** 2 * y + x * w - u
+    # one-term images fold into the coefficient and the kept monomial,
+    # longer ones multiply out, and a zero image drops its terms
+    assert p.substitute({"x": -2 * z ** 3, "y": z + 1, "u": 0}) \
+        == 12 * z ** 6 * (z + 1) - 2 * z ** 3 * w
+    # a folded power and a folded product are range-checked, also where
+    # their exponent of z, 80,000, would carry into the next field
+    with pytest.raises(ExponentError, match="of z"):
+        (x ** 4).substitute({x: z ** 20000})
+    with pytest.raises(ExponentError, match="exponent 40000 of z"):
+        (x * y * w * u).substitute({v: z ** 20000 for v in (x, y, w, u)})
+
+
 def test_evaluate_fractions():
     x, y = var("x"), var("y")
     p = x * y + 2

@@ -1,15 +1,20 @@
 """Unit tests for permutation statistics and weighted enumeration."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cfenum.matchstats import MATCH
 from cfenum.mpoly import Monomial, MultiPoly, as_poly, var
-from cfenum.permstats import (PERM, NotABijection, Permutation,
-                              UnknownWeightMap, decode, enumerate_polynomial,
-                              is_avoid321, iter_permutations,
+from cfenum.permstats import (PERM, PERM_FAMILIES, NotABijection,
+                              Permutation, UnknownWeightMap, decode,
+                              enumerate_polynomial, histogram, is_avoid321,
+                              iter_permutations, per_record,
                               perm_from_oneline, perm_master_weight_first,
                               perm_master_weight_second, signature,
                               stat_totals)
+from cfenum.setpartstats import SETPART
 
 from enum_oracle import perm_index_profile
 
@@ -121,6 +126,61 @@ def test_enumerate_avoid321_narayana():
 def test_enumerate_cycle_alternating_secant():
     p = enumerate_polynomial(PERM, 4, family="cycle_alternating")
     assert p.constant_term() == 5  # E_4
+
+
+def test_record_pruned_families_equal_filtered():
+    # each family marked by per_record is grown directly; it must equal
+    # the "all" histogram filtered by the family's (profiles, totals)
+    # filter, and it must leave no "all" histogram in the cache
+    pruned = {f for f, keep in PERM_FAMILIES.items() if hasattr(keep, "prune")}
+    assert pruned == {"avoid321", "cycle_alternating"}
+    for n in range(9):
+        every = histogram(PERM, n)
+        for family in sorted(pruned):
+            keep, cache = PERM_FAMILIES[family], {}
+            assert histogram(PERM, n, family, cache) == Counter(
+                {sig: count for sig, count in every.items()
+                 if keep(*decode(PERM, sig))}), (family, n)
+            assert list(cache) == [("perm", n, family)]
+
+
+def test_unmarked_family_filters_the_all_histogram():
+    cache = {}
+    assert sum(histogram(PERM, 5, "indecomposable", cache).values()) == 71
+    assert set(cache) == {("perm", 5, "all"), ("perm", 5, "indecomposable")}
+
+    # a caller's own filter, marked by per_record, is grown directly
+    def derangement(profiles, totals):
+        return totals.fix == 0
+    per_record(derangement,
+               lambda rec: PERM.profile(*rec).cycle_class != "fix")
+    cache = {}
+    assert sum(histogram(PERM, 6, derangement, cache).values()) == 265
+    assert list(cache) == [("perm", 6, derangement)]
+
+
+def test_per_record_filters_where_the_walk_takes_no_prune():
+    # the set-partition and matching walks take no prune, so their
+    # tallies drop each object with a failing record at the leaf; the
+    # result is the "all" histogram filtered by the family's own filter
+    assert enumerate_polynomial(SETPART, 3, family=per_record(
+        lambda profiles, totals: True, lambda rec: True)) == 5
+    no_singleton = per_record(
+        lambda profiles, totals: all(
+            p.element_class != "singleton" for p in profiles),
+        lambda rec: rec[0] != 3)
+    noncrossing = per_record(
+        lambda profiles, totals: all(p.cr == 0 for p in profiles),
+        lambda rec: rec[1] == 0)
+    for kind, family, n, size in ((SETPART, no_singleton, 6, 41),
+                                  (MATCH, noncrossing, 4, 14)):
+        keep, cache = kind.family(family), {}
+        hist = histogram(kind, n, family, cache)
+        assert sum(hist.values()) == size
+        assert hist == Counter({sig: count for sig, count
+                                in histogram(kind, n).items()
+                                if keep(*decode(kind, sig))})
+        assert list(cache) == [(kind.name, n, family)]
 
 
 def test_enumerate_empty_and_errors():

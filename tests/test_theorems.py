@@ -303,3 +303,18 @@ def test_witness_reports_its_first_failing_check(monkeypatch):
     assert [c["ok"] for c in report.checks].index(False) == 4
     assert not report.ok and report.first_discrepancy == report.checks[4]
     assert report.n_max is None and report.order is None
+
+
+def test_cycle_alternating_entries_reach_alpha_5(monkeypatch):
+    # an explicit n_max of 5 (the 50,521 cycle-alternating permutations of
+    # [10]) reaches alpha_5, one level deeper than the registry's n_max of
+    # 4; the family is grown directly, so no "all" histogram is tallied
+    monkeypatch.setattr(theorems, "_ENUM_CACHE", {})
+    ids = [tid for tid in list_theorems() if tid.startswith("perm.ca.")]
+    assert len(ids) == 7
+    for tid in ids:
+        assert REGISTRY[tid].n_max == 4
+        report = verify_theorem(tid, n_max=5)
+        assert report.ok and report.n_max == 5, report.to_dict()
+    assert {key[1:] for key in theorems._ENUM_CACHE} \
+        == {(n, "cycle_alternating") for n in range(0, 11, 2)}

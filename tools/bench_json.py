@@ -1,6 +1,6 @@
 """Write a BENCH_<n>.json: the bench/run.py medians of a base revision and
-of the working tree, from alternating pairs, with one Tier-1 wall time, its
-eight slowest tests and the src/cfenum line counts, in all
+of the working tree, from alternating pairs, with one Tier-1 wall time and
+its eight slowest tests per tree and the src/cfenum line counts, in all
 (src_cfenum_lines) and per module (src_cfenum_module_lines).
 
     python3 tools/bench_json.py --base REV --seed SEED --out BENCH_6.json
@@ -10,9 +10,12 @@ base revision is exported with `git archive` into a temporary directory;
 the change is the working tree.  Pair i of the ten runs every workload of
 bench/run.py on both trees with seed SEED+i, the base first in even pairs
 and the change first in odd ones.  Choose a SEED whose ten seeds were not
-used while writing the change.  Tier-1 runs once, on the change, with
-pytest's --durations=8, whose lines become tier1.slowest.  The script
-exits 1, after writing the file, when Tier-1 has failures or errors.
+used while writing the change.  Tier-1 runs once on each tree, the base
+first, with pytest's --durations=8, whose lines become tier1.slowest (the
+change) and tier1_base.slowest (the base), so the slowest tests before
+and after come from one machine.  The script exits 1, after writing the
+file, when the change's Tier-1 has failures or errors; a red base Tier-1
+is only recorded.
 
 Per workload, better_pairs counts for each metric the pairs in which the
 change reads lower (ties count for neither side; every metric is lower-is-
@@ -144,6 +147,7 @@ def main():
                     print("pair %d %s %s %s" % (i, w, side, row), flush=True)
         modules = {"base": module_lines(base),
                    "change": module_lines(change)}
+        base_tier1 = tier1(base)
     report = {
         "stamp": {"python": platform.python_version(),
                   "nproc": len(os.sched_getaffinity(0)),
@@ -162,6 +166,7 @@ def main():
     }
     for w in WORKLOADS:
         report["workloads"][w] = compare(rows[w]["base"], rows[w]["change"])
+    report["tier1_base"] = base_tier1
     report["tier1"] = tier1(change)
     with open(args.out, "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
