@@ -292,7 +292,7 @@ def _match_path(m):
     return path
 
 
-def _match_walk(n, leaf, path=None):
+def _match_walk(n, leaf, path=None, prune=None):
     """The walk of `walk_tally` over the matchings of [2n], grown position
     by position.  A position opens an arc, if the arcs then open still fit
     in the positions left, or closes the open arc at rank r in opening
@@ -301,7 +301,8 @@ def _match_walk(n, leaf, path=None):
     is open.  An arc opened at j while c arcs were open, and closed at l
     while `count` arcs (itself included) were open, has the record
     [2 * (j % 2) + l % 2, cr = c - r, ne = r, qne = count - 1], so the
-    records come in closer order."""
+    records come in closer order.  With a `prune`, a predicate on one
+    record, the walk skips every closing whose record fails it."""
     record = bytes if path is None else list
     size = 2 * n
     arcs = []  # the open arcs in opening order: (2 * (j % 2), c)
@@ -316,8 +317,12 @@ def _match_walk(n, leaf, path=None):
             step(l + 1, cc)
             arcs.pop()
         for r in ranks:
-            arc = arcs.pop(r)
-            done.append(record((arc[0] + l % 2, arc[1] - r, r, count - 1)))
+            arc = arcs[r]
+            rec = record((arc[0] + l % 2, arc[1] - r, r, count - 1))
+            if prune is not None and not prune(rec):
+                continue
+            del arcs[r]
+            done.append(rec)
             if l < size:
                 step(l + 1, cc + (count == 1))
             else:

@@ -44,6 +44,8 @@ class ColoredStep:
         return {RISE: 1, FALL: -1, LEVEL: 0}[self.kind]
 
     def __eq__(self, other):
+        if not isinstance(other, ColoredStep):
+            return NotImplemented
         return self.kind == other.kind and self.color == other.color
 
     def __hash__(self):
@@ -74,6 +76,8 @@ class LabeledMotzkinPath:
         return len(self.steps)
 
     def __eq__(self, other):
+        if not isinstance(other, LabeledMotzkinPath):
+            return NotImplemented
         return self.steps == other.steps and self.labels == other.labels
 
     def __hash__(self):
@@ -160,25 +164,23 @@ PF_SETPART = PossibilityFunction(
 # ---------------------------------------------------------------------------
 # Permutation bijections
 
+# The step of index i of a permutation sigma, keyed by the signs of
+# sigma(i) - i and sigma^-1(i) - i: cycle valley -> rise, cycle peak ->
+# fall, cycle double fall -> level 1, cycle double rise -> level 2, fixed
+# point -> level 3.  _decode_fz reads it backwards.
+_PERM_STEP = {(1, 1): ColoredStep(RISE), (-1, -1): ColoredStep(FALL),
+              (-1, 1): ColoredStep(LEVEL, 1), (1, -1): ColoredStep(LEVEL, 2),
+              (0, 0): ColoredStep(LEVEL, 3)}
+_PERM_SIGNS = {step: signs for signs, step in _PERM_STEP.items()}
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
 def _perm_steps(sigma):
-    """3-colored Motzkin steps: cycle valley -> rise, cycle peak -> fall,
-    cycle double fall -> level 1, cycle double rise -> level 2,
-    fixed point -> level 3."""
-    steps = []
-    for i in range(1, sigma.n + 1):
-        si = sigma(i)
-        ti = sigma.inverse_at(i)
-        if si > i and ti > i:
-            steps.append(ColoredStep(RISE))
-        elif si < i and ti < i:
-            steps.append(ColoredStep(FALL))
-        elif si < i:
-            steps.append(ColoredStep(LEVEL, 1))
-        elif si > i:
-            steps.append(ColoredStep(LEVEL, 2))
-        else:
-            steps.append(ColoredStep(LEVEL, 3))
-    return steps
+    return [_PERM_STEP[_sign(sigma(i) - i), _sign(sigma.inverse_at(i) - i)]
+            for i in range(1, sigma.n + 1)]
 
 
 def _encode_fz(sigma):
@@ -199,40 +201,23 @@ def _encode_fz(sigma):
 
 def _decode_fz(p):
     n = len(p)
-    if not path_validate(p, PF_FZ):
-        raise InvalidPath("not a valid path for the FZ possibility function")
-    # classify indices from the steps
-    kinds = []
-    for s in p.steps:
-        if s.kind == RISE:
-            kinds.append("cval")
-        elif s.kind == FALL:
-            kinds.append("cpeak")
-        else:
-            kinds.append(("cdfall", "cdrise", "fix")[s.color - 1])
-    F = [i for i in range(1, n + 1) if kinds[i - 1] in ("cval", "cdrise")]
-    Fp = [i for i in range(1, n + 1) if kinds[i - 1] in ("cdrise", "cpeak")]
-    G = [i for i in range(1, n + 1) if kinds[i - 1] in ("cpeak", "cdfall")]
-    Gp = [i for i in range(1, n + 1) if kinds[i - 1] in ("cval", "cdfall")]
-    out = [0] * (n + 1)
-    for i in range(1, n + 1):
-        if kinds[i - 1] == "fix":
-            out[i] = i
+    signs = [_PERM_SIGNS[s] for s in p.steps]
+    F = [i for i in range(1, n + 1) if signs[i - 1][0] > 0]
+    Fp = [i for i in range(1, n + 1) if signs[i - 1][1] < 0]
+    G = [i for i in range(1, n + 1) if signs[i - 1][0] < 0]
+    Gp = [i for i in range(1, n + 1) if signs[i - 1][1] > 0]
+    out = list(range(n + 1))  # fixed points stay
     # sigma on F from the left-to-right inversion table p_a = xi - 1:
     # reconstruct right to left, x_a = (p_a+1)-th largest remaining element
     avail = sorted(Fp)
     for idx in range(len(F) - 1, -1, -1):
         pa = p.labels[F[idx] - 1][0] - 1
-        if pa >= len(avail):
-            raise InvalidPath("label out of range at step %d" % F[idx])
         out[F[idx]] = avail.pop(len(avail) - 1 - pa)
     # sigma on G from the right-to-left inversion table:
     # reconstruct left to right, x_a = (p_a+1)-th smallest remaining element
     avail = sorted(Gp)
     for idx in range(len(G)):
         pa = p.labels[G[idx] - 1][0] - 1
-        if pa >= len(avail):
-            raise InvalidPath("label out of range at step %d" % G[idx])
         out[G[idx]] = avail.pop(pa)
     return Permutation(out[1:])
 
@@ -263,9 +248,6 @@ def _encode_biane(sigma):
 
 def _decode_biane(p):
     n = len(p)
-    if not path_validate(p, PF_BIANE):
-        raise InvalidPath("not a valid path for the Biane possibility "
-                          "function")
     # top[r] = r-th dot with no outgoing arrow yet;
     # bot[r] = r-th dot with no incoming arrow yet
     top = []
@@ -314,64 +296,51 @@ def _sp_steps(pi):
     return [ColoredStep(*kinds[i]) for i in range(1, pi.n + 1)]
 
 
-def _sp_labels(pi, order_insider, order_closer):
-    """Labels for the KZ/Flajolet/hybrid family.
+def _open_order(open_blocks, mode):
+    """The open blocks, each a growing list of its elements, in rank
+    order: by last element for "last" (as in KZ), by opener for "first"
+    (as in Flajolet)."""
+    end = -1 if mode == "last" else 0
+    return sorted(open_blocks, key=lambda b: b[end])
 
-    `order_insider` / `order_closer` select the ordering key of the open
-    blocks: "last" (by most recent element, as in KZ) or "first" (by
-    opener, as in Flajolet)."""
-    n = pi.n
-    block_of = {}
-    for bi, b in enumerate(pi.blocks):
-        for j in b:
-            block_of[j] = bi
-    open_blocks = []  # list of [opener, last-element-so-far, block index]
+
+def _sp_labels(pi, order_insider, order_closer):
+    """Labels for the KZ/Flajolet/hybrid family: 1 at openers and
+    singletons, else the rank of the element's block among the open
+    blocks in the order that `order_insider` or `order_closer` names."""
+    block_of = {j: b for b in pi.blocks for j in b}
+    grown = {}  # the open blocks: each block's elements so far
     labels = []
-    for i in range(1, n + 1):
-        b = pi.blocks[block_of[i]]
-        if len(b) == 1 or i == b[0]:
+    for i in range(1, pi.n + 1):
+        b = block_of[i]
+        if i == b[0]:
             labels.append(1)
             if len(b) > 1:
-                open_blocks.append([b[0], b[0], block_of[i]])
-        else:
-            mode = order_closer if i == b[-1] else order_insider
-            key = 1 if mode == "last" else 0
-            order = sorted(range(len(open_blocks)),
-                           key=lambda r: open_blocks[r][key])
-            pos = next(j for j, r in enumerate(order)
-                       if open_blocks[r][2] == block_of[i])
-            labels.append(pos + 1)
-            if i == b[-1]:
-                open_blocks = [ob for ob in open_blocks
-                               if ob[2] != block_of[i]]
-            else:
-                open_blocks[order[pos]][1] = i
+                grown[b] = [i]
+            continue
+        mode = order_closer if i == b[-1] else order_insider
+        labels.append(1 + _open_order(grown.values(), mode).index(grown[b]))
+        grown[b].append(i)
+        if i == b[-1]:
+            del grown[b]
     return labels
 
 
 def _decode_sp(p, order_insider, order_closer):
-    n = len(p)
-    if not path_validate(p, PF_SETPART):
-        raise InvalidPath("not a valid path for the set-partition "
-                          "possibility function")
-    open_blocks = []  # growing blocks, as lists
+    open_blocks = []
     done = []
-    for i in range(1, n + 1):
-        s = p.steps[i - 1]
-        xi = p.labels[i - 1][0]
+    for i, (s, (xi,)) in enumerate(zip(p.steps, p.labels), start=1):
         if s.kind == RISE:
             open_blocks.append([i])
         elif s.kind == LEVEL and s.color == 2:
             done.append([i])
         else:
             mode = order_closer if s.kind == FALL else order_insider
-            key = (lambda b: b[-1]) if mode == "last" else (lambda b: b[0])
-            order = sorted(range(len(open_blocks)),
-                           key=lambda r: key(open_blocks[r]))
-            r = order[xi - 1]
-            open_blocks[r].append(i)
+            b = _open_order(open_blocks, mode)[xi - 1]
+            b.append(i)
             if s.kind == FALL:
-                done.append(open_blocks.pop(r))
+                open_blocks.remove(b)
+                done.append(b)
     return SetPartition(done)
 
 
@@ -382,7 +351,8 @@ Bijection = namedtuple("Bijection", "takes pf orders encode decode")
 Bijection.__doc__ = """One bijection: the object type it takes, its
 possibility function, the orders (insider, closer) of the open blocks for
 the set-partition bijections (None for the permutation ones), its encoder
-and its decoder."""
+and its decoder, which `decode` hands only paths that the possibility
+function admits."""
 
 
 def _sp_bijection(insider, closer):
@@ -425,8 +395,14 @@ def encode(obj, bijection):
 
 
 def decode(p, bijection):
-    """Inverse of encode; raises InvalidPath for paths outside the image."""
-    return _lookup(bijection).decode(p)
+    """Inverse of encode; raises InvalidPath for paths outside the image:
+    each decoder takes only paths valid for its possibility function."""
+    bij = _lookup(bijection)
+    if not path_validate(p, bij.pf):
+        raise InvalidPath("not a valid path for the %s possibility function"
+                          % (bijection if bij.takes is Permutation
+                             else "set-partition"))
+    return bij.decode(p)
 
 
 # ---------------------------------------------------------------------------

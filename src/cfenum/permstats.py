@@ -48,16 +48,15 @@ ObjectKind.__doc__ = """One object type as the enumeration core sees it.
 signature histogram of all of them as a Counter, the same as `signature`
 on each object of `objects(n)`: the objects are grown left to right,
 objects with a common prefix share its work, and no object is built.
-`tally(n, prune)` counts only the objects whose records all pass the
-predicate `prune`; the permutation walk grows only those (the
-cycle-alternating and 321-avoiding families are grown this way), and
-the other walks drop the rest at their leaf.  `kernel(x)` runs the same
-walk down object x's choices alone and returns (counts, records): the
-`ncounts` totals that no profile gives, and the profile records, one per
-index, element or arc in the walk's finishing order, each a list of
-`width` ints.  `profile(*record)` builds the profile a weight map reads,
-and `totals(profiles, *counts)` the totals object, whose cc (connected
-components) `zeta_cc_weight` reads.
+`tally(n, prune)` grows only the objects whose records all pass the
+predicate `prune`: the walk skips each choice that finishes a failing
+record.  `kernel(x)` runs the same walk down object x's choices alone
+and returns (counts, records): the `ncounts` totals that no profile
+gives, and the profile records, one per index, element or arc in the
+walk's finishing order, each a list of `width` ints.  `profile(*record)`
+builds the profile a weight map reads, and `totals(profiles, *counts)`
+the totals object, whose cc (connected components) `zeta_cc_weight`
+reads.
 `weights` maps weight-map ids to weight maps (profiles, totals) ->
 Monomial, most of them marked by `factors`, and `family(key)` resolves a
 family id to its filter (profiles, totals) -> bool, or None to keep every
@@ -66,31 +65,24 @@ is the largest size whose signature fields fit in bytes.
 """
 
 
-def walk_tally(walk, prunes=False):
+def walk_tally(walk):
     """The `tally` of an object type whose walk is `walk`.
 
-    `walk(n, leaf, path=None)` grows every object of size n, or with a
-    `path` only the object that makes those choices, and calls
+    `walk(n, leaf, path=None, prune=None)` grows every object of size n,
+    or with a `path` only the object that makes those choices, and calls
     `leaf(counts, records)` once per object; the records are bytes in a
     full walk and lists of ints on a path, and the walk reuses the list.
-    The tally's leaf packs each object's signature and counts it.
-    `tally(n, prune)` counts only the objects whose records all pass the
-    per-record predicate `prune`.  A walk that `prunes` (the permutation
-    walk) takes it as `walk(n, leaf, prune=prune)` and grows only those
-    objects; for any other walk the leaf drops the rest."""
+    With a `prune`, a predicate on one record, the walk skips every choice
+    that finishes a record failing it.  The tally's leaf packs each
+    object's signature and counts it, and `tally(n, prune)` counts only
+    the objects whose records all pass `prune`."""
     def tally(n, prune=None):
         hist = Counter()
 
         def leaf(counts, records):
             key = pack(counts, records)
             hist[key] = hist.get(key, 0) + 1
-        if prune is None:
-            walk(n, leaf)
-        elif prunes:
-            walk(n, leaf, prune=prune)
-        else:
-            walk(n, lambda counts, records: all(map(prune, records))
-                 and leaf(counts, records))
+        walk(n, leaf, prune=prune)
         return hist
     return tally
 
@@ -151,10 +143,9 @@ def histogram(kind, n, family="all", cache=None):
 
     The "all" histogram is `kind.tally(n)`.  A family whose filter is
     marked by `per_record` (the permutation families "cycle_alternating"
-    and "avoid321") is tallied by `kind.tally(n, prune)`, which grows it
-    directly for permutations, and no "all" histogram is made for it;
-    every other family's histogram is the "all" histogram restricted
-    signature by signature.
+    and "avoid321") is grown directly by `kind.tally(n, prune)`, and no
+    "all" histogram is made for it; every other family's histogram is the
+    "all" histogram restricted signature by signature.
     With a `cache` dict, every histogram is kept under (kind.name, n,
     family) and later requests for that set read it.  Sizes above
     `kind.max_n` raise SizeTooLarge.
@@ -167,9 +158,7 @@ def histogram(kind, n, family="all", cache=None):
     if hist is None:
         keep = kind.family(family)
         prune = getattr(keep, "prune", None)
-        if keep is None:
-            hist = kind.tally(n)
-        elif prune is not None:
+        if keep is None or prune is not None:
             hist = kind.tally(n, prune)
         else:
             hist = Counter({sig: count for sig, count
@@ -709,7 +698,7 @@ def _perm_walk(n, leaf, path=None, prune=None):
 
 # inv reaches n(n-1)/2, which is 253 at n = 23
 PERM = ObjectKind("perm", iter_permutations,
-                  walk_tally(_perm_walk, prunes=True),
+                  walk_tally(_perm_walk),
                   walk_kernel(_perm_walk, lambda sigma: sigma.oneline), 3, 4,
                   _profile, _perm_totals, PERM_WEIGHTS,
                   partial(lookup, PERM_FAMILIES), 23)

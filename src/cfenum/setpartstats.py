@@ -181,10 +181,17 @@ def _sp_totals(profiles, lb, ls, rb, rs, iota, cc):
 # Master weights
 
 def _sp_master(variant):
+    """The master weight of `variant`: a product over elements of a/b/d/e
+    indeterminates.
+
+    Closers always get b[qne] and singletons e[qne].  Openers get
+    a[cr,ne] (variants 1 and 4) or a[ov,cov] (variants 2 and 3); insiders
+    get d[cr,ne] (variants 1 and 3) or d[ov,cov] (variants 2 and 4).
+    """
     op_ovcov = variant in (2, 3)
     in_ovcov = variant in (2, 4)
 
-    def weight(profiles, totals=None):
+    def weight(profiles, totals):
         pairs = []
         for p in profiles:
             cls = p.element_class
@@ -199,21 +206,6 @@ def _sp_master(variant):
             pairs.append((v, 1))
         return monomial(pairs)
     return factors(weight)
-
-
-_SP_MASTER = {variant: _sp_master(variant) for variant in (1, 2, 3, 4)}
-
-
-def sp_master_weight(profiles, variant=1):
-    """Product over elements of a/b/d/e indeterminates.
-
-    Closers always get b[qne] and singletons e[qne].  Openers get
-    a[cr,ne] (variants 1 and 4) or a[ov,cov] (variants 2 and 3); insiders
-    get d[cr,ne] (variants 1 and 3) or d[ov,cov] (variants 2 and 4).
-    """
-    if variant not in (1, 2, 3, 4):
-        raise ValueError("variant must be 1, 2, 3 or 4")
-    return _SP_MASTER[variant](profiles)
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +309,10 @@ SP_WEIGHTS = {
     "ovcov-eleven": factors(_w_ovcov_eleven),
     "mixed-three": factors(_w_mixed_three),
     "mixed-four": factors(_w_mixed_four),
-    "master1": _SP_MASTER[1],
-    "master2": _SP_MASTER[2],
-    "master3": _SP_MASTER[3],
-    "master4": _SP_MASTER[4],
+    "master1": _sp_master(1),
+    "master2": _sp_master(2),
+    "master3": _sp_master(3),
+    "master4": _sp_master(4),
     "x-lb": factors(_w_x_lb),
     "x-ls": factors(_w_x_ls),
     "x-lsprime": _w_x_lsprime,  # nor does ls - blocks(blocks - 1)/2
@@ -394,7 +386,7 @@ def _sp_path(pi):
     return path
 
 
-def _sp_walk(n, leaf, path=None):
+def _sp_walk(n, leaf, path=None, prune=None):
     """The walk of `walk_tally` over the partitions of [n], grown element
     by element.  Element j is a singleton, the opener of a new block, or
     an insider or the closer of the open block at rank r, the open blocks
@@ -419,7 +411,11 @@ def _sp_walk(n, leaf, path=None):
     elements with a smaller label and to rs those with a larger one; iota
     gains, at j, the blocks whose last element comes after the last
     element of j's block (every block, if j starts one); cc counts the
-    elements after which no block is open."""
+    elements after which no block is open.
+
+    With a `prune`, a predicate on one record, the walk skips a singleton
+    whose record fails it, and a closer unless its record and those its
+    block finishes with it all pass."""
     record = bytes if path is None else list
     opens = []  # (label, min, last, qne(last), class(last), pending) each
     done = []  # the records of the finished elements
@@ -440,13 +436,14 @@ def _sp_walk(n, leaf, path=None):
             single, opener, ranks, inside, close = path[j - 1]
         # a new block gets the label `started`
         if single:
-            closed[j] = before + 1
-            sizes[started] += 1
             done.append(record((3, 0, 0, count, 0, 0)))
-            step(j + 1, started + 1, lb, ls + started, rb + j - 1, rs,
-                 iota + started, cc + (count == 0))
+            if prune is None or prune(done[-1]):
+                closed[j] = before + 1
+                sizes[started] += 1
+                step(j + 1, started + 1, lb, ls + started, rb + j - 1, rs,
+                     iota + started, cc + (count == 0))
+                sizes[started] -= 1
             done.pop()
-            sizes[started] -= 1
         if opener:
             closed[j] = before
             sizes[started] += 1
@@ -477,8 +474,9 @@ def _sp_walk(n, leaf, path=None):
                     cov = sum(1 for other in opens if other[1] < e)
                     done.append(record((e_cls, cr, ne, e_qne, e_qne - cov,
                                         cov)))
-                step(j + 1, started, lb_j, ls + label, rb + smaller,
-                     rs + larger, iota_j, cc + (count == 1))
+                if prune is None or all(map(prune, done[mark:])):
+                    step(j + 1, started, lb_j, ls + label, rb + smaller,
+                         rs + larger, iota_j, cc + (count == 1))
                 del done[mark:]
             sizes[label] -= 1
             opens.insert(r, block)

@@ -27,10 +27,6 @@ class UnknownTheorem(KeyError):
     """No theorem registered under that id."""
 
 
-class UnknownIdentity(KeyError):
-    """No identity registered under that id."""
-
-
 # ---------------------------------------------------------------------------
 # Small exact helpers
 
@@ -187,6 +183,15 @@ def _poly(obj, family="all", weight="unit", subst=None, zeta=False,
     return poly
 
 
+def _same(*sides):
+    """Identity checker n -> (ok, None): every side, a callable n ->
+    polynomial, equals the first at n."""
+    def check(n):
+        first, *rest = (side(n) for side in sides)
+        return all(first == other for other in rest), None
+    return check
+
+
 # ---------------------------------------------------------------------------
 # Master-formula coefficient builders (for coherence checks)
 
@@ -250,22 +255,25 @@ def _equal_at(label, fmt, indices, lhs, rhs):
              "ok": as_poly(lhs(n)) == as_poly(rhs(n))} for n in indices]
 
 
-def _s_coherence(label, derived, count=8):
-    """alpha_1..alpha_count of the entry equal `derived`."""
+# the coefficient indices that a coherence check compares (from 1 for
+# alpha and beta)
+_COHERENT = range(9)
+
+
+def _s_coherence(label, derived):
+    """alpha_1..alpha_8 of the entry equal `derived`."""
     def checks(case, n_max, polys):
-        return _equal_at(label, "alpha_%d", range(1, count + 1), derived,
+        return _equal_at(label, "alpha_%d", _COHERENT[1:], derived,
                          case.alpha)
     return checks
 
 
-def _j_coherence(label, dg, db, count=8):
-    """gamma_0..gamma_count and beta_1..beta_count of the entry equal
-    `dg` and `db`."""
+def _j_coherence(label, dg, db):
+    """gamma_0..gamma_8 and beta_1..beta_8 of the entry equal `dg` and
+    `db`."""
     def checks(case, n_max, polys):
-        return (_equal_at(label, "gamma_%d", range(count + 1), dg,
-                          case.gamma)
-                + _equal_at(label, "beta_%d", range(1, count + 1), db,
-                            case.beta))
+        return (_equal_at(label, "gamma_%d", _COHERENT, dg, case.gamma)
+                + _equal_at(label, "beta_%d", _COHERENT[1:], db, case.beta))
     return checks
 
 
@@ -418,15 +426,6 @@ def _compared(n, expected, got):
                                 "expected": expected.coeff_of(mon),
                                 "got": got.coeff_of(mon)}
     return entry
-
-
-def check_identity(tid, n_max=None):
-    """verify_theorem for an entry of kind Identity; UnknownIdentity for
-    any other id."""
-    case = REGISTRY.get(ALIASES.get(tid, tid))
-    if case is None or case.kind != "Identity":
-        raise UnknownIdentity(tid)
-    return verify_theorem(tid, n_max)
 
 
 def _expand(case, order):
@@ -1036,14 +1035,18 @@ def _random_fraction(rng):
                     rng.randint(1, 5))
 
 
+# the admissible points each witness checks
+_WITNESS_POINTS = 20
+
+
 def _witness_checks(seed, weights_id, names, admissible, gamma_formulas,
-                    beta_formulas, count=20):
+                    beta_formulas):
     rng = random.Random(seed)
     polys = [_enum("perm", n, "all", weights_id) for n in range(6)]
     vs = [var(nm) for nm in names]
     checks = []
     attempts = 0
-    while len(checks) < count and attempts < 100000:
+    while len(checks) < _WITNESS_POINTS and attempts < 100000:
         attempts += 1
         vals = [_random_fraction(rng) for _ in names]
         if not admissible(*vals):
@@ -1210,12 +1213,8 @@ _register(TheoremCase(
 ))
 
 
-def _sp_four_equiv(n):
-    base = _enum("setpart", n, "all", "pq-eleven")
-    ok = (base == _enum("setpart", n, "all", "ovcov-eleven")
-          and base == _enum("setpart", n, "all", "mixed-three")
-          and base == _enum("setpart", n, "all", "mixed-four"))
-    return ok, None
+_sp_four_equiv = _same(*(_poly("setpart", weight=w) for w in (
+    "pq-eleven", "ovcov-eleven", "mixed-three", "mixed-four")))
 
 
 _register(TheoremCase(
@@ -1575,18 +1574,13 @@ _register(TheoremCase(
 ))
 
 
-def _id_ww(n):
-    lhs = _enum("setpart", n, "all", "rs-rb")
-    rhs = _enum("setpart", n, "all", "lb-ls")
-    return lhs == rhs, None
-
-
 _register(TheoremCase(
     "ww.equidistribution", "Identity",
     "The pair (rs, rb) is jointly equidistributed with (lb, ls) on "
     "partitions with a fixed number of blocks.",
     8,
-    identity=_id_ww,
+    identity=_same(_poly("setpart", weight="rs-rb"),
+                   _poly("setpart", weight="lb-ls")),
 ))
 
 _register(TheoremCase(
@@ -1597,16 +1591,16 @@ _register(TheoremCase(
 ))
 
 
-def _id_dillon(n):
-    lhs = _enum("perm", n, "all", "four-var-cyc").substitute({"v": Y})
+def _dillon_sum(n):
+    """sum_k S(n,k) (y-u)^(n-k) x (x+u) ... (x+(k-1)u)."""
     s2 = _stirling2(n)
-    rhs = as_poly(0)
+    total = as_poly(0)
     for k in range(n + 1):
         term = as_poly(s2[k]) * (as_poly(Y) - U) ** (n - k)
         for j in range(k):
             term = term * (X + j * as_poly(U))
-        rhs = rhs + term
-    return lhs == rhs, None
+        total = total + term
+    return total
 
 
 _register(TheoremCase(
@@ -1614,18 +1608,19 @@ _register(TheoremCase(
     "Cycle-excedance polynomial as a Stirling-number sum of rising "
     "factorials.",
     7,
-    identity=_id_dillon,
+    identity=_same(_poly("perm", weight="four-var-cyc", subst={"v": Y}),
+                   _dillon_sum),
 ))
 
 
-def _id_orderedbell(n):
-    lhs = _eulerian_poly(n)
+def _ordered_bell_sum(n):
+    """sum_k k! S(n,k) (y-x)^(n-k) x^k."""
     s2 = _stirling2(n)
-    rhs = as_poly(0)
+    total = as_poly(0)
     for k in range(n + 1):
-        rhs = rhs + factorial(k) * s2[k] \
+        total = total + factorial(k) * s2[k] \
             * (as_poly(Y) - X) ** (n - k) * as_poly(X) ** k
-    return lhs == rhs, None
+    return total
 
 
 _register(TheoremCase(
@@ -1633,32 +1628,18 @@ _register(TheoremCase(
     "Homogenized Eulerian polynomial equals the ordered Bell expansion "
     "sum k! S(n,k) (y-x)^(n-k) x^k.",
     7,
-    identity=_id_orderedbell,
+    identity=_same(_eulerian_poly, _ordered_bell_sum),
 ))
-
-
-def _id_mp(n):
-    lhs = _enum("match", n, "all", "four-var-cp")
-    rhs = _enum("perm", n, "all", "four-var-arec").substitute(
-        {"y": Y + V, "u": 2 * as_poly(U), "v": 2 * as_poly(V)})
-    return lhs == rhs, None
 
 
 _register(TheoremCase(
     "MP.identity", "Identity",
     "M_n(x,y,u,v) = P_n(x, y+v, 2u, 2v).",
     6,
-    identity=_id_mp,
+    identity=_same(_poly("match", weight="four-var-cp"),
+                   _poly("perm", weight="four-var-arec", subst={
+                       "y": Y + V, "u": 2 * as_poly(U), "v": 2 * as_poly(V)})),
 ))
-
-
-def _id_mp_pq(n):
-    lhs = _enum("match", n, "all", "pq").substitute({"u": QM * U})
-    rhs = _enum("perm", n, "all", "eight-var-pq").substitute({
-        "x": X, "y": PP * Y + QP * V,
-        "u": (as_poly(PM) + QM) * U, "v": (as_poly(PP) + QP) * V,
-        "pp": PP ** 2, "pm": PM ** 2, "qp": QP ** 2, "qm": QM ** 2})
-    return lhs == rhs, None
 
 
 _register(TheoremCase(
@@ -1666,5 +1647,10 @@ _register(TheoremCase(
     "(p,q)-refined matching/permutation identity, checked after scaling "
     "u by q- to stay polynomial.",
     5,
-    identity=_id_mp_pq,
+    identity=_same(_poly("match", weight="pq", subst={"u": QM * U}),
+                   _poly("perm", weight="eight-var-pq", subst={
+                       "x": X, "y": PP * Y + QP * V,
+                       "u": (as_poly(PM) + QM) * U,
+                       "v": (as_poly(PP) + QP) * V, "pp": PP ** 2,
+                       "pm": PM ** 2, "qp": QP ** 2, "qm": QM ** 2})),
 ))

@@ -13,8 +13,7 @@ from cfenum.permstats import (PERM, enumerate_polynomial, iter_permutations,
                               stat_totals)
 from cfenum.series import (attach_component_weight, expand_jfraction,
                            expand_sfraction, indecomposable_series)
-from cfenum.theorems import REGISTRY, _enum, check_identity, \
-    list_theorems, verify_theorem
+from cfenum.theorems import _enum, list_theorems, verify_theorem
 
 from test_paths import (check_biane_closer_lemma, check_biane_lemmas,
                         check_fz_lemmas, check_reversed_stats,
@@ -53,12 +52,7 @@ def test_criterion_02_master_theorems():
 
 def test_criterion_03_all_specializations():
     for tid in list_theorems():
-        case = REGISTRY[tid]
-        if case.kind == "Identity":
-            report = check_identity(tid)
-        else:
-            report = verify_theorem(tid)
-        _ok(report, tid)
+        _ok(verify_theorem(tid), tid)
     _passed(3, "all %d registered entries pass at default n_max"
             % len(list_theorems()))
 
@@ -78,7 +72,9 @@ def test_criterion_04_conjecture_forward():
 # of [16] serves both weights.
 
 def test_criterion_05_cc_table():
-    _ok(check_identity("match.cc.table", n_max=8), "match.cc.table")
+    report = verify_theorem("match.cc.table", n_max=8)
+    _ok(report, "match.cc.table")
+    assert report.kind == "Identity"
     z = var("zeta")
     row8 = _enum("match", 8, "all", "zeta-cc")
     got = [row8.coeff_of(Monomial({z: k})) for k in range(1, 9)]
@@ -102,7 +98,9 @@ def test_criterion_07_identity_suite():
         "B.equals.B2B3B4": 9, "sp.four.equiv": 9, "fig9.iota": None,
     }
     for tid, n in sizes.items():
-        _ok(check_identity(tid, n_max=n), tid)
+        report = verify_theorem(tid, n_max=n)
+        _ok(report, tid)
+        assert report.kind == "Identity", tid
     _passed(7, "identity suite exhaustive at the stated sizes")
 
 

@@ -188,9 +188,9 @@ def test_mutated_signature_is_caught():
 def test_one_kernel_pass_per_object_set(monkeypatch):
     calls = []
 
-    def counted(n):
+    def counted(n, prune=None):
         calls.append(n)
-        return SETPART.tally(n)
+        return SETPART.tally(n, prune)
 
     monkeypatch.setitem(KINDS, "setpart", SETPART._replace(tally=counted))
     monkeypatch.setattr(theorems, "_ENUM_CACHE", {})
@@ -214,7 +214,7 @@ def _inv_decomp_with_inv(monkeypatch, shift):
 
     monkeypatch.setitem(KINDS, "perm", _with_kernel(PERM, kernel))
     monkeypatch.setattr(theorems, "_ENUM_CACHE", {})
-    return theorems.check_identity("inv.decomp", n_max=4)
+    return theorems.verify_theorem("inv.decomp", n_max=4)
 
 
 def test_inv_off_by_one_fails_inv_decomp(monkeypatch):

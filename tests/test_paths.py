@@ -252,6 +252,15 @@ def test_invalid_path():
         decode(bad, "FZ")
 
 
+def test_compare_with_other_types():
+    rise = ColoredStep("R")
+    assert rise != None and not rise == None  # noqa: E711
+    assert rise not in [None, "R", 1] and rise in [None, ColoredStep("R")]
+    path = LabeledMotzkinPath([], [])
+    assert path != [] and path not in [None, (), []]
+    assert path in [None, LabeledMotzkinPath([], [])]
+
+
 def test_type_mismatch():
     with pytest.raises(TypeMismatch):
         encode(FIG3, "KZ")

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfenum.matchstats import MATCH
+from cfenum.matchstats import MATCH, _match_walk
 from cfenum.mpoly import Monomial, MultiPoly, as_poly, var
 from cfenum.permstats import (PERM, PERM_FAMILIES, NotABijection,
                               Permutation, UnknownWeightMap, decode,
@@ -14,7 +14,7 @@ from cfenum.permstats import (PERM, PERM_FAMILIES, NotABijection,
                               perm_from_oneline, perm_master_weight_first,
                               perm_master_weight_second, signature,
                               stat_totals)
-from cfenum.setpartstats import SETPART
+from cfenum.setpartstats import SETPART, _sp_walk
 
 from enum_oracle import perm_index_profile
 
@@ -159,10 +159,34 @@ def test_unmarked_family_filters_the_all_histogram():
     assert list(cache) == [("perm", 6, derangement)]
 
 
-def test_per_record_filters_where_the_walk_takes_no_prune():
-    # the set-partition and matching walks take no prune, so their
-    # tallies drop each object with a failing record at the leaf; the
-    # result is the "all" histogram filtered by the family's own filter
+def test_walks_prune_records():
+    # each walk skips the choices that finish a failing record: its leaf
+    # runs once per object whose records all pass, and the pruned tally
+    # is the "all" histogram filtered record by record
+    for kind, walk, n_max, prunes in (
+            (SETPART, _sp_walk, 8, (lambda rec: rec[0] != 3,  # no singleton
+                                    lambda rec: rec[1] == 0,  # no crossing
+                                    lambda rec: rec[5] == 0)),  # no cover
+            (MATCH, _match_walk, 6, (lambda rec: rec[1] == 0,  # no crossing
+                                     lambda rec: rec[2] == 0,  # no nesting
+                                     lambda rec: rec[0] != 3))):  # odd-odd
+        width = kind.width
+        for prune in prunes:
+            for n in range(n_max + 1):
+                want = sum(all(map(prune, kind.kernel(x)[1]))
+                           for x in kind.objects(n))
+                calls = []
+                walk(n, lambda counts, records: calls.append(n),
+                     prune=prune)
+                assert len(calls) == want, (kind.name, n)
+                assert kind.tally(n, prune) == Counter(
+                    {sig: count for sig, count in kind.tally(n).items()
+                     if all(prune(sig[i:i + width]) for i
+                            in range(kind.ncounts, len(sig), width))})
+
+    # a family marked by per_record is grown by the kind's pruned tally;
+    # it equals the "all" histogram filtered by the family's own filter,
+    # and it leaves no "all" histogram in the cache
     assert enumerate_polynomial(SETPART, 3, family=per_record(
         lambda profiles, totals: True, lambda rec: True)) == 5
     no_singleton = per_record(

@@ -5,11 +5,12 @@ import random
 import pytest
 
 from cfenum.mpoly import Monomial, MultiPoly, as_poly, var
-from cfenum.permstats import enumerate_polynomial, stat_totals
-from cfenum.setpartstats import (SETPART, NotAPartition, SetPartition,
-                                 iter_rgs, iter_set_partitions,
+from cfenum.permstats import (UnknownWeightMap, enumerate_polynomial, lookup,
+                              stat_totals)
+from cfenum.setpartstats import (SETPART, SP_WEIGHTS, NotAPartition,
+                                 SetPartition, iter_rgs, iter_set_partitions,
                                  setpart_from_blocks, setpart_from_rgs,
-                                 sp_master_weight, sp_reverse)
+                                 sp_reverse)
 
 from enum_oracle import sp_index_profile
 
@@ -64,16 +65,16 @@ def test_stat_totals_examples():
 def test_master_weight_examples():
     singles = setpart_from_blocks([[1], [2], [3]])
     for variant in (1, 2, 3, 4):
-        assert sp_master_weight(sp_index_profile(singles), variant) \
-            == Monomial({var("e", 0): 3})
+        assert SP_WEIGHTS["master%d" % variant](
+            sp_index_profile(singles), None) == Monomial({var("e", 0): 3})
     crossing = setpart_from_blocks([[1, 3], [2, 4]])
     expected = Monomial({var("a", 0, 0): 1, var("a", 1, 0): 1,
                          var("b", 0): 1, var("b", 1): 1})
     profiles = sp_index_profile(crossing)
-    assert sp_master_weight(profiles, 1) == expected
-    assert sp_master_weight(profiles, 2) == expected
-    with pytest.raises(ValueError):
-        sp_master_weight(profiles, 5)
+    assert SP_WEIGHTS["master1"](profiles, None) == expected
+    assert SP_WEIGHTS["master2"](profiles, None) == expected
+    with pytest.raises(UnknownWeightMap):
+        lookup(SP_WEIGHTS, "master5")
 
 
 def test_reverse():

@@ -11,10 +11,9 @@ from cfenum.mpoly import monomial, var
 from cfenum.permstats import PERM_WEIGHTS, enumerate_polynomial
 from cfenum.series import expand_jfraction, expand_sfraction
 from cfenum.setpartstats import SP_WEIGHTS
-from cfenum.theorems import (ALIASES, KINDS, REGISTRY, UnknownIdentity,
-                             UnknownTheorem, check_identity, expand_registered,
-                             list_theorems, pqint, qint, verify_theorem,
-                             _poly)
+from cfenum.theorems import (ALIASES, KINDS, REGISTRY, UnknownTheorem,
+                             expand_registered, list_theorems, pqint, qint,
+                             verify_theorem, _poly)
 
 from test_series import nested_jfraction, nested_sfraction
 
@@ -68,10 +67,6 @@ def test_aliases():
 def test_unknown_ids():
     with pytest.raises(UnknownTheorem):
         verify_theorem("no.such.theorem")
-    with pytest.raises(UnknownIdentity):
-        check_identity("no.such.identity")
-    with pytest.raises(UnknownIdentity):
-        check_identity("perm.J1")  # a theorem, not an identity
 
 
 def test_pq_integers():
@@ -122,8 +117,8 @@ def test_witnesses():
 def test_identity_spot_checks():
     for tid in ("inv.decomp", "fig9.iota", "match.touchard",
                 "crne.eq.ovcov", "MP.identity"):
-        r = check_identity(tid, n_max=5)
-        assert r.ok, (tid, r.to_dict())
+        r = verify_theorem(tid, n_max=5)
+        assert r.ok and r.kind == "Identity", (tid, r.to_dict())
 
 
 def test_conjecture_forward():
@@ -249,7 +244,7 @@ def test_rs_formula_failure_names_partition(monkeypatch):
 
     monkeypatch.setattr(theorems, "SETPART",
                         theorems.SETPART._replace(kernel=off_by_one))
-    report = check_identity("rs.formula", n_max=4)
+    report = verify_theorem("rs.formula", n_max=4)
     assert [c["ok"] for c in report.checks] == [True] * 3 + [False, True]
     assert report.first_discrepancy == {"n": 3, "ok": False,
                                         "detail": "pi=((1, 3), (2,))"}
@@ -318,3 +313,38 @@ def test_cycle_alternating_entries_reach_alpha_5(monkeypatch):
         assert report.ok and report.n_max == 5, report.to_dict()
     assert {key[1:] for key in theorems._ENUM_CACHE} \
         == {(n, "cycle_alternating") for n in range(0, 11, 2)}
+
+
+# the (object, weight) sides of each identity checked by _same that has an
+# enumeration side
+_SAME_SIDES = {
+    "sp.four.equiv": ("pq-eleven", "ovcov-eleven", "mixed-three",
+                      "mixed-four"),
+    "B.equals.B2B3B4": ("pq-eleven", "ovcov-eleven", "mixed-three",
+                        "mixed-four"),
+    "ww.equidistribution": ("rs-rb", "lb-ls"),
+}
+
+
+@pytest.mark.parametrize("tid,side", [
+    (tid, ("setpart", weight)) for tid, weights in _SAME_SIDES.items()
+    for weight in weights] + [
+    ("dillon", ("perm", "four-var-cyc")),
+    ("MP.identity", ("match", "four-var-cp")),
+    ("MP.identity", ("perm", "four-var-arec")),
+    ("MP.identity.pq", ("match", "pq")),
+    ("MP.identity.pq", ("perm", "eight-var-pq"))])
+def test_every_equality_identity_can_fail(monkeypatch, tid, side):
+    # one side gains a fresh indeterminate, so the identity fails from
+    # n = 0 on; a checker that compared a side with itself would not
+    real = theorems._enum
+    eps = var("eps")
+
+    def perturbed(obj, n, family="all", weight="unit", zeta=False):
+        p = real(obj, n, family, weight, zeta)
+        return p + eps if (obj, weight) == side else p
+
+    monkeypatch.setattr(theorems, "_enum", perturbed)
+    report = verify_theorem(tid, n_max=3)
+    assert not report.ok
+    assert report.first_discrepancy == {"n": 0, "ok": False}

@@ -1,7 +1,7 @@
 """Write a BENCH_<n>.json: the bench/run.py medians of a base revision and
-of the working tree, from alternating pairs, with one Tier-1 wall time and
-its eight slowest tests per tree and the src/cfenum line counts, in all
-(src_cfenum_lines) and per module (src_cfenum_module_lines).
+of the working tree, from alternating pairs, with two Tier-1 runs per tree
+(wall time and eight slowest tests each) and the src/cfenum line counts,
+in all (src_cfenum_lines) and per module (src_cfenum_module_lines).
 
     python3 tools/bench_json.py --base REV --seed SEED --out BENCH_6.json
 
@@ -10,12 +10,14 @@ base revision is exported with `git archive` into a temporary directory;
 the change is the working tree.  Pair i of the ten runs every workload of
 bench/run.py on both trees with seed SEED+i, the base first in even pairs
 and the change first in odd ones.  Choose a SEED whose ten seeds were not
-used while writing the change.  Tier-1 runs once on each tree, the base
-first, with pytest's --durations=8, whose lines become tier1.slowest (the
-change) and tier1_base.slowest (the base), so the slowest tests before
-and after come from one machine.  The script exits 1, after writing the
-file, when the change's Tier-1 has failures or errors; a red base Tier-1
-is only recorded.
+used while writing the change.  Tier-1 runs twice on each tree, in the
+order base, change, change, base, so that a drift of the machine's speed
+during the runs weighs on both trees alike.  Each run uses pytest's
+--durations=8; tier1.runs (the change) and tier1_base.runs (the base)
+hold both runs of a tree, and tier1.slowest and tier1_base.slowest each
+slow test's minimum over the runs that list it.  The script exits 1,
+after writing the file, when a Tier-1 run of the change has failures or
+errors; a red base Tier-1 is only recorded.
 
 Per workload, better_pairs counts for each metric the pairs in which the
 change reads lower (ties count for neither side; every metric is lower-is-
@@ -123,6 +125,20 @@ def tier1(tree):
             "slowest": slowest}
 
 
+def tier1_summary(runs):
+    """Both Tier-1 runs of one tree, and each slow test's minimum over the
+    runs that list it, slowest first."""
+    best = {}
+    for run in runs:
+        for row in run["slowest"]:
+            seconds, listed = best.get(row["test"], (row["seconds"], 0))
+            best[row["test"]] = (min(seconds, row["seconds"]), listed + 1)
+    return {"runs": runs,
+            "slowest": [{"test": test, "seconds": seconds, "runs": listed}
+                        for test, (seconds, listed) in sorted(
+                            best.items(), key=lambda item: -item[1][0])]}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", required=True, help="base git revision")
@@ -147,7 +163,10 @@ def main():
                     print("pair %d %s %s %s" % (i, w, side, row), flush=True)
         modules = {"base": module_lines(base),
                    "change": module_lines(change)}
-        base_tier1 = tier1(base)
+        runs = {"base": [], "change": []}
+        for side, tree in (("base", base), ("change", change),
+                           ("change", change), ("base", base)):
+            runs[side].append(tier1(tree))
     report = {
         "stamp": {"python": platform.python_version(),
                   "nproc": len(os.sched_getaffinity(0)),
@@ -166,12 +185,12 @@ def main():
     }
     for w in WORKLOADS:
         report["workloads"][w] = compare(rows[w]["base"], rows[w]["change"])
-    report["tier1_base"] = base_tier1
-    report["tier1"] = tier1(change)
+    report["tier1_base"] = tier1_summary(runs["base"])
+    report["tier1"] = tier1_summary(runs["change"])
     with open(args.out, "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")
-    if report["tier1"]["failed"] or report["tier1"]["errors"]:
+    if any(run["failed"] or run["errors"] for run in runs["change"]):
         sys.exit(1)
 
 
