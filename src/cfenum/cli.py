@@ -19,7 +19,7 @@ from .mpoly import ExponentError, Indeterminate, ParseError, as_poly, \
     from_text, parse_factor, to_text
 from .permstats import Permutation, NotABijection, SizeTooLarge, \
     UnknownWeightMap, enumerate_polynomial, stat_totals
-from .setpartstats import NotAPartition, setpart_from_blocks
+from .setpartstats import NotAPartition, SetPartition
 from .matchstats import Matching, NotAMatching
 from . import paths as pathmod
 from . import theorems as thm
@@ -90,7 +90,7 @@ def _parse_blocks(text):
     try:
         blocks = [[int(t) for t in blk.split(",") if t.strip() != ""]
                   for blk in text.split(";") if blk.strip() != ""]
-        return setpart_from_blocks(blocks)
+        return SetPartition(blocks)
     except (ValueError, NotAPartition) as exc:
         _fail_usage("bad block list %r: %s" % (text, exc))
 
@@ -107,6 +107,15 @@ def _parse_pairs(text):
         return Matching(pairs)
     except (ValueError, NotAMatching) as exc:
         _fail_usage("bad pair list %r: %s" % (text, exc))
+
+
+def _object_payload(x):
+    """The object part of a stats or decode report."""
+    if isinstance(x, Permutation):
+        return {"object": "perm", "oneline": list(x.oneline)}
+    if isinstance(x, Matching):
+        return {"object": "match", "pairs": x.as_blocks()}
+    return {"object": "setpart", "blocks": [list(b) for b in x.blocks]}
 
 
 _FMT = click.option("--format", "fmt", type=click.Choice(["json", "text"]),
@@ -268,18 +277,15 @@ def stats(obj, oneline, blocks, pairs, fmt):
         if oneline is None:
             _fail_usage("--object perm requires --oneline")
         x = _parse_oneline(oneline)
-        payload = {"object": "perm", "oneline": list(x.oneline)}
     elif obj == "setpart":
         if blocks is None:
             _fail_usage("--object setpart requires --blocks")
         x = _parse_blocks(blocks)
-        payload = {"object": "setpart",
-                   "blocks": [list(b) for b in x.blocks]}
     else:
         if pairs is None:
             _fail_usage("--object match requires --pairs")
         x = _parse_pairs(pairs)
-        payload = {"object": "match", "pairs": x.as_blocks()}
+    payload = _object_payload(x)
     payload["stats"] = stat_totals(thm.KINDS[obj], x).to_dict()
     _emit(_stamp(payload), fmt)
 
@@ -346,11 +352,7 @@ def decode(bijection, path_file, fmt):
         obj = pathmod.decode(path, canon)
     except (pathmod.TypeMismatch, pathmod.InvalidPath) as exc:
         _fail_usage(str(exc))
-    if pathmod.BIJECTIONS[canon].takes is Permutation:
-        payload = {"object": "perm", "oneline": list(obj.oneline)}
-    else:
-        payload = {"object": "setpart",
-                   "blocks": [list(b) for b in obj.blocks]}
+    payload = _object_payload(obj)
     payload["bijection"] = canon
     _emit(_stamp(payload), fmt)
 

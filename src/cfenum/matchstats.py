@@ -29,20 +29,18 @@ class Matching:
 
     __slots__ = ("n", "partner")
 
-    def __init__(self, pairs, _trusted=False):
+    def __init__(self, pairs):
         pairs = tuple(sorted(tuple(sorted(p)) for p in pairs))
         n = len(pairs)
         partner = [0] * (2 * n + 1)
         for (i, j) in pairs:
-            if not _trusted:
-                if (i == j or not 1 <= i <= 2 * n or not 1 <= j <= 2 * n
-                        or partner[i] or partner[j]):
-                    raise NotAMatching(
-                        "%r is not a perfect matching of 1..%d"
-                        % (pairs, 2 * n))
+            if (i == j or not 1 <= i <= 2 * n or not 1 <= j <= 2 * n
+                    or partner[i] or partner[j]):
+                raise NotAMatching("%r is not a perfect matching of 1..%d"
+                                   % (pairs, 2 * n))
             partner[i] = j
             partner[j] = i
-        if not _trusted and any(partner[k] == 0 for k in range(1, 2 * n + 1)):
+        if any(partner[k] == 0 for k in range(1, 2 * n + 1)):
             raise NotAMatching("pairs do not cover 1..%d" % (2 * n,))
         self.n = n
         self.partner = tuple(partner)
@@ -51,9 +49,6 @@ class Matching:
     def pairs(self):
         """The arcs (opener, closer), sorted."""
         return tuple((i, j) for i, j in enumerate(self.partner) if i < j)
-
-    def __call__(self, i):
-        return self.partner[i]
 
     def __eq__(self, other):
         if not isinstance(other, Matching):
@@ -68,10 +63,6 @@ class Matching:
 
     def as_blocks(self):
         return [list(p) for p in self.pairs]
-
-
-def matching_from_pairs(pairs):
-    return Matching(pairs)
 
 
 ArcProfile = namedtuple("ArcProfile",

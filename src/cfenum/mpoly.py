@@ -19,7 +19,6 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
 from itertools import compress, count
-import json
 from operator import attrgetter, itemgetter, or_
 import re
 import sys
@@ -78,11 +77,6 @@ class Indeterminate:
 
     def __eq__(self, other):
         return self is other
-
-    def __lt__(self, other):
-        if not isinstance(other, Indeterminate):
-            return NotImplemented
-        return self._key < other._key
 
     def __repr__(self):
         return self._text
@@ -148,11 +142,6 @@ def _display(packed, rank_code):
                    for s in compress(count(), fields)])
 
 
-def _factors(key):
-    """[(Indeterminate, exponent)] of a display key."""
-    return [(_by_rank[code >> _BITS], code & _FIELD) for code in key]
-
-
 def _display_text(key):
     parts = []
     for code in key:
@@ -181,7 +170,8 @@ def _checked(packed):
 def _exps(packed):
     """[(Indeterminate, exponent)] of a packed monomial in display
     order."""
-    return _factors(_display(packed, _rank_codes()))
+    return [(_by_rank[code >> _BITS], code & _FIELD)
+            for code in _display(packed, _rank_codes())]
 
 
 class Monomial:
@@ -318,9 +308,6 @@ class MultiPoly:
     def one():
         return MultiPoly({0: 1})
 
-    def constant_term(self):
-        return self.terms.get(0, 0)
-
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             try:
@@ -328,9 +315,6 @@ class MultiPoly:
             except TypeError:
                 return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
         other = as_poly(other)
@@ -432,30 +416,19 @@ class MultiPoly:
                 add_product(acc, term.terms, {kept: c})
         return MultiPoly(checked_terms(acc))
 
-    def evaluate(self, point, default=None):
-        """Evaluate at a numeric point (dict Indeterminate -> number).
-
-        Missing indeterminates take `default` if given, else raise KeyError.
-        Returns an int or Fraction depending on the point values.
+    def evaluate(self, point):
+        """Evaluate at a numeric point (dict Indeterminate -> number); an
+        indeterminate the point misses raises KeyError.  Returns an int or
+        Fraction depending on the point values.
         """
         total = Fraction(0) if any(
             isinstance(x, Fraction) for x in point.values()) else 0
         for k, c in self.terms.items():
             term = c
             for v, e in _exps(k):
-                if v in point:
-                    x = point[v]
-                elif default is not None:
-                    x = default
-                else:
-                    raise KeyError("no value for %r" % (v,))
-                term *= x ** e
+                term *= point[v] ** e
             total += term
         return total
-
-    def indeterminates(self):
-        """Sorted list of all indeterminates appearing in the polynomial."""
-        return [v for v, _ in _exps(reduce(or_, self.terms, 0))]
 
     def _display_terms(self):
         """[(display key, packed monomial, coefficient)] in monomial
@@ -490,16 +463,17 @@ def _coeff_text(c):
         return str(Decimal(c))
 
 
-_COEFF_RE = re.compile(r"\s*[+-]?\d+\s*")
+_COEFF_RE = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 def _coeff(text):
-    """The integer of a coefficient's decimal digits, at any length."""
+    """The integer of a coefficient's ASCII decimal digits, at any length:
+    int() alone would also take underscores and non-ASCII digits."""
+    if not _COEFF_RE.fullmatch(text):
+        raise ValueError("bad coefficient %r" % text)
     try:
         return int(text)
-    except ValueError:
-        if not _COEFF_RE.fullmatch(text):
-            raise
+    except ValueError:  # more digits than int() converts
         return int(Decimal(text))
 
 
@@ -513,7 +487,8 @@ def to_text(p):
 
 
 _VAR_RE = re.compile(
-    r"^([A-Za-z_][A-Za-z_0-9]*?)(?:\[(\d+(?:,\d+)*)\])?(?:\^(\d+))?$")
+    r"^([A-Za-z_][A-Za-z_0-9]*?)(?:\[([0-9]+(?:,[0-9]+)*)\])?"
+    r"(?:\^([0-9]+))?$")
 
 
 class ParseError(ValueError):
@@ -564,51 +539,3 @@ def from_text(text):
         return sum_of_products(rows(), factor)
     except ExponentError as exc:
         raise ParseError(str(exc)) from None
-
-
-# ---------------------------------------------------------------------------
-# JSON form: {"terms":[{"coeff":"5","exps":[["x1",[],2],["w",[3],1]]}]}
-
-def to_json_obj(p):
-    p = as_poly(p)
-    return {"terms": [
-        {"coeff": _coeff_text(c),
-         "exps": [[v.family, list(v.indices), e] for v, e in _factors(key)]}
-        for key, _, c in p._display_terms()]}
-
-
-def to_json(p):
-    return json.dumps(to_json_obj(p))
-
-
-def from_json_obj(obj):
-    """Parse the JSON form back into a MultiPoly, as from_text does.  A
-    coefficient that is not a string of decimal digits, an exponent that
-    is not an int (a bool included), a family or index of the wrong type,
-    a missing "terms" or "coeff" key and an exps entry that is not a
-    (family, indices, exponent) triple are a ParseError."""
-    def factor(key):
-        family, indices, e = key
-        if type(e) is not int:
-            raise ParseError("exponent %r of %r is not an int" % (e, family))
-        return Monomial(((Indeterminate(family, *indices), e),))
-
-    def rows():
-        for t in obj["terms"]:
-            coeff = t["coeff"]
-            if not isinstance(coeff, str) or not _COEFF_RE.fullmatch(coeff):
-                raise ParseError("bad coefficient %r" % (coeff,))
-            yield [(f, tuple(i), e) for f, i, e in t["exps"]], _coeff(coeff)
-
-    try:
-        return sum_of_products(rows(), factor)
-    except KeyError as exc:
-        raise ParseError("missing key %s" % exc) from None
-    # TypeError: a wrong type; ValueError (ExponentError included): an exps
-    # entry of the wrong length, or an exponent out of range
-    except (TypeError, ValueError) as exc:
-        raise ParseError(str(exc)) from None
-
-
-def from_json(text):
-    return from_json_obj(json.loads(text))

@@ -284,9 +284,6 @@ class Permutation:
     def inverse_at(self, i):
         return self.inv_oneline[i - 1]
 
-    def inverse(self):
-        return Permutation(self.inv_oneline, _trusted=True)
-
     def __eq__(self, other):
         if not isinstance(other, Permutation):
             return NotImplemented
@@ -297,10 +294,6 @@ class Permutation:
 
     def __repr__(self):
         return "Permutation(%r)" % (list(self.oneline),)
-
-
-def perm_from_oneline(word):
-    return Permutation(word)
 
 
 IndexProfile = namedtuple(

@@ -19,13 +19,10 @@ class NotAPartition(ValueError):
 
 
 class SetPartition:
-    """A partition of [n] into disjoint nonempty blocks.
+    """A partition of [n] into disjoint nonempty blocks, stored sorted by
+    their minimum."""
 
-    Blocks are stored sorted by their minimum; arcs join consecutive
-    elements within each block.
-    """
-
-    __slots__ = ("n", "blocks", "arcs")
+    __slots__ = ("n", "blocks")
 
     def __init__(self, blocks, _trusted=False):
         blocks = tuple(sorted((tuple(sorted(b)) for b in blocks),
@@ -43,13 +40,8 @@ class SetPartition:
                     seen.add(e)
             if len(seen) != n:
                 raise NotAPartition("blocks do not partition 1..%d" % n)
-        arcs = []
-        for b in blocks:
-            for i in range(len(b) - 1):
-                arcs.append((b[i], b[i + 1]))
         self.n = n
         self.blocks = blocks
-        self.arcs = tuple(arcs)
 
     def __eq__(self, other):
         if not isinstance(other, SetPartition):
@@ -59,15 +51,8 @@ class SetPartition:
     def __hash__(self):
         return hash(self.blocks)
 
-    def __len__(self):
-        return len(self.blocks)
-
     def __repr__(self):
         return "SetPartition(%r)" % ([list(b) for b in self.blocks],)
-
-
-def setpart_from_blocks(blocks):
-    return SetPartition(blocks)
 
 
 def sp_reverse(pi):

@@ -19,7 +19,7 @@ from .series import (expand_sfraction, expand_jfraction,
                      TerminatedFraction, NonUnitConstantTerm)
 from .permstats import PERM, decode, enumerate_polynomial, factors, \
     histogram, is_avoid321, signature, stat_totals
-from .setpartstats import SETPART, setpart_from_blocks, sp_reverse
+from .setpartstats import SETPART, SetPartition, sp_reverse
 from .matchstats import MATCH, touchard_riordan
 
 
@@ -1560,7 +1560,7 @@ _register(TheoremCase(
 
 
 def _id_fig9(n):
-    pi = setpart_from_blocks([[1, 3, 6], [2, 4, 5]])
+    pi = SetPartition([[1, 3, 6], [2, 4, 5]])
     t = stat_totals(SETPART, pi)
     return (t.iota == 4 and t.iota_prime == 3), None
 

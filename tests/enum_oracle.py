@@ -256,11 +256,17 @@ PERM_FAMILIES = {
 # ---------------------------------------------------------------------------
 # Set partitions
 
+def sp_arcs(pi):
+    """The arc graph of a set partition: each element and the next element
+    of its block."""
+    return [(b[i], b[i + 1]) for b in pi.blocks for i in range(len(b) - 1)]
+
+
 def sp_index_profile(pi):
     """Per-element profiles of a set partition, in element order, by the
     definitions of setpartstats.SPIndexProfile."""
     n = pi.n
-    arcs = pi.arcs
+    arcs = sp_arcs(pi)
     spans = [(b[0], b[-1]) for b in pi.blocks]
     block_of = [0] * (n + 1)
     nxt = [0] * (n + 1)

@@ -3,8 +3,8 @@
 `Monomial` is the tuple monomial that cfenum.mpoly used before packed
 exponent vectors: a tuple of (Indeterminate, exponent) pairs kept sorted by
 (family, indices), with no exponent limit.  `Poly` writes the MultiPoly
-operations plainly over it.  `to_text` and `to_json_obj` are the canonical
-forms as cfenum.mpoly printed them.  Only Indeterminate is shared with the
+operations plainly over it.  `to_text` is the canonical text form as
+cfenum.mpoly printed it.  Only Indeterminate is shared with the
 library: nothing here reads a packed int, a slot or a rank table.
 """
 
@@ -30,9 +30,6 @@ class Monomial:
 
     def __eq__(self, other):
         return self.exps == other.exps
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
 
     def sort_key(self):
         return tuple([(v._key, e) for v, e in self.exps])
@@ -104,18 +101,14 @@ class Poly:
             out.append(term)
         return out
 
-    def evaluate(self, point, default=None):
+    def evaluate(self, point):
         total = Fraction(0)
         for m, c in self.terms.items():
             term = Fraction(c)
             for v, e in m.exps:
-                term *= Fraction(point.get(v, default)) ** e
+                term *= Fraction(point[v]) ** e
             total += term
         return total
-
-    def indeterminates(self):
-        return sorted({v for m in self.terms for v, _ in m.exps},
-                      key=lambda v: v._key)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key())
@@ -127,9 +120,3 @@ def to_text(p):
     return " + ".join([str(c) if not m.exps else "%d*%s" % (c, repr(m))
                        for m, c in p.sorted_terms()])
 
-
-def to_json_obj(p):
-    return {"terms": [
-        {"coeff": str(c),
-         "exps": [[v.family, list(v.indices), e] for v, e in m.exps]}
-        for m, c in p.sorted_terms()]}

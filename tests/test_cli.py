@@ -163,6 +163,18 @@ def test_substitution_errors(runner, tmp_path):
     assert res.exit_code == 2
     assert res.output.startswith("error: bad substitution key 'w[3,111")
     assert "Traceback" not in res.output
+    # ASCII digits only: int() alone reads underscores and other digits
+    for subst, message in (
+            ({"x[\u0663]": "2"}, "bad substitution key"),
+            ({"x^\u0663": "2"}, "bad substitution key"),
+            ({"x": "5_000"}, "bad substitution value for 'x'"),
+            ({"x": "\u0663*y"}, "bad substitution value for 'x'")):
+        bad.write_text(json.dumps(subst))
+        res = _run(runner, ["enumerate", "--object", "perm", "--n", "2",
+                            "--weight", "two-var", "--subst", str(bad)])
+        assert res.exit_code == 2, subst
+        assert res.output.startswith("error: " + message), res.output
+        assert "Traceback" not in res.output
 
 
 def test_enumerate_coefficients_above_4300_digits(runner, tmp_path):

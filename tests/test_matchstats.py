@@ -3,7 +3,7 @@
 import pytest
 
 from cfenum.matchstats import (MATCH, Matching, NotAMatching, iter_matchings,
-                               matching_from_pairs, matching_master_weight,
+                               matching_master_weight,
                                touchard_riordan)
 from cfenum.mpoly import Monomial, MultiPoly, as_poly, var
 from cfenum.permstats import (PERM, decode, enumerate_polynomial, signature,
@@ -17,23 +17,23 @@ def _pqint(n, p, q):
 
 
 def test_matching_construction():
-    m = matching_from_pairs([(1, 3), (2, 4)])
-    assert m.n == 2 and m(1) == 3 and m(4) == 2
+    m = Matching([(1, 3), (2, 4)])
+    assert m.n == 2
     assert list(m.partner[1:]) == [3, 4, 1, 2]
     assert m.as_blocks() == [[1, 3], [2, 4]]
     with pytest.raises(NotAMatching):
-        matching_from_pairs([(1, 2), (2, 3)])
+        Matching([(1, 2), (2, 3)])
     with pytest.raises(NotAMatching):
-        matching_from_pairs([(1, 1)])
+        Matching([(1, 1)])
     with pytest.raises(NotAMatching):
-        matching_from_pairs([(1, 3)])
+        Matching([(1, 3)])
 
 
 def test_compare_with_other_types():
-    m = matching_from_pairs([(1, 3), (2, 4)])
+    m = Matching([(1, 3), (2, 4)])
     assert m != 1 and not m == None  # noqa: E711
     assert m not in [None, 3, m.partner]
-    assert m in [None, matching_from_pairs([(2, 4), (1, 3)])]
+    assert m in [None, Matching([(2, 4), (1, 3)])]
 
 
 def test_stat_totals_examples():

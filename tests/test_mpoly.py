@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 import itertools
-import json
 import random
 
 import pytest
@@ -10,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from cfenum import mpoly
 from cfenum.mpoly import (MAX_EXPONENT, ExponentError, Indeterminate,
-                          Monomial, MultiPoly, ParseError, as_poly, from_json,
-                          from_text, monomial, to_json, to_text, var)
+                          Monomial, MultiPoly, ParseError, as_poly, from_text,
+                          monomial, to_text, var)
 
 import mpoly_oracle as oracle
 
@@ -51,12 +50,6 @@ def test_text_round_trip():
     assert from_text("0") == as_poly(0)
 
 
-def test_json_round_trip():
-    p = 5 * var("x1") ** 2 * var("w", 3) - var("a", 0, 2)
-    assert from_json(to_json(p)) == p
-    assert '"coeff": "5"' in to_json(p)
-
-
 def test_zero_coefficient_terms_are_dropped():
     # a term 0*m is no term: parsed polynomials keep only nonzero
     # coefficients, and the monomial is still range-checked
@@ -67,12 +60,6 @@ def test_zero_coefficient_terms_are_dropped():
     assert from_text("1*y + 0*z") == y
     assert from_text("0*z + 1*y") == y
     assert to_text(from_text("1*y + 0*z")) == "1*y"
-    zero_term = {"coeff": "0", "exps": [["z", [], 1]]}
-    assert from_json(json.dumps({"terms": [zero_term]})) == 0
-    assert to_json(from_json(json.dumps({"terms": [zero_term]}))) \
-        == to_json(as_poly(0))
-    y_term = {"coeff": "1", "exps": [["y", [], 1]]}
-    assert from_json(json.dumps({"terms": [y_term, zero_term]})) == y
     with pytest.raises(ParseError, match="exponent 40000 of x"):
         from_text("0*x^40000")
 
@@ -92,13 +79,15 @@ def test_coefficients_above_4300_digits_round_trip():
     digits = "1" + "0" * 4998 + "7"
     assert to_text(p) == "-%s + %s*x^2" % (digits, digits)
     assert from_text(to_text(p)) == p
-    assert json.loads(to_json(p))["terms"][1]["coeff"] == digits
-    assert from_json(to_json(p)) == p
 
 
 def test_parse_error():
-    with pytest.raises(ParseError):
-        from_text("x +* y")
+    # int() alone would read underscores and non-ASCII digits (here the
+    # Arabic-Indic 3 and the fullwidth 1)
+    for text in ("x +* y", "5_000*x", "\u0663*x", "1*x[\u0663]",
+                 "1*x^\u0663", "1*x[1_0]", "1*x^1_0", "1*w[\uff11]"):
+        with pytest.raises(ParseError):
+            from_text(text)
 
 
 def test_substitute_value_and_family_rules():
@@ -141,6 +130,8 @@ def test_evaluate_fractions():
     p = x * y + 2
     assert p.evaluate({x: Fraction(1, 2), y: Fraction(1, 3)}) \
         == Fraction(13, 6)
+    with pytest.raises(KeyError):  # a point must value every indeterminate
+        p.evaluate({x: 1})
 
 
 def test_compare_with_other_types():
@@ -150,10 +141,9 @@ def test_compare_with_other_types():
     assert m not in [None, 3] and m in [None, m]
     assert Monomial() != 1  # the constant monomial is not the int 1
     assert x != 1 and x not in [None, 3]
-    for other in (1, "x", None):
+    for other in (1, "x", None, y):  # indeterminates are unordered
         with pytest.raises(TypeError):
             x < other
-    assert x < y and sorted([y, x]) == [x, y]
 
 
 def test_monomial_ordering_is_stable():
@@ -202,7 +192,6 @@ def test_ring_axioms(p, q, r):
 @given(polys())
 def test_serialization_round_trips(p):
     assert from_text(to_text(p)) == p
-    assert from_json(to_json(p)) == p
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +247,16 @@ def check_against_oracle(vs, p_spec, q_spec, images, point):
     """Every Monomial and MultiPoly operation on the two polynomials of
     p_spec and q_spec agrees with the oracle.  `images` maps some of the
     indeterminates vs to an int or to (c, w, k) for c * w^k; the one-index
-    family w also gets a rule (even index i -> i + 1, odd -> symbolic)."""
+    family w also gets a rule (even index i -> i + 1, odd -> symbolic).
+    `point` values some of vs; evaluation gives the others 3."""
     p, po = _build(p_spec)
     q, qo = _build(q_spec)
+    full_point = {v: point.get(v, 3) for v in vs}
     for a, ao in ((p, po), (q, qo)):
         assert to_text(a) == oracle.to_text(ao)
-        assert to_json(a) == json.dumps(oracle.to_json_obj(ao))
         assert [(m.exps, repr(m)) for m, _ in a.sorted_terms()] \
             == [(m.exps, repr(m)) for m, _ in ao.sorted_terms()]
-        assert a.indeterminates() == ao.indeterminates()
-        assert a.evaluate(point, default=3) == ao.evaluate(point, default=3)
+        assert a.evaluate(full_point) == ao.evaluate(full_point)
     _same(p + q, po + qo)
     _same_or_exponent_error(lambda: p * q, po * qo)
     for (m1, _), (m2, _) in itertools.product(p.sorted_terms(),
@@ -385,52 +374,12 @@ def test_exponent_above_limit_is_parse_error(text):
         from_text(text)
 
 
-@pytest.mark.parametrize("e", [40000, -1])
-def test_json_exponent_out_of_range_is_parse_error(e):
-    with pytest.raises(ParseError):
-        from_json(json.dumps({"terms": [{"coeff": "1",
-                                         "exps": [["x", [], e]]}]}))
-
-
-def _json_terms(*terms):
-    return json.dumps({"terms": [{"coeff": c, "exps": exps}
-                                 for c, exps in terms]})
-
-
 def test_repeated_monomials_add_up_and_cancel():
     x = var("x")
-    x1 = [["x", [], 1]]
-    big = [["x", [], 40000]]
-    for parse, same, cancel, bad in (
-            (from_text, "2*x + 3*x", "1*x + -1*x",
-             "1*x^40000 + -1*x^40000"),
-            (from_json, _json_terms(("2", x1), ("3", x1)),
-             _json_terms(("1", x1), ("-1", x1)),
-             _json_terms(("1", big), ("-1", big)))):
-        assert parse(same) == 5 * x
-        assert parse(cancel) == 0 and not parse(cancel)
-        with pytest.raises(ParseError, match="exponent 40000 of x"):
-            parse(bad)
-
-
-@pytest.mark.parametrize("coeff, factor", [
-    (1.5, ["x", [], 1]),      # int() would truncate it to 1
-    (True, ["x", [], 1]),     # a bool is not a coefficient
-    ("1", ["x", [], True]),   # nor an exponent
-    ("1", ["x", [], 1.5]),
-    ("1", ["x", "ab", 1]),    # would print x[a,b]
-    ("1", [5, [], 1]),        # would break the sort of every to_text
-    ("1", ["x", [1, True], 1]),
-    ("1", ["x", []]),         # an exps entry of two items
-    # factor None: coeff is the whole document
-    pytest.param('{"terms": [{"exps": []}]}', None, id="no-coeff"),
-    pytest.param('{"term": []}', None, id="no-terms"),
-])
-def test_malformed_json_term_is_parse_error(coeff, factor):
-    text = coeff if factor is None else _json_terms((coeff, [factor]))
-    with pytest.raises(ParseError):
-        from_json(text)
-    assert to_text(3 * var("x")) == "3*x"
+    assert from_text("2*x + 3*x") == 5 * x
+    assert from_text("1*x + -1*x") == 0 and not from_text("1*x + -1*x")
+    with pytest.raises(ParseError, match="exponent 40000 of x"):
+        from_text("1*x^40000 + -1*x^40000")
 
 
 def test_terms_are_keyed_by_packed_ints():
@@ -440,7 +389,7 @@ def test_terms_are_keyed_by_packed_ints():
     p = (x + 2 * y) * x - 1
     polys = [as_poly(3), as_poly(x), as_poly(Monomial({x: 2, y: 1})),
              p + y, p * p, p ** 3, p.substitute({"y": x + 1, x: 2}),
-             from_text(to_text(p)), from_json(to_json(p)),
+             from_text(to_text(p)),
              *expand_jfraction(lambda h: x, lambda h: y, 4),
              enumerate_polynomial(PERM, 4, weight="two-var")]
     for q in polys:

@@ -16,7 +16,7 @@ from cfenum.permstats import (PERM, Permutation, enumerate_polynomial,
 from cfenum.series import expand_jfraction
 from cfenum.setpartstats import SetPartition, iter_set_partitions, sp_reverse
 
-from enum_oracle import perm_index_profile, sp_index_profile
+from enum_oracle import perm_index_profile, sp_arcs, sp_index_profile
 
 FIG3 = Permutation([5, 6, 1, 4, 2, 7, 3])
 PERM_BIJECTIONS = ("FZ", "Biane")
@@ -36,7 +36,7 @@ def sp_reversed_index_stats(pi):
     ovt(k) counts blocks B' with min B(k) < min B' < k < max B';
     covt(k) counts blocks B' with min B' < min B(k) < k < max B'.
     """
-    arcs = pi.arcs
+    arcs = sp_arcs(pi)
     block_of = {}
     for b in pi.blocks:
         for j in b:
@@ -116,7 +116,7 @@ def check_fz_lemmas(n_max):
                       if profs[i - 1].cycle_class == "fix")
             assert inv == t.inv
             # inverse permutation: same path with level colors 1,2 swapped
-            p2 = encode(sg.inverse(), "FZ")
+            p2 = encode(Permutation(sg.inv_oneline), "FZ")
             for s1, s2 in zip(p.steps, p2.steps):
                 if s1.kind == "L" and s1.color in (1, 2):
                     assert s2.kind == "L" and s2.color == 3 - s1.color

@@ -13,7 +13,7 @@ from cfenum.series import (InsufficientOrder, NonUnitConstantTerm,
 
 
 def _ints(coeffs):
-    return [c.constant_term() for c in coeffs]
+    return [c.terms.get(0, 0) for c in coeffs]
 
 
 # Nested reciprocals, innermost level first: the independent oracle for

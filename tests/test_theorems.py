@@ -128,8 +128,7 @@ def test_conjecture_forward():
 
 def test_expand_registered():
     coeffs = expand_registered("perm.euler.factorial", 6)
-    assert [c.constant_term() if hasattr(c, "constant_term") else c
-            for c in coeffs] == [1, 1, 2, 6, 24, 120, 720]
+    assert coeffs == [1, 1, 2, 6, 24, 120, 720]
     with pytest.raises(UnknownTheorem):
         expand_registered("inv.decomp", 3)  # identities have no fraction
 
@@ -218,7 +217,8 @@ def test_every_weight_map_counts_all_objects(obj, table, counts):
     for weight in table:
         for n, count in enumerate(counts):
             poly = enumerate_polynomial(KINDS[obj], n, "all", weight)
-            assert poly.evaluate({}, default=1) == count, (weight, n)
+            # the value at all ones: the sum of the coefficients
+            assert sum(poly.terms.values()) == count, (weight, n)
 
 
 def test_enum_cache_keys_callable_weights_by_identity():
@@ -248,6 +248,46 @@ def test_rs_formula_failure_names_partition(monkeypatch):
     assert [c["ok"] for c in report.checks] == [True] * 3 + [False, True]
     assert report.first_discrepancy == {"n": 3, "ok": False,
                                         "detail": "pi=((1, 3), (2,))"}
+
+
+def test_rs_formula_needs_the_reversal(monkeypatch):
+    # with the reversal replaced by the identity map the formula still
+    # holds on the partitions of [n] for n <= 4, and first fails at n = 5
+    monkeypatch.setattr(theorems, "sp_reverse", lambda pi: pi)
+    report = verify_theorem("rs.formula", n_max=5)
+    assert [c["ok"] for c in report.checks] == [True] * 5 + [False]
+
+
+# the identities checked signature by signature, with their predicates
+_PER_SIGNATURE = {
+    "inv.decomp": ("perm", theorems._inv_decomp),
+    "avoid321.nonesting": ("perm", theorems._321_nonesting),
+    "crne.eq.ovcov": ("setpart", theorems._crne_eq_ovcov),
+    "crne.mod2": ("setpart", theorems._crne_mod2),
+    "iota.formula": ("setpart", theorems._iota_formula),
+}
+
+
+def test_per_signature_identities_are_listed():
+    checkers = {tid for tid, case in REGISTRY.items()
+                if getattr(case.identity, "__qualname__", "").startswith(
+                    "_holds_per_signature.")}
+    assert checkers == set(_PER_SIGNATURE)
+    for tid, (obj, holds) in _PER_SIGNATURE.items():
+        cells = [c.cell_contents for c in REGISTRY[tid].identity.__closure__]
+        assert obj in cells and holds in cells, tid
+
+
+@pytest.mark.parametrize("tid", sorted(_PER_SIGNATURE))
+def test_every_per_signature_identity_can_fail(tid):
+    # the entry holds, and its negated predicate fails on the empty object:
+    # a checker that tested no signature would pass both
+    obj, holds = _PER_SIGNATURE[tid]
+    report = verify_theorem(tid, n_max=4)
+    assert report.ok and report.kind == "Identity", report.to_dict()
+    negated = theorems._holds_per_signature(
+        obj, lambda profiles, t: not holds(profiles, t))
+    assert negated(0) == (False, repr(next(KINDS[obj].objects(0))))
 
 
 def _perturb(monkeypatch, tid, **fields):

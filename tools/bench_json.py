@@ -24,6 +24,10 @@ change reads lower (ties count for neither side; every metric is lower-is-
 better), and median_gap_exceeds_base_iqr is true where the two medians
 differ by more than the base's q3 - q1.  A gain is claimed only where the
 change wins nine pairs in ten and the gap exceeds the base's spread.
+unresolved is true for a metric whose base spread, (q3 - q1) / median,
+exceeds the metric's bound in BENCHMARK.json: there the runs cannot tell
+a change within the bound from noise, so the metric is neither better nor
+worse.
 wall_s_change_faster_pairs repeats better_pairs["wall_s"], the key that
 BENCH_6..13.json carry.
 """
@@ -89,9 +93,16 @@ def summary(rows):
     return out
 
 
-def compare(base_rows, change_rows):
+def bounds():
+    """The bound of each end-to-end metric, from BENCHMARK.json."""
+    with open("BENCHMARK.json") as f:
+        return {m["name"]: m["bound"] for m in json.load(f)["end_to_end"]}
+
+
+def compare(base_rows, change_rows, bound):
     """One workload's entry: both summaries, the pairs the change wins per
-    metric, and whether each median gap exceeds the base's spread."""
+    metric, whether each median gap exceeds the base's spread, and whether
+    the base's relative spread exceeds the metric's bound."""
     base, change = summary(base_rows), summary(change_rows)
     better = {k: sum(c[k] < b[k] for b, c in zip(base_rows, change_rows))
               for k in METRICS}
@@ -101,6 +112,9 @@ def compare(base_rows, change_rows):
             "median_gap_exceeds_base_iqr": {
                 k: abs(change[k]["median"] - base[k]["median"])
                 > base[k]["q3"] - base[k]["q1"] for k in METRICS},
+            "unresolved": {
+                k: base[k]["q3"] - base[k]["q1"]
+                > bound[k] * base[k]["median"] for k in METRICS},
             "runs": {"base": base_rows, "change": change_rows}}
 
 
@@ -147,6 +161,7 @@ def main():
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
     change = os.getcwd()
+    bound = bounds()
     with tempfile.TemporaryDirectory() as base:
         archive = subprocess.run(["git", "archive", args.base],
                                  check=True, capture_output=True).stdout
@@ -184,7 +199,8 @@ def main():
         "workloads": {},
     }
     for w in WORKLOADS:
-        report["workloads"][w] = compare(rows[w]["base"], rows[w]["change"])
+        report["workloads"][w] = compare(rows[w]["base"], rows[w]["change"],
+                                         bound)
     report["tier1_base"] = tier1_summary(runs["base"])
     report["tier1"] = tier1_summary(runs["change"])
     with open(args.out, "w") as f:
