@@ -16,7 +16,7 @@ import click
 
 from . import __version__
 from .mpoly import ExponentError, Indeterminate, ParseError, as_poly, \
-    from_text, parse_factor, to_text
+    ascii_int, from_text, parse_factor, to_text
 from .permstats import Permutation, NotABijection, SizeTooLarge, \
     UnknownWeightMap, enumerate_polynomial, stat_totals
 from .setpartstats import NotAPartition, SetPartition
@@ -80,7 +80,7 @@ def load_substitution(path):
 
 def _parse_oneline(text):
     try:
-        word = [int(t) for t in text.split(",") if t.strip() != ""]
+        word = [ascii_int(t) for t in text.split(",") if t.strip() != ""]
         return Permutation(word)
     except (ValueError, NotABijection) as exc:
         _fail_usage("bad one-line permutation %r: %s" % (text, exc))
@@ -88,7 +88,7 @@ def _parse_oneline(text):
 
 def _parse_blocks(text):
     try:
-        blocks = [[int(t) for t in blk.split(",") if t.strip() != ""]
+        blocks = [[ascii_int(t) for t in blk.split(",") if t.strip() != ""]
                   for blk in text.split(";") if blk.strip() != ""]
         return SetPartition(blocks)
     except (ValueError, NotAPartition) as exc:
@@ -103,7 +103,7 @@ def _parse_pairs(text):
             if not tok:
                 continue
             a, b = tok.split("-")
-            pairs.append((int(a), int(b)))
+            pairs.append((ascii_int(a), ascii_int(b)))
         return Matching(pairs)
     except (ValueError, NotAMatching) as exc:
         _fail_usage("bad pair list %r: %s" % (text, exc))
@@ -118,6 +118,27 @@ def _object_payload(x):
     return {"object": "setpart", "blocks": [list(b) for b in x.blocks]}
 
 
+class _AsciiDigits:
+    """Mixin for a click integer type: the text goes through ascii_int, so
+    underscores and non-ASCII digits are malformed, with click's message."""
+
+    def convert(self, value, param, ctx):
+        try:
+            value = ascii_int(value) if isinstance(value, str) else value
+        except ValueError:
+            self.fail("%r is not a valid %s." % (value, self.name), param, ctx)
+        return super().convert(value, param, ctx)
+
+
+class _Count(_AsciiDigits, click.IntRange):
+    pass
+
+
+class _Int(_AsciiDigits, click.types.IntParamType):
+    pass
+
+
+_COUNT = _Count(min=0)
 _FMT = click.option("--format", "fmt", type=click.Choice(["json", "text"]),
                     default="json", help="Output format.")
 
@@ -142,11 +163,11 @@ def _emit_verification(report, fmt):
 
 @main.command()
 @click.argument("theorem_id")
-@click.option("--n", type=click.IntRange(min=0), default=None,
+@click.option("--n", type=_COUNT, default=None,
               help="Largest n to check.")
-@click.option("--order", type=click.IntRange(min=0), default=None,
+@click.option("--order", type=_COUNT, default=None,
               help="Truncation order.")
-@click.option("--seed", type=int, default=0, help="Seed for witnesses.")
+@click.option("--seed", type=_Int(), default=0, help="Seed for witnesses.")
 @_FMT
 def verify(theorem_id, n, order, seed, fmt):
     """Verify one registered theorem, corollary, identity, or witness."""
@@ -171,7 +192,7 @@ def _finite(ctx, param, value):
               callback=_finite,
               help="Wall-time budget in seconds; entries reached after it "
                    "runs out are skipped and the run is not ok.")
-@click.option("--seed", type=int, default=0, help="Seed for witnesses.")
+@click.option("--seed", type=_Int(), default=0, help="Seed for witnesses.")
 @_FMT
 def verify_all(budget, seed, fmt):
     """Verify every registered entry at its default n_max."""
@@ -198,9 +219,9 @@ def verify_all(budget, seed, fmt):
 
 
 @main.command()
-@click.option("--n", type=click.IntRange(min=0), default=None,
+@click.option("--n", type=_COUNT, default=None,
               help="Largest n to check.")
-@click.option("--order", type=click.IntRange(min=0), default=None,
+@click.option("--order", type=_COUNT, default=None,
               help="Truncation order.")
 @_FMT
 def conjecture(n, order, fmt):
@@ -215,7 +236,7 @@ def conjecture(n, order, fmt):
 @main.command()
 @click.option("--theorem", "theorem_id", required=True,
               help="Registered fraction id.")
-@click.option("--order", type=click.IntRange(min=0), default=8,
+@click.option("--order", type=_COUNT, default=8,
               help="Truncation order.")
 @_FMT
 def expand(theorem_id, order, fmt):
@@ -232,7 +253,7 @@ def expand(theorem_id, order, fmt):
 @main.command()
 @click.option("--object", "obj", required=True,
               type=click.Choice(sorted(thm.KINDS)))
-@click.option("--n", type=click.IntRange(min=0), required=True,
+@click.option("--n", type=_COUNT, required=True,
               help="Object size (pairs for matchings).")
 @click.option("--family", default="all", help="Object family.")
 @click.option("--weight", default="unit", help="Registered weight map id.")

@@ -40,8 +40,6 @@ class Matching:
                                    % (pairs, 2 * n))
             partner[i] = j
             partner[j] = i
-        if any(partner[k] == 0 for k in range(1, 2 * n + 1)):
-            raise NotAMatching("pairs do not cover 1..%d" % (2 * n,))
         self.n = n
         self.partner = tuple(partner)
 
@@ -244,24 +242,20 @@ MATCH_WEIGHTS = {
 # Enumeration
 
 def iter_matchings(n):
-    """All perfect matchings of [2n]: pair the smallest unmatched element
-    with each larger unmatched element, recursively."""
-    partner = [0] * (2 * n + 1)
+    """All perfect matchings of [2n], in the lexicographic order of their
+    sorted pair lists: pair the smallest unmatched element with each
+    larger unmatched element, recursively."""
+    pairs = []
 
     def rec(free):
         if not free:
-            # partner is a perfect matching, so skip Matching's checks
-            m = Matching.__new__(Matching)
-            m.n = n
-            m.partner = tuple(partner)
-            yield m
+            yield Matching(pairs)
             return
         first = free[0]
         for idx in range(1, len(free)):
-            second = free[idx]
-            partner[first] = second
-            partner[second] = first
+            pairs.append((first, free[idx]))
             yield from rec(free[1:idx] + free[idx + 1:])
+            pairs.pop()
     return rec(list(range(1, 2 * n + 1)))
 
 

@@ -466,15 +466,24 @@ def _coeff_text(c):
 _COEFF_RE = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
-def _coeff(text):
-    """The integer of a coefficient's ASCII decimal digits, at any length:
-    int() alone would also take underscores and non-ASCII digits."""
+def ascii_int(text):
+    """The integer that `text` writes in ASCII decimal digits, with an
+    optional sign and surrounding whitespace: int() alone would also take
+    underscores and non-ASCII digits.  ValueError for any other text, and,
+    as from int(), for more digits than the interpreter converts."""
     if not _COEFF_RE.fullmatch(text):
-        raise ValueError("bad coefficient %r" % text)
+        raise ValueError("%r is not an integer in ASCII digits" % (text,))
+    return int(text)
+
+
+def _coeff(text):
+    """ascii_int of a coefficient, at any length."""
     try:
-        return int(text)
-    except ValueError:  # more digits than int() converts
-        return int(Decimal(text))
+        return ascii_int(text)
+    except ValueError:
+        if not _COEFF_RE.fullmatch(text):
+            raise
+        return int(Decimal(text))  # more digits than int() converts
 
 
 def to_text(p):
@@ -487,8 +496,8 @@ def to_text(p):
 
 
 _VAR_RE = re.compile(
-    r"^([A-Za-z_][A-Za-z_0-9]*?)(?:\[([0-9]+(?:,[0-9]+)*)\])?"
-    r"(?:\^([0-9]+))?$")
+    r"([A-Za-z_][A-Za-z_0-9]*?)(?:\[([0-9]+(?:,[0-9]+)*)\])?"
+    r"(?:\^([0-9]+))?")
 
 
 class ParseError(ValueError):
@@ -499,7 +508,7 @@ def parse_factor(text):
     """(family, indices, exponent) of the factor text `name[i,j,...]^e`:
     indices () where it has no brackets, exponent None where it has no
     `^e`.  ParseError for any other text."""
-    mt = _VAR_RE.match(text)
+    mt = _VAR_RE.fullmatch(text)
     if not mt:
         raise ParseError("bad factor %r" % text)
     family, idx, exp = mt.groups()

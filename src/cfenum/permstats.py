@@ -264,13 +264,12 @@ class Permutation:
 
     __slots__ = ("n", "oneline", "inv_oneline")
 
-    def __init__(self, oneline, _trusted=False):
+    def __init__(self, oneline):
         oneline = tuple(oneline)
         n = len(oneline)
-        if not _trusted:
-            if sorted(oneline) != list(range(1, n + 1)):
-                raise NotABijection("%r is not a permutation of 1..%d"
-                                    % (oneline, n))
+        if sorted(oneline) != list(range(1, n + 1)):
+            raise NotABijection("%r is not a permutation of 1..%d"
+                                % (oneline, n))
         inv = [0] * n
         for i, s in enumerate(oneline, start=1):
             inv[s - 1] = i
@@ -602,8 +601,9 @@ PERM_FAMILIES = {
 
 
 def iter_permutations(n):
+    """S_n in the lexicographic order of the one-line words."""
     for word in _itperms(range(1, n + 1)):
-        yield Permutation(word, _trusted=True)
+        yield Permutation(word)
 
 
 def _perm_walk(n, leaf, path=None, prune=None):

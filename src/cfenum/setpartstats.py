@@ -1,14 +1,14 @@
 """Set-partition statistics: opener/closer/insider/singleton classes,
 per-element crossing/nesting and overlap/covering counts, exclusive and
 block records, Wachs-White and intertwining statistics, master weights,
-reversal, and weighted enumeration via restricted-growth words.
+reversal, and weighted enumeration.
 
 Elements are 1-based; the arc graph joins consecutive elements of a block.
 """
 
 from collections import namedtuple
 
-from .mpoly import monomial
+from .mpoly import ascii_int, monomial
 from .permstats import ObjectKind, UnknownWeightMap, factors, \
     is_indecomposable, lookup, unit_weight, walk_kernel, walk_tally, \
     zeta_cc_weight
@@ -24,22 +24,20 @@ class SetPartition:
 
     __slots__ = ("n", "blocks")
 
-    def __init__(self, blocks, _trusted=False):
+    def __init__(self, blocks):
         blocks = tuple(sorted((tuple(sorted(b)) for b in blocks),
                               key=lambda b: b[0] if b else 0))
         n = sum(len(b) for b in blocks)
-        if not _trusted:
-            seen = set()
-            for b in blocks:
-                if not b:
-                    raise NotAPartition("empty block")
-                for e in b:
-                    if not isinstance(e, int) or e < 1 or e > n or e in seen:
-                        raise NotAPartition(
-                            "blocks do not partition 1..%d" % n)
-                    seen.add(e)
-            if len(seen) != n:
-                raise NotAPartition("blocks do not partition 1..%d" % n)
+        seen = set()
+        for b in blocks:
+            if not b:
+                raise NotAPartition("empty block")
+            for e in b:
+                if not isinstance(e, int) or e < 1 or e > n or e in seen:
+                    raise NotAPartition("blocks do not partition 1..%d" % n)
+                seen.add(e)
+        if len(seen) != n:
+            raise NotAPartition("blocks do not partition 1..%d" % n)
         self.n = n
         self.blocks = blocks
 
@@ -58,8 +56,7 @@ class SetPartition:
 def sp_reverse(pi):
     """Image of the partition under i -> n+1-i."""
     n = pi.n
-    return SetPartition([[n + 1 - e for e in b] for b in pi.blocks],
-                        _trusted=True)
+    return SetPartition([[n + 1 - e for e in b] for b in pi.blocks])
 
 
 SPIndexProfile = namedtuple(
@@ -312,43 +309,26 @@ SP_WEIGHTS = {
 
 
 # ---------------------------------------------------------------------------
-# Enumeration via restricted-growth words
-
-def iter_rgs(n):
-    """Restricted-growth words of length n in lexicographic order."""
-    if n == 0:
-        yield ()
-        return
-    w = [0] * n
-    mx = [0] * n  # mx[i] = max(w[0..i])
-    i = n - 1
-    yield tuple(w)
-    while True:
-        # advance position i, carrying leftward
-        i = n - 1
-        while i > 0 and w[i] >= mx[i - 1] + 1:
-            i -= 1
-        if i == 0:
-            return
-        w[i] += 1
-        mx[i] = max(mx[i - 1], w[i])
-        for j in range(i + 1, n):
-            w[j] = 0
-            mx[j] = mx[j - 1]
-        yield tuple(w)
-
-
-def setpart_from_rgs(word):
-    """Partition whose block labels are the restricted-growth word."""
-    blocks = {}
-    for i, r in enumerate(word, start=1):
-        blocks.setdefault(r, []).append(i)
-    return SetPartition(blocks.values(), _trusted=True)
-
+# Enumeration
 
 def iter_set_partitions(n):
-    for word in iter_rgs(n):
-        yield setpart_from_rgs(word)
+    """The partitions of [n] in the lexicographic order of their
+    restricted-growth words: element j joins each block in the order of
+    the blocks' minima, then starts a block of its own."""
+    blocks = []
+
+    def grow(j):
+        if j > n:
+            yield SetPartition(blocks)
+            return
+        for b in blocks:
+            b.append(j)
+            yield from grow(j + 1)
+            b.pop()
+        blocks.append([j])
+        yield from grow(j + 1)
+        blocks.pop()
+    return grow(1)
 
 
 def _sp_path(pi):
@@ -377,8 +357,8 @@ def _sp_walk(n, leaf, path=None, prune=None):
     an insider or the closer of the open block at rank r, the open blocks
     ordered by their last element; a placement is made only if the blocks
     then open still fit in the elements left.  On a path, j makes the one
-    choice path[j - 1] of _sp_path.  Blocks are labelled 0, 1, ... by
-    their minima, as in the restricted-growth word.
+    choice path[j - 1] of _sp_path.  Blocks are labelled 0, 1, ... in
+    the order of their minima.
 
     The counts are (lb, ls, rb, rs, iota, cc), the Wachs-White,
     intertwining and component totals, which no element profile gives.
@@ -476,10 +456,13 @@ SP_FAMILIES = {
 
 
 def _sp_family(family):
-    """Family filter for an id in SP_FAMILIES or "blocks:k"."""
+    """Family filter for an id in SP_FAMILIES or "blocks:k", with k in
+    ASCII digits as str(k) writes it: one id per family."""
     if isinstance(family, str) and family.startswith("blocks:"):
         try:
-            block_count = int(family.split(":", 1)[1])
+            block_count = ascii_int(family[len("blocks:"):])
+            if block_count < 0 or family != "blocks:%d" % block_count:
+                raise ValueError(family)
         except ValueError:
             raise UnknownWeightMap(family) from None
         return lambda profiles, t: t.blocks == block_count

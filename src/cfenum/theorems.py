@@ -169,14 +169,15 @@ def _holds_per_signature(obj, holds):
     return check
 
 
-def _poly(obj, family="all", weight="unit", subst=None, zeta=False,
-          double=False):
+def _poly(obj, family="all", weight="unit", subst=None, zeta=False):
     """Enumeration-side polynomial callable n -> MultiPoly.
 
-    With double=True the object size is 2n (cycle-alternating permutations
-    of [2n])."""
+    A cycle-alternating permutation has even size, so that family's
+    objects at n are those of [2n]."""
+    size = 2 if family == "cycle_alternating" else 1
+
     def poly(n):
-        p = _enum(obj, 2 * n if double else n, family, weight, zeta)
+        p = _enum(obj, size * n, family, weight, zeta)
         if subst:
             p = p.substitute(subst)
         return p
@@ -482,8 +483,7 @@ _register(TheoremCase(
     poly=lambda n: _secant(n),
     alpha=lambda m: m * m,
     extra=(_capped_cmp("enumeration equals E_{2n}",
-                       _poly("perm", family="cycle_alternating",
-                             double=True), 4),),
+                       _poly("perm", family="cycle_alternating"), 4),),
 ))
 
 _register(TheoremCase(
@@ -926,8 +926,7 @@ _register(TheoremCase(
     "Cycle-alternating record statistics: "
     "alpha_n = [x1+(n-1)u1][y1+(n-1)v1].",
     4,
-    poly=_poly("perm", family="cycle_alternating", weight="ten-var",
-               double=True),
+    poly=_poly("perm", family="cycle_alternating", weight="ten-var"),
     alpha=_ca_alpha_1,
 ))
 
@@ -938,8 +937,7 @@ _register(TheoremCase(
     "perm.ca.pq.S", "SFraction",
     "Cycle-alternating records with crossing/nesting refinements.",
     4,
-    poly=_poly("perm", family="cycle_alternating", weight="big",
-               double=True),
+    poly=_poly("perm", family="cycle_alternating", weight="big"),
     alpha=_ca_pq_alpha,
 ))
 
@@ -948,8 +946,7 @@ _register(TheoremCase(
     "First master S-fraction for cycle-alternating permutations: "
     "alpha_n = a*_{n-1} b*_{n-1}.",
     4,
-    poly=_poly("perm", family="cycle_alternating", weight="master1",
-               double=True),
+    poly=_poly("perm", family="cycle_alternating", weight="master1"),
     alpha=lambda m: _star(lambda l, lp: var("a", l, lp), m - 1)
         * _star(lambda l, lp: var("b", l, lp), m - 1),
 ))
@@ -959,7 +956,7 @@ _register(TheoremCase(
     "Second cycle-alternating S-fraction with lambda^cyc (v1 = y1).",
     4,
     poly=_poly("perm", family="cycle_alternating", weight="ten-var-cyc",
-               subst={"v1": Y1}, double=True),
+               subst={"v1": Y1}),
     alpha=lambda m: (LAM + (m - 1)) * (X1 + (m - 1) * U1) * Y1,
 ))
 
@@ -968,7 +965,7 @@ _register(TheoremCase(
     "Second cycle-alternating (p,q) S-fraction with lambda^cyc.",
     4,
     poly=_poly("perm", family="cycle_alternating", weight="big-cyc",
-               subst={"v1": Y1, "qp1": PP1}, double=True),
+               subst={"v1": Y1, "qp1": PP1}),
     alpha=lambda m: (LAM + (m - 1)) * _pq_coeff(m, PM1, QM1, X1, U1)
         * (PP1 ** (m - 1)) * Y1,
 ))
@@ -978,8 +975,7 @@ _register(TheoremCase(
     "Second master S-fraction for cycle-alternating permutations: "
     "alpha_n = (lambda+n-1) a_{n-1} b*_{n-1}.",
     4,
-    poly=_poly("perm", family="cycle_alternating", weight="master2",
-               double=True),
+    poly=_poly("perm", family="cycle_alternating", weight="master2"),
     alpha=lambda m: (LAM + (m - 1)) * var("a", m - 1)
         * _star(lambda l, lp: var("b", l, lp), m - 1),
 ))
@@ -995,8 +991,7 @@ _register(TheoremCase(
     "q-secant numbers: sum of q^inv over cycle-alternating permutations; "
     "alpha_n = q^(2n-1) [n]_q^2.",
     4,
-    poly=_poly("perm", family="cycle_alternating", weight=factors(_w_q_inv),
-               double=True),
+    poly=_poly("perm", family="cycle_alternating", weight=factors(_w_q_inv)),
     alpha=_qsecant_alpha,
     extra=(_s_coherence("specialization of the cycle-alternating "
                         "(p,q) S-fraction",
@@ -1020,8 +1015,7 @@ _register(TheoremCase(
     "perm.indecomposable", "SFraction",
     "Indecomposable permutations: generating function 1 - 1/f.",
     6,
-    poly=lambda n: as_poly(0) if n == 0 else
-        _enum("perm", n, "indecomposable", "four-var-arec"),
+    poly=_poly("perm", family="indecomposable", weight="four-var-arec"),
     series=lambda order: indecomposable_series(
         expand_sfraction(_fourvar_alpha, order)),
 ))
@@ -1313,8 +1307,7 @@ _register(TheoremCase(
     "sp.indecomposable", "SFraction",
     "Indecomposable set partitions: generating function 1 - 1/f.",
     8,
-    poly=lambda n: as_poly(0) if n == 0 else
-        _enum("setpart", n, "indecomposable", "three-var"),
+    poly=_poly("setpart", family="indecomposable", weight="three-var"),
     series=lambda order: indecomposable_series(
         expand_sfraction(_spS_alpha, order)),
 ))
@@ -1459,8 +1452,7 @@ _register(TheoremCase(
     "match.indecomposable", "SFraction",
     "Indecomposable matchings: generating function 1 - 1/f.",
     6,
-    poly=lambda n: as_poly(0) if n == 0 else
-        _enum("match", n, "indecomposable", "four-var-cp"),
+    poly=_poly("match", family="indecomposable", weight="four-var-cp"),
     series=lambda order: indecomposable_series(
         expand_sfraction(_match4_alpha, order)),
 ))

@@ -168,7 +168,9 @@ def test_substitution_errors(runner, tmp_path):
             ({"x[\u0663]": "2"}, "bad substitution key"),
             ({"x^\u0663": "2"}, "bad substitution key"),
             ({"x": "5_000"}, "bad substitution value for 'x'"),
-            ({"x": "\u0663*y"}, "bad substitution value for 'x'")):
+            ({"x": "\u0663*y"}, "bad substitution value for 'x'"),
+            # the key is the whole factor text, a final newline included
+            ({"x\n": "2"}, "bad substitution key")):
         bad.write_text(json.dumps(subst))
         res = _run(runner, ["enumerate", "--object", "perm", "--n", "2",
                             "--weight", "two-var", "--subst", str(bad)])
@@ -366,6 +368,54 @@ def test_enumerate_malformed_block_family(runner):
     assert res.exit_code == 2
     assert "error: unknown weight or family" in res.output
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["stats", "--object", "perm", "--oneline", "\u0662,\u0661"],
+     "error: bad one-line permutation"),
+    (["stats", "--object", "perm", "--oneline", "0_1"],
+     "error: bad one-line permutation"),
+    (["stats", "--object", "setpart", "--blocks", "1,\u0662"],
+     "error: bad block list"),
+    (["stats", "--object", "match", "--pairs", "\u0661-\u0662"],
+     "error: bad pair list"),
+    (["encode", "--bijection", "FZ", "--oneline", "\u0661"],
+     "error: bad one-line permutation"),
+    (["enumerate", "--object", "setpart", "--n", "3",
+      "--family", "blocks:\u0662"], "error: unknown weight or family"),
+    (["enumerate", "--object", "setpart", "--n", "3",
+      "--family", "blocks:-1"], "error: unknown weight or family"),
+    (["enumerate", "--object", "setpart", "--n", "3",
+      "--family", "blocks: 2"], "error: unknown weight or family"),
+    (["enumerate", "--object", "setpart", "--n", "3",
+      "--family", "blocks:02"], "error: unknown weight or family"),
+    (["enumerate", "--object", "perm", "--n", "1_0"],
+     "'1_0' is not a valid integer range"),
+    (["enumerate", "--object", "perm", "--n", "\u0663"],
+     "is not a valid integer range"),
+    (["expand", "--theorem", "sp.bell.classic", "--order", "1_0"],
+     "'1_0' is not a valid integer range"),
+    (["verify", "perm.euler.factorial", "--n", "2", "--seed", "1_0"],
+     "'1_0' is not a valid integer."),
+])
+def test_integers_are_ascii_digits(runner, args, message):
+    # int() alone would read underscores and non-ASCII digits
+    res = _run(runner, args)
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert "Traceback" not in res.output
+
+
+def test_integers_keep_spaces_and_seed_keeps_its_sign(runner):
+    res = _run(runner, ["stats", "--object", "perm", "--oneline", " 2, 1 "])
+    assert res.exit_code == 0 and json.loads(res.output)["oneline"] == [2, 1]
+    res = _run(runner, ["enumerate", "--object", "setpart", "--n", " 3 ",
+                        "--family", "blocks:2"])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["polynomial"] == "3"
+    res = _run(runner, ["verify", "perm.euler.factorial", "--n", "2",
+                        "--seed", "-3"])
+    assert res.exit_code == 0 and json.loads(res.output)["seed"] == -3
 
 
 def test_enumerate_internal_error_is_not_usage_error(runner, monkeypatch):

@@ -14,9 +14,10 @@ from cfenum import theorems
 from cfenum.mpoly import ExponentError, as_poly, monomial
 from cfenum.permstats import (PERM, IndexProfile, decode,
                               enumerate_polynomial, factors, histogram,
-                              signature, stat_totals, weighted_sum)
-from cfenum.matchstats import MATCH
-from cfenum.setpartstats import SETPART, SPIndexProfile
+                              iter_permutations, signature, stat_totals,
+                              weighted_sum)
+from cfenum.matchstats import MATCH, iter_matchings
+from cfenum.setpartstats import SETPART, SPIndexProfile, iter_set_partitions
 from cfenum.theorems import KINDS
 
 import enum_oracle
@@ -241,3 +242,24 @@ def test_identity_detail_is_first_failing_object(monkeypatch, holds):
                 if not holds(*decode(SETPART, signature(SETPART, x))))
     assert theorems._holds_per_signature("setpart", holds)(5) \
         == (False, repr(want))
+
+
+def _rgs(pi):
+    """The restricted-growth word of pi: each element's block, the blocks
+    numbered 0, 1, ... by their minima."""
+    label = {e: i for i, b in enumerate(pi.blocks) for e in b}
+    return tuple(label[e] for e in range(1, pi.n + 1))
+
+
+@pytest.mark.parametrize("objects, sizes, key", [
+    (iter_permutations, [1, 1, 2, 6, 24, 120, 720, 5040],
+     lambda sigma: sigma.oneline),
+    (iter_set_partitions, [1, 1, 2, 5, 15, 52, 203, 877, 4140], _rgs),
+    (iter_matchings, [1, 1, 3, 15, 105, 945, 10395], lambda m: m.pairs)])
+def test_generators_are_lexicographic(objects, sizes, key):
+    # the identity checkers report the first failing object in this order;
+    # strictly increasing keys mean distinct objects, in order
+    for n, size in enumerate(sizes):
+        keys = [key(x) for x in objects(n)]
+        assert len(keys) == size
+        assert all(a < b for a, b in zip(keys, keys[1:]))

@@ -90,6 +90,22 @@ def test_parse_error():
             from_text(text)
 
 
+def test_factor_is_the_whole_text():
+    # a regex `$` also matches before a final newline
+    assert mpoly.parse_factor("x") == ("x", (), None)
+    for text in ("x\n", "w[3]\n", "x^2\n", " x"):
+        with pytest.raises(ParseError):
+            mpoly.parse_factor(text)
+
+
+def test_ascii_int():
+    assert [mpoly.ascii_int(t) for t in ("7", " 12 ", "-3", "+4")] \
+        == [7, 12, -3, 4]
+    for text in ("1_0", "\u0663", "\uff11", "", "-", "1 2", "0x1", "9" * 4400):
+        with pytest.raises(ValueError):
+            mpoly.ascii_int(text)
+
+
 def test_substitute_value_and_family_rules():
     x, y, w3 = var("x"), var("y"), var("w", 3)
     p = x * y + w3 ** 2

@@ -1,15 +1,13 @@
 """Unit tests for set-partition statistics and weighted enumeration."""
 
-import random
-
 import pytest
 
 from cfenum.mpoly import Monomial, MultiPoly, as_poly, var
 from cfenum.permstats import (UnknownWeightMap, enumerate_polynomial, lookup,
                               stat_totals)
 from cfenum.setpartstats import (SETPART, SP_WEIGHTS, NotAPartition,
-                                 SetPartition, iter_rgs, iter_set_partitions,
-                                 setpart_from_rgs, sp_reverse)
+                                 SetPartition, iter_set_partitions,
+                                 sp_reverse)
 
 from enum_oracle import sp_arcs, sp_index_profile
 
@@ -81,18 +79,13 @@ def test_reverse():
         == SetPartition([[1], [2]])
     assert sp_reverse(SetPartition([[1, 2, 5], [3, 4]])) \
         == SetPartition([[1, 4, 5], [2, 3]])
-    rng = random.Random(0)
-    for _ in range(1000):
-        n = rng.randrange(1, 9)
-        word = [0] * n
-        for i in range(1, n):
-            word[i] = rng.randrange(max(word[: i]) + 2)
-        pi = setpart_from_rgs(word)
-        assert sp_reverse(sp_reverse(pi)) == pi
+    for n in range(9):
+        for pi in iter_set_partitions(n):
+            assert sp_reverse(sp_reverse(pi)) == pi
 
 
 def test_rgs_enumeration():
-    assert len(list(iter_rgs(0))) == 1
+    assert list(iter_set_partitions(0)) == [SetPartition([])]
     counts = [len(list(iter_set_partitions(n))) for n in range(7)]
     assert counts == [1, 1, 2, 5, 15, 52, 203]
     parts = list(iter_set_partitions(4))
