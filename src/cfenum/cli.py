@@ -342,12 +342,8 @@ def encode(bijection, oneline, blocks, fmt):
         if blocks is None:
             _fail_usage("%s requires --blocks" % canon)
         obj = _parse_blocks(blocks)
-    try:
-        path = pathmod.encode(obj, canon)
-    except (pathmod.TypeMismatch, pathmod.InvalidPath) as exc:
-        _fail_usage(str(exc))
-    out = _stamp({"bijection": canon,
-                  "path": pathmod.path_to_json_obj(path)})
+    out = _stamp({"bijection": canon, "path": pathmod.path_to_json_obj(
+        pathmod.encode(obj, canon))})
     _emit(out, fmt)
 
 

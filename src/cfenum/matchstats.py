@@ -9,10 +9,13 @@ fixed-point-free involution.
 
 from collections import namedtuple
 from functools import partial
+from itertools import accumulate
 
-from .mpoly import Indeterminate, Monomial, monomial, sum_of_products
-from .permstats import ObjectKind, factors, is_indecomposable, lookup, \
-    unit_weight, walk_kernel, walk_tally, zeta_cc_weight
+from .mpoly import Indeterminate, Monomial, is_int, monomial, \
+    sum_of_products
+from .permstats import ObjectKind, factors, is_indecomposable, \
+    is_one_to_n, lookup, unit_weight, walk_kernel, walk_tally, \
+    zeta_cc_weight
 
 
 class NotAMatching(ValueError):
@@ -30,14 +33,16 @@ class Matching:
     __slots__ = ("n", "partner")
 
     def __init__(self, pairs):
-        pairs = tuple(sorted(tuple(sorted(p)) for p in pairs))
+        pairs = tuple(map(tuple, pairs))
         n = len(pairs)
+        elements = [e for p in pairs for e in p]
+        if not (all(len(p) == 2 for p in pairs) and is_one_to_n(elements)):
+            if all(map(is_int, elements)):
+                pairs = tuple(sorted(tuple(sorted(p)) for p in pairs))
+            raise NotAMatching("%r is not a perfect matching of 1..%d"
+                               % (pairs, 2 * n))
         partner = [0] * (2 * n + 1)
-        for (i, j) in pairs:
-            if (i == j or not 1 <= i <= 2 * n or not 1 <= j <= 2 * n
-                    or partner[i] or partner[j]):
-                raise NotAMatching("%r is not a perfect matching of 1..%d"
-                                   % (pairs, 2 * n))
+        for i, j in pairs:
             partner[i] = j
             partner[j] = i
         self.n = n
@@ -145,39 +150,16 @@ def touchard_riordan(n):
     computed from the ballot-number alternating sum divided exactly by
     (1-p)^n."""
     from math import comb
-    # numerator coefficients by p-power
-    num = {}
+    # the numerator: (-1)^k times a ballot number at p^(k(k+1)/2)
+    coeffs = [0] * (n * (n + 1) // 2 + 1)
     for k in range(n + 1):
-        tnk = comb(2 * n, n + k) - comb(2 * n, n + k + 1)
-        e = k * (k + 1) // 2
-        num[e] = num.get(e, 0) + (-1) ** k * tnk
-    deg = max(num) if num else 0
-    coeffs = [num.get(e, 0) for e in range(deg + 1)]
-    # divide n times by (1 - p): quotient coefficients are prefix sums
+        coeffs[k * (k + 1) // 2] = (-1) ** k * (
+            comb(2 * n, n + k) - comb(2 * n, n + k + 1))
+    # divide n times by (1 - p): the prefix sums are quotient, remainder
     for _ in range(n):
-        out = []
-        carry = 0
-        for c in coeffs:
-            carry += c
-            out.append(carry)
-        coeffs = out
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-    # verify exactness by multiplying back by (1-p)^n
-    back = list(coeffs)
-    for _ in range(n):
-        nxt = [0] * (len(back) + 1)
-        for k, c in enumerate(back):
-            nxt[k] += c
-            nxt[k + 1] -= c
-        back = nxt
-    while back and back[-1] == 0:
-        back.pop()
-    orig = [num.get(e, 0) for e in range(deg + 1)]
-    while orig and orig[-1] == 0:
-        orig.pop()
-    if back != orig:
-        raise InexactDivision("division by (1-p)^%d is not exact" % n)
+        coeffs = list(accumulate(coeffs))
+        if coeffs.pop():
+            raise InexactDivision("division by (1-p)^%d is not exact" % n)
     p = Indeterminate("p")
     return sum_of_products((((k,), c) for k, c in enumerate(coeffs)),
                            lambda k: Monomial({p: k}))

@@ -279,13 +279,18 @@ def checked_terms(terms):
     return terms
 
 
+def is_int(v):
+    """Whether v is an int; a bool is not one here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def as_poly(obj):
     """Coerce an int, Indeterminate, Monomial, or MultiPoly to MultiPoly.
     A bool is not a coefficient: it raises TypeError like any other
     type."""
     if isinstance(obj, MultiPoly):
         return obj
-    if isinstance(obj, int) and not isinstance(obj, bool):
+    if is_int(obj):
         return MultiPoly({0: obj} if obj else {})
     if isinstance(obj, Indeterminate):
         return MultiPoly({1 << obj._shift: 1})

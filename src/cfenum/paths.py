@@ -11,6 +11,7 @@ step kind / color, the label bound as a function of the starting height.
 from collections import namedtuple
 import json
 
+from .mpoly import is_int
 from .permstats import Permutation
 from .setpartstats import SetPartition
 
@@ -33,6 +34,8 @@ class ColoredStep:
     __slots__ = ("kind", "color")
 
     def __init__(self, kind, color=1):
+        if not is_int(color):
+            raise ValueError("step color %r is not an integer" % (color,))
         if kind not in (RISE, FALL, LEVEL):
             raise ValueError("kind must be one of R, F, L")
         if color < 1:
@@ -66,6 +69,10 @@ class LabeledMotzkinPath:
         steps = tuple(steps)
         labels = tuple(tuple(l) if isinstance(l, (tuple, list)) else (l,)
                        for l in labels)
+        for l in labels:
+            if not all(map(is_int, l)):
+                raise ValueError("step label %r is not a list of integers"
+                                 % (list(l),))
         if len(steps) != len(labels):
             raise ValueError("need one label per step")
         self.steps = steps
@@ -414,14 +421,10 @@ def path_to_json_obj(p):
         for s, l in zip(p.steps, p.labels)]}
 
 
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def path_from_json_obj(obj):
     """Path of the JSON form above; InvalidPath when the form is not an
-    object with a "steps" list of step objects, each with an integer
-    color and a list of integers as its label."""
+    object with a "steps" list of step objects, each with a list as its
+    label, and ValueError from the step or path it would build."""
     if not isinstance(obj, dict) or not isinstance(obj.get("steps"), list):
         raise InvalidPath('a path is an object with a "steps" list')
     steps = []
@@ -429,14 +432,12 @@ def path_from_json_obj(obj):
     for d in obj["steps"]:
         if not isinstance(d, dict):
             raise InvalidPath("a step is an object, not %r" % (d,))
-        color, label = d.get("color", 1), d.get("label")
-        if not _is_int(color):
-            raise InvalidPath("step color %r is not an integer" % (color,))
-        if not isinstance(label, list) or not all(map(_is_int, label)):
+        steps.append(ColoredStep(d.get("kind"), d.get("color", 1)))
+        label = d.get("label")
+        if not isinstance(label, list):
             raise InvalidPath("step label %r is not a list of integers"
                               % (label,))
-        steps.append(ColoredStep(d.get("kind"), color))
-        labels.append(tuple(label))
+        labels.append(label)
     return LabeledMotzkinPath(steps, labels)
 
 

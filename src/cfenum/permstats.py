@@ -12,7 +12,7 @@ from functools import partial
 from itertools import permutations as _itperms, starmap
 import sys
 
-from .mpoly import Monomial, monomial, sum_of_products
+from .mpoly import Monomial, is_int, monomial, sum_of_products
 
 
 class NotABijection(ValueError):
@@ -25,6 +25,13 @@ class UnknownWeightMap(KeyError):
 
 class SizeTooLarge(ValueError):
     """A field of the size's signatures would not fit in a byte."""
+
+
+def is_one_to_n(elements):
+    """Whether `elements` are the ints 1..len(elements), each once: the one
+    element check of `Permutation`, `SetPartition` and `Matching`."""
+    return all(map(is_int, elements)) \
+        and sorted(elements) == list(range(1, len(elements) + 1))
 
 
 def lookup(table, key):
@@ -267,7 +274,7 @@ class Permutation:
     def __init__(self, oneline):
         oneline = tuple(oneline)
         n = len(oneline)
-        if sorted(oneline) != list(range(1, n + 1)):
+        if not is_one_to_n(oneline):
             raise NotABijection("%r is not a permutation of 1..%d"
                                 % (oneline, n))
         inv = [0] * n

@@ -106,15 +106,13 @@ def jfraction_from_series(coeffs, depth):
     (gammas, betas) with gammas = [g0..g_depth] and betas = [b1..b_depth].
     Requires order >= 2*depth + 1.
     """
-    if coeffs[0] != 1:
-        raise NonUnitConstantTerm("constant coefficient is %s" % coeffs[0])
+    r = reciprocal(coeffs)
     if len(coeffs) < 2 * depth + 2:
         raise InsufficientOrder(
             "need order >= %d, got %d" % (2 * depth + 1, len(coeffs) - 1))
     gammas = []
     betas = []
     for k in range(depth + 1):
-        r = reciprocal(coeffs)
         gammas.append(-r[1])
         if k == depth:
             break
@@ -123,5 +121,5 @@ def jfraction_from_series(coeffs, depth):
         if beta == 0:
             raise TerminatedFraction("beta_%d = 0" % (k + 1,))
         betas.append(beta)
-        coeffs = [-Fraction(c) / beta for c in r[2:]]
+        r = reciprocal([-Fraction(c) / beta for c in r[2:]])
     return gammas, betas

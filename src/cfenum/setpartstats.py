@@ -8,10 +8,10 @@ Elements are 1-based; the arc graph joins consecutive elements of a block.
 
 from collections import namedtuple
 
-from .mpoly import ascii_int, monomial
+from .mpoly import ascii_int, is_int, monomial
 from .permstats import ObjectKind, UnknownWeightMap, factors, \
-    is_indecomposable, lookup, unit_weight, walk_kernel, walk_tally, \
-    zeta_cc_weight
+    is_indecomposable, is_one_to_n, lookup, unit_weight, walk_kernel, \
+    walk_tally, zeta_cc_weight
 
 
 class NotAPartition(ValueError):
@@ -25,21 +25,18 @@ class SetPartition:
     __slots__ = ("n", "blocks")
 
     def __init__(self, blocks):
-        blocks = tuple(sorted((tuple(sorted(b)) for b in blocks),
-                              key=lambda b: b[0] if b else 0))
-        n = sum(len(b) for b in blocks)
-        seen = set()
-        for b in blocks:
-            if not b:
-                raise NotAPartition("empty block")
-            for e in b:
-                if not isinstance(e, int) or e < 1 or e > n or e in seen:
-                    raise NotAPartition("blocks do not partition 1..%d" % n)
-                seen.add(e)
-        if len(seen) != n:
-            raise NotAPartition("blocks do not partition 1..%d" % n)
+        blocks = [tuple(b) for b in blocks]
+        elements = [e for b in blocks for e in b]
+        n = len(elements)
+        if not (all(blocks) and is_one_to_n(elements)):
+            # name the fault of the block of least minimum (0 for an empty
+            # block or one of non-ints)
+            first = min(blocks, key=lambda b: min(b)
+                        if b and all(map(is_int, b)) else 0)
+            raise NotAPartition("blocks do not partition 1..%d" % n if first
+                                else "empty block")
         self.n = n
-        self.blocks = blocks
+        self.blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
 
     def __eq__(self, other):
         if not isinstance(other, SetPartition):

@@ -153,19 +153,20 @@ def _enum(obj, n, family="all", weight="unit", zeta=False):
 
 
 def _holds_per_signature(obj, holds):
-    """Identity checker n -> (ok, detail) for a predicate
-    `holds(profiles, totals)`: it is tested once per distinct signature of
-    the cached "all" histogram of size n.  On failure the detail is the
-    first object of `objects(n)` whose signature fails: the histogram's
-    own order is the order of its tally, not of `objects`."""
+    """Identity checker n -> check for a predicate `holds(profiles,
+    totals)`: it is tested once per distinct signature of the cached "all"
+    histogram of size n.  On failure the check's detail is the first
+    object of `objects(n)` whose signature fails: the histogram's own
+    order is the order of its tally, not of `objects`."""
     def check(n):
         kind = KINDS[obj]
         failed = {sig for sig in histogram(kind, n, "all", _ENUM_CACHE)
                   if not holds(*decode(kind, sig))}
         if not failed:
-            return True, None
-        return False, repr(next(x for x in kind.objects(n)
-                                if signature(kind, x) in failed))
+            return {"n": n, "ok": True}
+        return {"n": n, "ok": False,
+                "detail": repr(next(x for x in kind.objects(n)
+                                    if signature(kind, x) in failed))}
     return check
 
 
@@ -185,11 +186,12 @@ def _poly(obj, family="all", weight="unit", subst=None, zeta=False):
 
 
 def _same(*sides):
-    """Identity checker n -> (ok, None): every side, a callable n ->
+    """Identity checker n -> check: every side, a callable n ->
     polynomial, equals the first at n."""
     def check(n):
         first, *rest = (side(n) for side in sides)
-        return all(first == other for other in rest), None
+        checks = [_compared({"n": n}, first, other) for other in rest]
+        return next((c for c in checks if not c["ok"]), checks[-1])
     return check
 
 
@@ -252,8 +254,8 @@ def _sp_master_cf(afun, bfun, dfun, efun):
 # enumeration polynomial at n = 0..n_max.
 
 def _equal_at(label, fmt, indices, lhs, rhs):
-    return [{"check": ("%s: " + fmt) % (label, n),
-             "ok": as_poly(lhs(n)) == as_poly(rhs(n))} for n in indices]
+    return [_compared({"check": ("%s: " + fmt) % (label, n)}, lhs(n), rhs(n))
+            for n in indices]
 
 
 # the coefficient indices that a coherence check compares (from 1 for
@@ -378,11 +380,11 @@ def _get(tid):
 
 
 def verify_theorem(tid, n_max=None, order=None, seed=0):
-    """Verify one registry entry.  Its checks are, for an identity, one
-    {"n", "ok"[, "detail"]} per n; for a witness, its own checks at `seed`;
+    """Verify one registry entry.  Its checks are, for an identity, its
+    checker's check at each n; for a witness, its own checks at `seed`;
     for a fraction, one comparison of enumeration and expansion per n, then
-    the entry's extra checks.  The first failing check (its "discrepancy"
-    when it has one) is the report's first_discrepancy."""
+    the entry's extra checks.  The first failing check is the report's
+    first_discrepancy."""
     case = _get(tid)
     t0 = time.time()
     if case.kind == "Witness":
@@ -391,42 +393,36 @@ def verify_theorem(tid, n_max=None, order=None, seed=0):
         n_max = case.n_max if n_max is None else n_max
         if case.kind == "Identity":
             order = seed = None
-            checks = [_identity_check(n, *case.identity(n))
-                      for n in range(n_max + 1)]
+            checks = [case.identity(n) for n in range(n_max + 1)]
         else:
             order = n_max if order is None else max(order, n_max)
             checks = _fraction_checks(case, n_max, order)
-    first = next((c.get("discrepancy", c) for c in checks if not c["ok"]),
-                 None)
+    first = next((c for c in checks if not c["ok"]), None)
     return VerificationReport(tid, case.kind, n_max, order, first is None,
                               checks, first, time.time() - t0, seed)
 
 
-def _identity_check(n, ok, detail):
-    entry = {"n": n, "ok": ok}
-    if detail is not None:
-        entry["detail"] = detail
-    return entry
-
-
 def _fraction_checks(case, n_max, order):
     coeffs = _expand(case, order)
-    polys = [as_poly(case.poly(n)) for n in range(n_max + 1)]
-    checks = [_compared(n, expected, got)
+    polys = [case.poly(n) for n in range(n_max + 1)]
+    checks = [_compared({"n": n}, expected, got)
               for n, (expected, got) in enumerate(zip(polys, coeffs))]
     for extra in case.extra:
         checks.extend(extra(case, n_max, polys))
     return checks
 
 
-def _compared(n, expected, got):
-    entry = {"n": n, "ok": expected == got}
-    if not entry["ok"]:
+def _compared(check, expected, got):
+    """The one polynomial comparison: `check` ({"n": n} or {"check": text})
+    with "ok" and, if the two differ, the first monomial where they do."""
+    expected, got = as_poly(expected), as_poly(got)
+    check["ok"] = expected == got
+    if not check["ok"]:
         mon, _ = (expected - got).sorted_terms()[0]
-        entry["discrepancy"] = {"monomial": repr(mon),
+        check["discrepancy"] = {"monomial": repr(mon),
                                 "expected": expected.coeff_of(mon),
                                 "got": got.coeff_of(mon)}
-    return entry
+    return check
 
 
 def _expand(case, order):
@@ -1388,10 +1384,11 @@ _register(TheoremCase(
 
 def _touchard_identity(n):
     tr = touchard_riordan(n)
-    ok = tr == expand_sfraction(lambda m: qint(m, P_), n)[n]
-    if ok and n <= 6:
-        ok = tr == _enum("match", n, "all", "cr")
-    return ok, None
+    check = _compared({"n": n}, tr,
+                      expand_sfraction(lambda m: qint(m, P_), n)[n])
+    if check["ok"] and n <= 6:
+        check = _compared({"n": n}, tr, _enum("match", n, "all", "cr"))
+    return check
 
 
 _register(TheoremCase(
@@ -1418,18 +1415,15 @@ _MATCH_CC_TABLE = {
 def _match_cc_table_identity(n):
     row = _MATCH_CC_TABLE.get(n)
     if row is None:
-        return False, "no table row for n=%d" % n
-    expected = as_poly(0)
-    for k, c in enumerate(row, start=1):
-        expected = expected + c * as_poly(ZETA) ** k
-    if n == 0:
-        expected = as_poly(1)
-    got = expand_sfraction(attach_component_weight(lambda m: m, ZETA),
-                           n)[n]
-    ok = expected == got
-    if ok and n <= 6:
-        ok = expected == _enum("match", n, "all", "zeta-cc")
-    return ok, None
+        return {"n": n, "ok": False, "detail": "no table row for n=%d" % n}
+    expected = sum((c * ZETA ** k for k, c in enumerate(row, start=1)),
+                   as_poly(int(n == 0)))
+    check = _compared({"n": n}, expected, expand_sfraction(
+        attach_component_weight(lambda m: m, ZETA), n)[n])
+    if check["ok"] and n <= 6:
+        check = _compared({"n": n}, expected,
+                          _enum("match", n, "all", "zeta-cc"))
+    return check
 
 
 _register(TheoremCase(
@@ -1525,8 +1519,8 @@ def _id_rs_formula(n):
         sides[pi] = t.rs, t.ov + 2 * t.cov + t.covin + t.pscov
     for pi, (rs, _) in sides.items():
         if rs != sides[sp_reverse(pi)][1]:
-            return False, "pi=%r" % (pi.blocks,)
-    return True, None
+            return {"n": n, "ok": False, "detail": "pi=%r" % (pi.blocks,)}
+    return {"n": n, "ok": True}
 
 
 _register(TheoremCase(
@@ -1554,7 +1548,7 @@ _register(TheoremCase(
 def _id_fig9(n):
     pi = SetPartition([[1, 3, 6], [2, 4, 5]])
     t = stat_totals(SETPART, pi)
-    return (t.iota == 4 and t.iota_prime == 3), None
+    return {"n": n, "ok": t.iota == 4 and t.iota_prime == 3}
 
 
 _register(TheoremCase(

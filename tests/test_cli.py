@@ -309,8 +309,10 @@ def test_decode_from_stdin(runner):
     '{"steps": [{"kind": "L", "color": "a", "label": [1]}]}',
     '{"steps": [{"kind": "R", "label": 5}]}',
     '{"steps": [{"kind": "R", "label": ["a"]}]}',
+    '{"steps": [{"kind": "L", "color": 2.5, "label": [1]}]}',
+    '{"steps": [{"kind": "L", "color": 1, "label": [1.0]}]}',
 ], ids=["steps-not-list", "not-object", "color-not-int", "label-not-list",
-        "label-not-ints"])
+        "label-not-ints", "color-fractional", "label-float"])
 def test_decode_malformed_path(runner, text):
     res = _run(runner, ["decode", "--bijection", "FZ", "--path", "-"],
                input=text)

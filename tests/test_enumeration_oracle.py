@@ -241,7 +241,7 @@ def test_identity_detail_is_first_failing_object(monkeypatch, holds):
     want = next(x for x in SETPART.objects(5)
                 if not holds(*decode(SETPART, signature(SETPART, x))))
     assert theorems._holds_per_signature("setpart", holds)(5) \
-        == (False, repr(want))
+        == {"n": 5, "ok": False, "detail": repr(want)}
 
 
 def _rgs(pi):

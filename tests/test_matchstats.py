@@ -157,6 +157,15 @@ def test_touchard_riordan():
             == enumerate_polynomial(MATCH, n, weight="cr")
 
 
+def test_touchard_riordan_counts_all_matchings():
+    # at p = 1 it is (2n-1)!!, the number of matchings of [2n], for n past
+    # the sizes that the enumeration reaches
+    count = 1
+    for n in range(15):
+        assert sum(touchard_riordan(n).terms.values()) == count, n
+        count *= 2 * n + 1
+
+
 def test_parity_lemma():
     for n in range(1, 7):
         for m in iter_matchings(n):

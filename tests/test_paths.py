@@ -252,6 +252,19 @@ def test_invalid_path():
         decode(bad, "FZ")
 
 
+@pytest.mark.parametrize("kind, color", [("L", 2.5), ("L", True),
+                                         ("R", "x")])
+def test_step_color_is_an_int(kind, color):
+    with pytest.raises(ValueError, match="step color"):
+        ColoredStep(kind, color)
+
+
+@pytest.mark.parametrize("label", [True, 1.0, (1, True), ("a",)])
+def test_path_labels_are_ints(label):
+    with pytest.raises(ValueError, match="step label"):
+        LabeledMotzkinPath([ColoredStep("L", 1)], [label])
+
+
 def test_compare_with_other_types():
     rise = ColoredStep("R")
     assert rise != None and not rise == None  # noqa: E711

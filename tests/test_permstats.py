@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfenum.matchstats import MATCH, _match_walk
+from cfenum.matchstats import MATCH, Matching, NotAMatching, _match_walk
 from cfenum.mpoly import Monomial, MultiPoly, as_poly, var
 from cfenum.permstats import (PERM, PERM_FAMILIES, NotABijection,
                               Permutation, UnknownWeightMap, decode,
@@ -14,7 +14,8 @@ from cfenum.permstats import (PERM, PERM_FAMILIES, NotABijection,
                               perm_master_weight_first,
                               perm_master_weight_second, signature,
                               stat_totals)
-from cfenum.setpartstats import SETPART, _sp_walk
+from cfenum.setpartstats import SETPART, NotAPartition, SetPartition, \
+    _sp_walk
 
 from enum_oracle import perm_index_profile
 
@@ -29,6 +30,25 @@ def test_perm_from_oneline():
         Permutation([1, 1])
     with pytest.raises(NotABijection):
         Permutation([2, 3])
+
+
+@pytest.mark.parametrize("make, error, elements", [
+    (Permutation, NotABijection, [True]),
+    (Permutation, NotABijection, [2.0, 1]),
+    (Permutation, NotABijection, [1, "a"]),
+    (SetPartition, NotAPartition, [[True]]),
+    (SetPartition, NotAPartition, [[1], ["a"]]),
+    (SetPartition, NotAPartition, [[1], []]),
+    (Matching, NotAMatching, [(True, 2)]),
+    (Matching, NotAMatching, [(1, 2, 3)]),
+    (Matching, NotAMatching, [(1,)]),
+    (Matching, NotAMatching, [(1, "a")])])
+def test_constructors_take_only_the_ints_1_to_n(make, error, elements):
+    # a bool, a float or a str is not an element, and a matching's pairs
+    # have two elements: each is the type's own error, never a TypeError
+    # or an unpacking ValueError
+    with pytest.raises(error):
+        make(elements)
 
 
 def test_inverse():

@@ -287,7 +287,8 @@ def test_every_per_signature_identity_can_fail(tid):
     assert report.ok and report.kind == "Identity", report.to_dict()
     negated = theorems._holds_per_signature(
         obj, lambda profiles, t: not holds(profiles, t))
-    assert negated(0) == (False, repr(next(KINDS[obj].objects(0))))
+    assert negated(0) == {"n": 0, "ok": False,
+                          "detail": repr(next(KINDS[obj].objects(0)))}
 
 
 def _perturb(monkeypatch, tid, **fields):
@@ -309,8 +310,9 @@ def test_perturbed_alpha_fails_first_at_its_coefficient(monkeypatch):
              alpha=_plus_zz_at(REGISTRY["perm.zeng89"].alpha, 3))
     report = verify_theorem("perm.zeng89", n_max=5)
     assert not report.ok
-    assert report.first_discrepancy == {"monomial": "q*x*y*zz",
-                                        "expected": 0, "got": 1}
+    assert report.first_discrepancy == {
+        "n": 3, "ok": False,
+        "discrepancy": {"monomial": "q*x*y*zz", "expected": 0, "got": 1}}
 
 
 def test_perturbed_beta_fails_its_coherence_check(monkeypatch):
@@ -321,8 +323,52 @@ def test_perturbed_beta_fails_its_coherence_check(monkeypatch):
     report = verify_theorem("sp.J", n_max=4)
     failed = [c for c in report.checks if not c["ok"]]
     assert failed == [{"check": "specialization of the (p,q) J-fraction: "
-                                "beta_5", "ok": False}]
+                                "beta_5", "ok": False,
+                       "discrepancy": {"monomial": "zz", "expected": 0,
+                                       "got": 1}}]
     assert not report.ok and report.first_discrepancy == failed[0]
+
+
+def test_perturbed_closed_form_extra_names_its_monomial(monkeypatch):
+    # the entry's polynomial is n! itself, so only the extra that compares
+    # it with the enumeration sees eps in the enumeration at n = 2
+    real = theorems._enum
+    eps = var("eps")
+
+    def perturbed(obj, n, family="all", weight="unit", zeta=False):
+        p = real(obj, n, family, weight, zeta)
+        return p + eps if (obj, n) == ("perm", 2) else p
+
+    monkeypatch.setattr(theorems, "_enum", perturbed)
+    report = verify_theorem("perm.euler.factorial", n_max=4)
+    assert not report.ok
+    assert report.first_discrepancy == {
+        "check": "enumeration equals n!: n=2", "ok": False,
+        "discrepancy": {"monomial": "eps", "expected": 0, "got": 1}}
+
+
+@pytest.mark.parametrize("side", ["closed form", "enumeration"])
+def test_perturbed_touchard_side_names_its_monomial(monkeypatch, side):
+    # eps at n = 3 on the closed form fails its comparison with the
+    # S-fraction; on the enumeration, the comparison that follows it
+    eps = var("eps")
+    if side == "closed form":
+        real = theorems.touchard_riordan
+        monkeypatch.setattr(theorems, "touchard_riordan",
+                            lambda n: real(n) + eps if n == 3 else real(n))
+        expected, got = 1, 0
+    else:
+        real = theorems._enum
+        monkeypatch.setattr(
+            theorems, "_enum", lambda obj, n, *args: real(obj, n, *args)
+            + eps if (obj, n) == ("match", 3) else real(obj, n, *args))
+        expected, got = 0, 1
+    report = verify_theorem("match.touchard", n_max=4)
+    assert [c["ok"] for c in report.checks] == [True] * 3 + [False, True]
+    assert report.first_discrepancy == {
+        "n": 3, "ok": False,
+        "discrepancy": {"monomial": "eps", "expected": expected,
+                        "got": got}}
 
 
 def test_witness_reports_its_first_failing_check(monkeypatch):
@@ -387,4 +433,8 @@ def test_every_equality_identity_can_fail(monkeypatch, tid, side):
     monkeypatch.setattr(theorems, "_enum", perturbed)
     report = verify_theorem(tid, n_max=3)
     assert not report.ok
-    assert report.first_discrepancy == {"n": 0, "ok": False}
+    # eps is on the first side (expected) or on a later one (got)
+    assert report.first_discrepancy in (
+        {"n": 0, "ok": False, "discrepancy": {"monomial": "eps",
+                                              "expected": e, "got": 1 - e}}
+        for e in (0, 1))

@@ -18,7 +18,12 @@ from that tree's registry and weight tables:
 - `encode` of every object of size <= 5 under each bijection, and
   `decode` of each path that comes out;
 - `--help` of the group and of each command;
-- the id, kind, description and n_max of each registry entry.
+- the id, kind, description and n_max of each registry entry;
+- malformed input, which exits 2 with a message: `stats` of bad objects,
+  `enumerate` of unknown weights and families and of sizes past a
+  signature's field (perm and setpart only: a matching of [48] would be
+  enumerated), `verify` and `expand` of unknown ids, `expand` of an
+  identity, and `decode` of malformed paths.
 
 `wall_time` and `total_wall_time` are masked.  The script prints each
 argument list whose exit code, stdout or stderr differs (or that only one
@@ -72,6 +77,44 @@ def _encodings():
                         ",".join(map(str, b)) for b in pi.blocks)
 
 
+# (object, option, text) of objects that `stats` must refuse
+_BAD_OBJECTS = [("perm", "--oneline", t) for t in (
+    "1,1", "2,3", "1,3", "x", "\u0662,\u0661")] + [
+    ("setpart", "--blocks", t) for t in (
+        "1,2;2", "1;3", "1;,", "0;,", ",;0", "-1;,", "1;1,a",
+        "\u0661;\u0662")] + [
+    ("match", "--pairs", t) for t in (
+        "1-2,2-3", "1-3", "2-1,1-3", "1-1", "1-2-3", "1", "1-a",
+        "\u0661-\u0662")]
+
+# path texts that `decode` must refuse
+_BAD_PATHS = [
+    '{"steps": 5}',
+    '[1, 2]',
+    '{"steps": [{"kind": "L", "color": "a", "label": [1]}]}',
+    '{"steps": [{"kind": "R", "label": 5}]}',
+    '{"steps": [{"kind": "R", "label": ["a"]}]}',
+    '{"steps": [{"kind": "L", "color": 1.5, "label": [1]}]}',
+    '{"steps": [{"kind": "L", "color": 1, "label": [1.5]}]}',
+]
+
+
+def _malformed_runs():
+    for obj, option, text in _BAD_OBJECTS:
+        yield ["stats", "--object", obj, option, text], None
+    for obj, family, weight, n in (
+            ("perm", "all", "nope", "3"), ("perm", "nope", "unit", "3"),
+            ("setpart", "blocks:-1", "unit", "3"),
+            ("perm", "all", "unit", "24"), ("setpart", "all", "unit", "24")):
+        yield ["enumerate", "--object", obj, "--n", n, "--family", family,
+               "--weight", weight], None
+    yield ["verify", "no.such.entry"], None
+    yield ["expand", "--theorem", "no.such.entry"], None
+    yield ["expand", "--theorem", "inv.decomp"], None
+    for text in _BAD_PATHS:
+        yield ["decode", "--bijection", "FZ", "--path", "-"], text
+
+
 def run_tree():
     """Every run of the matrix in this interpreter's cfenum, as
     {json of the argument list: [exit code, stdout, stderr]}."""
@@ -120,6 +163,8 @@ def run_tree():
         if res.exit_code == 0:
             path = json.dumps(json.loads(res.stdout)["path"])
             run(["decode", "--bijection", name, "--path", "-"], stdin=path)
+    for args, stdin in _malformed_runs():
+        run(args, stdin)
     return results
 
 
