@@ -7,6 +7,7 @@ A matching is viewed both as a partition of [2n] into pairs and as a
 fixed-point-free involution.
 """
 
+from bisect import bisect
 from collections import namedtuple
 from functools import partial
 from itertools import accumulate
@@ -161,7 +162,7 @@ def touchard_riordan(n):
         if coeffs.pop():
             raise InexactDivision("division by (1-p)^%d is not exact" % n)
     p = Indeterminate("p")
-    return sum_of_products((((k,), c) for k, c in enumerate(coeffs)),
+    return sum_of_products(((0, (k,), c) for k, c in enumerate(coeffs)),
                            lambda k: Monomial({p: k}))
 
 
@@ -267,18 +268,33 @@ def _match_walk(n, leaf, path=None, prune=None):
     _match_path.  The counts are (cc,), the positions after which no arc
     is open.  An arc opened at j while c arcs were open, and closed at l
     while `count` arcs (itself included) were open, has the record
-    [2 * (j % 2) + l % 2, cr = c - r, ne = r, qne = count - 1], so the
-    records come in closer order.  With a `prune`, a predicate on one
-    record, the walk skips every closing whose record fails it."""
+    [2 * (j % 2) + l % 2, cr = c - r, ne = r, qne = count - 1]; the
+    records are kept sorted as they are made.  When two arcs are open at
+    position 2n - 1, both are closed there and at 2n in one step, with
+    no recursion per leaf.  With a `prune`, a predicate on one record,
+    the walk skips every closing whose record fails it."""
     record = bytes if path is None else list
     size = 2 * n
     arcs = []  # the open arcs in opening order: (2 * (j % 2), c)
-    done = []  # the records of the closed arcs
+    done = []  # the records of the closed arcs, sorted
 
     def step(l, cc):
         count = len(arcs)
         opening, ranks = (count < size - l, range(count)) if path is None \
             else path[l - 1]
+        if count == 2 and l == size - 1:  # both closings forced; 2n is even
+            for r in ranks:
+                (p, c), (q, d) = arcs[r], arcs[1 - r]
+                rec, last = record((p + 1, c - r, r, 1)), record((q, d, 0, 0))
+                if prune is not None and not (prune(rec) and prune(last)):
+                    continue
+                i = bisect(done, rec)
+                done.insert(i, rec)
+                k = bisect(done, last)
+                done.insert(k, last)
+                leaf((cc + 1,), done)
+                del done[k], done[i]
+            return
         if opening:
             arcs.append((2 * (l % 2), count))
             step(l + 1, cc)
@@ -289,12 +305,13 @@ def _match_walk(n, leaf, path=None, prune=None):
             if prune is not None and not prune(rec):
                 continue
             del arcs[r]
-            done.append(rec)
+            i = bisect(done, rec)
+            done.insert(i, rec)
             if l < size:
                 step(l + 1, cc + (count == 1))
             else:
                 leaf((cc + 1,), done)
-            done.pop()
+            del done[i]
             arcs.insert(r, arc)
 
     if n:

@@ -230,16 +230,20 @@ def monomial(pairs):
 
 
 def sum_of_products(rows, factor):
-    """The MultiPoly sum over (keys, count) rows of count times the
-    product of the Monomials factor(key) over the row's keys.  factor is
-    called once per distinct key; each product is a sum of packed ints,
-    range-checked after every addition (as in Monomial), so no exponent
-    wraps, even in a row whose count is 0 or cancels.  Zero coefficients
-    are dropped once, at the end."""
+    """The MultiPoly sum over (shared, keys, count) rows of count times the
+    product of the Monomials factor(key) over the row's keys: the first
+    `shared` keys of the row before it, then `keys`.  The product of each
+    shared prefix is reused, not recomputed.  factor is called once per
+    distinct key; each product is a sum of packed ints, range-checked
+    after every addition (as in Monomial), so no exponent wraps, even in a
+    row whose count is 0 or cancels.  Zero coefficients are dropped once,
+    at the end."""
     packed_of = {}
     acc = {}
-    for keys, count in rows:
-        packed = 0
+    prefix = [0]  # prefix[i]: the product of the last row's first i keys
+    for shared, keys, count in rows:
+        del prefix[shared + 1:]
+        packed = prefix[shared]
         for key in keys:
             code = packed_of.get(key)
             if code is None:
@@ -247,6 +251,7 @@ def sum_of_products(rows, factor):
             packed += code
             if packed & _guard:
                 _checked(packed)
+            prefix.append(packed)
         acc[packed] = acc.get(packed, 0) + count
     return MultiPoly({k: c for k, c in acc.items() if c})
 
@@ -547,7 +552,7 @@ def from_text(text):
             except ValueError:
                 raise ParseError("term %r must start with an integer "
                                  "coefficient" % term) from None
-            yield factors[1:], coeff
+            yield 0, factors[1:], coeff
 
     try:
         return sum_of_products(rows(), factor)

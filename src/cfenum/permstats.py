@@ -9,7 +9,8 @@ A permutation is stored in one-line notation.  Indices are 1-based.
 
 from collections import Counter, namedtuple
 from functools import partial
-from itertools import permutations as _itperms, starmap
+from itertools import permutations as _itperms, repeat, starmap
+from operator import itemgetter
 import sys
 
 from .mpoly import Monomial, is_int, monomial, sum_of_products
@@ -60,7 +61,7 @@ predicate `prune`: the walk skips each choice that finishes a failing
 record.  `kernel(x)` runs the same walk down object x's choices alone
 and returns (counts, records): the `ncounts` totals that no profile
 gives, and the profile records, one per index, element or arc in the
-walk's finishing order, each a list of `width` ints.  `profile(*record)`
+order the walk keeps them, each a list of `width` ints.  `profile(*record)`
 builds the profile a weight map reads, and `totals(profiles, *counts)`
 the totals object, whose cc (connected components) `zeta_cc_weight`
 reads.
@@ -114,11 +115,12 @@ def walk_kernel(walk, path):
 
 
 def pack(counts, records):
-    """Signature bytes: the counts, then the records sorted, each record a
-    bytes object of `width` fields (every field is below 256 at sizes up
-    to the kind's `max_n`).  This is the one writer of the format, for
-    `signature` and `walk_tally`; `decode` is the one reader."""
-    return bytes(counts) + b"".join(sorted(records))
+    """Signature bytes: the records sorted, each record a bytes object of
+    `width` fields, then the counts (every field is below 256 at sizes up
+    to the kind's `max_n`).  With the records first, signatures sort by
+    their records.  This is the one writer of the format, for `signature`
+    and `walk_tally`; `decode` is the one reader."""
+    return b"".join(sorted(records)) + bytes(counts)
 
 
 def signature(kind, x):
@@ -131,9 +133,10 @@ def signature(kind, x):
 def decode(kind, sig):
     """(profiles, totals) of a signature; the profiles come in record
     order, not index order."""
-    fields = iter(sig[kind.ncounts:])
+    cut = len(sig) - kind.ncounts
+    fields = iter(sig[:cut])
     profiles = list(starmap(kind.profile, zip(*[fields] * kind.width)))
-    return profiles, kind.totals(profiles, *sig[:kind.ncounts])
+    return profiles, kind.totals(profiles, *sig[cut:])
 
 
 def stat_totals(kind, x):
@@ -202,20 +205,28 @@ def weighted_sum(hist, kind, weight, zeta=False):
 
     The sum of count times weight(profiles, totals), a Monomial, times
     zeta^cc with `zeta`, in one pass of packed-int sums.  Each signature
-    is cut into keys, each distinct key weighted once: for a map marked
-    by `factors`, its `width`-byte records and each count field whose
-    factor is not 1 at some value that occurs; else the whole signature.
+    is cut into keys, each distinct key weighted once.  A map that is not
+    marked by `factors` has the whole signature as its one key.  A map
+    marked by `factors` has as keys the signature's `width`-byte records
+    and each count field whose factor is not 1 at some value that occurs.
+    The signatures of one size are visited sorted, that is in the order
+    of their records, and each row reuses the product of the records it
+    shares with the row before.  When every distinct record weighs 1, the
+    records are not keys: the counts of the signatures that share their
+    count fields are summed first, with no sort, and each sum is weighted
+    once.
     """
     start, width = kind.ncounts, kind.width
     keyed = getattr(weight, "factors", False)
-    head = bytes(start) if keyed else b""
+    tail = bytes(start) if keyed else b""
+    one = Monomial()
 
     def factor(key):
         if isinstance(key, int):  # count field key >> 8 at value key & 255
             sig = bytearray(start)
             sig[key >> 8] = key & 255
         else:  # a record, or a whole signature
-            sig = head + key
+            sig = key + tail
         profiles, totals = decode(kind, sig)
         m = weight(profiles, totals)
         if not isinstance(m, Monomial):
@@ -223,22 +234,47 @@ def weighted_sum(hist, kind, weight, zeta=False):
                             % (getattr(weight, "__name__", weight), m))
         return m * zeta_cc_weight(profiles, totals) if zeta else m
 
+    if not keyed:  # the whole signature is the one key
+        return sum_of_products(((0, (sig,), count)
+                                for sig, count in hist.items()), factor)
+    counts = set(map(itemgetter(slice(-start, None)), hist))
+    fields = [i for i in range(start) if any(
+        factor(i << 8 | v) != one for v in {c[i] for c in counts})]
     sizes = set(map(len, hist))
-    if keyed:
-        cuts = {size: [slice(i, i + width) for i in range(start, size, width)]
-                for size in sizes}
-        fields = [i for i in range(start)
-                  if any(factor(i << 8 | v) != Monomial()
-                         for v in {sig[i] for sig in hist})]
-    else:  # the whole signature is the one key
-        cuts, fields = {size: [slice(0, size)] for size in sizes}, ()
+    groups = dict.fromkeys(sizes, hist) if len(sizes) == 1 else {
+        size: [sig for sig in hist if len(sig) == size] for size in sizes}
+    cuts = {size: [slice(i, i + width) for i in range(0, size - start, width)]
+            for size in sizes}
+    # every distinct record weighs 1: project the histogram onto its counts
+    if not any(factor(record) != one for size, group in groups.items()
+               for cut in cuts[size]
+               for record in set(map(itemgetter(cut), group))):
+        projected = {}
+        for sig, count in hist.items():
+            c = sig[-start:]
+            projected[c] = projected.get(c, 0) + count
+        return sum_of_products(((0, [i << 8 | c[i] for i in fields], count)
+                                for c, count in projected.items()), factor)
 
     def rows():
-        for sig, count in hist.items():
-            keys = list(map(sig.__getitem__, cuts[len(sig)]))
-            if fields:
-                keys += [i << 8 | sig[i] for i in fields]
-            yield keys, count
+        for size, group in groups.items():
+            cut, records = size - start, cuts[size]
+            nbits, cbits, rbits = 8 * cut, 8 * start, 8 * width
+            sigs = sorted(group)
+            ints = map(int.from_bytes, sigs, repeat("big"))
+            tallies = map(hist.__getitem__, sigs)
+            # the first row shares no record with the row before
+            prev = int.from_bytes(sigs[0], "big") ^ (1 << 8 * size - 1)
+            for sig, cur, count in zip(sigs, ints, tallies):
+                # the leading records that equal the row before's: the
+                # record part of the two ints' XOR has its top bit past them
+                shared = (nbits - ((prev ^ cur) >> cbits).bit_length()) \
+                    // rbits
+                prev = cur
+                keys = list(map(sig.__getitem__, records[shared:]))
+                if fields:
+                    keys += [i << 8 | sig[cut + i] for i in fields]
+                yield shared, keys, count
 
     return sum_of_products(rows(), factor)
 

@@ -2,6 +2,7 @@
 per-object reference loop of enum_oracle, exhaustively at small n."""
 
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -10,8 +11,8 @@ from functools import partial
 import pytest
 
 import cfenum
-from cfenum import theorems
-from cfenum.mpoly import ExponentError, as_poly, monomial
+from cfenum import permstats, theorems
+from cfenum.mpoly import ExponentError, as_poly, monomial, sum_of_products
 from cfenum.permstats import (PERM, IndexProfile, decode,
                               enumerate_polynomial, factors, histogram,
                               iter_permutations, signature, stat_totals,
@@ -73,6 +74,73 @@ def test_record_weight_range_checked_per_record():
     for n in (2, 4):
         with pytest.raises(ExponentError, match="exponent 40000 of x"):
             enumerate_polynomial(SETPART, n, weight=huge)
+    # the same overflow inside a prefix of two records that the next row
+    # reuses, and in rows whose count is 0
+    sigs = sorted(histogram(SETPART, 4))
+    head = 2 * SETPART.width
+    a, b = next((a, b) for a, b in zip(sigs, sigs[1:])
+                if a[:head] == b[:head])
+    for hist in (Counter({a: 1, b: 1}), Counter(dict.fromkeys(sigs, 0))):
+        with pytest.raises(ExponentError, match="exponent 40000 of x"):
+            weighted_sum(hist, SETPART, huge)
+
+
+@pytest.mark.parametrize("obj", ["perm", "setpart", "match"])
+def test_weighted_sum_ignores_histogram_order(obj):
+    # the sum visits the signatures in its own order, so the histogram's
+    # order does not matter; a histogram of two sizes weighs as the sum of
+    # each size alone
+    kind, n = KINDS[obj], N_MAX[obj]
+    hist, smaller = histogram(kind, n), histogram(kind, n - 1)
+    items = list(hist.items())
+    random.Random(n).shuffle(items)
+    mixed = list(hist.items()) + list(smaller.items())
+    random.Random(-n).shuffle(mixed)
+    orders = [Counter(dict(order)) for order in (
+        items, sorted(items), sorted(items, reverse=True))]
+    for wid, weight in kind.weights.items():
+        for zeta in (False, True):
+            want = weighted_sum(hist, kind, weight, zeta)
+            for order in orders:
+                assert weighted_sum(order, kind, weight, zeta) == want, wid
+            assert weighted_sum(Counter(dict(mixed)), kind, weight, zeta) \
+                == want + weighted_sum(smaller, kind, weight, zeta), wid
+
+
+@pytest.mark.parametrize("obj", ["perm", "setpart", "match"])
+def test_records_that_weigh_1_are_not_keys(obj, monkeypatch):
+    # under "unit" and "zeta-cc" every record weighs 1: the histogram is
+    # projected onto its counts, so the product loop sees only count-field
+    # keys, and the sum still equals the oracle's
+    keys = []
+
+    def spy(rows, factor):
+        rows = list(rows)
+        keys.extend(key for _, row, _ in rows for key in row)
+        return sum_of_products(rows, factor)
+    monkeypatch.setattr(permstats, "sum_of_products", spy)
+    kind, oracle = KINDS[obj], enum_oracle.KINDS[obj]
+    for wid in ("unit", "zeta-cc"):
+        calls = []
+
+        @factors
+        def counted(profiles, totals, weight=kind.weights[wid]):
+            calls.append(len(profiles))
+            return weight(profiles, totals)
+        for n in range(N_MAX[obj] + 1):
+            stats = [oracle.stats(x) for x in oracle.objects(n)]
+            for zeta in (False, True):
+                del keys[:]
+                want = enum_oracle.weighted_sum(
+                    stats, lambda args: args, oracle.weights[wid], None, zeta)
+                assert enumerate_polynomial(kind, n, "all", counted, zeta) \
+                    == want, (wid, n, zeta)
+                assert all(isinstance(key, int) for key in keys)
+                # cc is the one count field that weighs, from n = 1 on
+                assert bool(keys) == (n > 0 and (zeta or wid == "zeta-cc"))
+        # the map saw single records (to find that they weigh 1) and
+        # counts alone, never a whole signature
+        assert calls and set(calls) == {0, 1}
 
 
 _UNMARKED = {"perm": {"four-var-cyc"},
