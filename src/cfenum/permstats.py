@@ -2,15 +2,18 @@
 crossing/nesting counts, fixed-point levels, inversions, connected
 components, master weights, and weighted enumeration over permutation
 families.  Also the enumeration core that all three object types share:
-a signature histogram per object set, weighted once per signature.
+a signature histogram per object set, laid out once, and weighted by each
+map through the keys it is cut into.
 
 A permutation is stored in one-line notation.  Indices are 1-based.
 """
 
-from collections import Counter, namedtuple
-from functools import partial
-from itertools import permutations as _itperms, repeat, starmap
-from operator import itemgetter
+from array import array
+from collections import Counter, defaultdict, namedtuple
+from functools import cached_property, partial
+from itertools import chain, count, pairwise, permutations as _itperms, \
+    repeat, starmap
+from operator import itemgetter, mul, rshift, xor
 import sys
 
 from .mpoly import Monomial, is_int, monomial, sum_of_products
@@ -156,16 +159,22 @@ def histogram(kind, n, family="all", cache=None):
     and "avoid321") is grown directly by `kind.tally(n, prune)`, and no
     "all" histogram is made for it; every other family's histogram is the
     "all" histogram restricted signature by signature.
-    With a `cache` dict, every histogram is kept under (kind.name, n,
-    family) and later requests for that set read it.  Sizes above
-    `kind.max_n` raise SizeTooLarge.
+    With a `cache` dict, every histogram is kept, in its `Layout`, under
+    (kind.name, n, family) and later requests for that set read it.  Sizes
+    above `kind.max_n` raise SizeTooLarge.
     """
+    return _laid_out(kind, n, family, cache).hist
+
+
+def _laid_out(kind, n, family, cache):
+    """The Layout of `histogram`'s histogram: the cached one, or a new one
+    (kept in `cache`, if there is one)."""
     if n > kind.max_n:
         raise SizeTooLarge("%s signatures hold sizes up to %d, not %d"
                            % (kind.name, kind.max_n, n))
     key = (kind.name, n, family)
-    hist = None if cache is None else cache.get(key)
-    if hist is None:
+    layout = None if cache is None else cache.get(key)
+    if layout is None:
         keep = kind.family(family)
         prune = getattr(keep, "prune", None)
         if keep is None or prune is not None:
@@ -174,9 +183,10 @@ def histogram(kind, n, family="all", cache=None):
             hist = Counter({sig: count for sig, count
                             in histogram(kind, n, "all", cache).items()
                             if keep(*decode(kind, sig))})
+        layout = Layout(kind, hist)
         if cache is not None:
-            cache[key] = hist
-    return hist
+            cache[key] = layout
+    return layout
 
 
 def factors(weight):
@@ -184,8 +194,11 @@ def factors(weight):
     the product of the map on each profile record alone (every count 0)
     and on each count alone (no records).  `weighted_sum` then weights
     each distinct record and count value once, straight from the
-    signature bytes.  Returns `weight`."""
-    weight.factors = True
+    signature bytes.  The mark, `weight.factors`, is the map's own memo:
+    the Monomial of each key it has weighed, under (kind name, zeta, key),
+    so the map runs once per distinct key for as long as it lives, and it
+    must be pure.  Returns `weight`."""
+    weight.factors = {}
     return weight
 
 
@@ -200,83 +213,182 @@ def per_record(keep, prune):
 
 
 def weighted_sum(hist, kind, weight, zeta=False):
-    """Exact weighted sum over a signature histogram of `kind`: the one
-    enumeration loop.
+    """Exact weighted sum over a signature histogram of `kind`: the sum of
+    count times weight(profiles, totals), a Monomial, times zeta^cc with
+    `zeta`.  The histogram is laid out for this one call; see `Layout`."""
+    return Layout(kind, hist).weigh(weight, zeta)
 
-    The sum of count times weight(profiles, totals), a Monomial, times
-    zeta^cc with `zeta`, in one pass of packed-int sums.  Each signature
-    is cut into keys, each distinct key weighted once.  A map that is not
-    marked by `factors` has the whole signature as its one key.  A map
-    marked by `factors` has as keys the signature's `width`-byte records
-    and each count field whose factor is not 1 at some value that occurs.
-    The signatures of one size are visited sorted, that is in the order
-    of their records, and each row reuses the product of the records it
-    shares with the row before.  When every distinct record weighs 1, the
-    records are not keys: the counts of the signatures that share their
-    count fields are summed first, with no sort, and each sum is weighted
-    once.
-    """
+
+Tails = namedtuple("Tails", "tails projected")
+Tails.__doc__ = """The distinct count tails of a histogram (the `ncounts`
+bytes that end a signature), in the order the histogram first has them,
+and per tail the summed count of the signatures that end in it."""
+
+Trie = namedtuple("Trie", "records shared ends ids tallies")
+Trie.__doc__ = """The record trie of a histogram.  The signatures of each
+size, in sorted order (that is, in the order of their records), are its
+rows.  Row r shares its first `shared[r]` records with the row before it;
+`ids[ends[r - 1]:ends[r]]` (from 0 for the first row) are the ids of its
+other records and then of its tail, and `tallies[r]` is its count.  A
+tail's id is its index in `Tails.tails`, and a record's is the number of
+tails plus its index in `records`, the distinct records in the order the
+rows first have them."""
+
+
+def _count_tails(kind, hist):
+    """The Tails of `hist`."""
+    start = kind.ncounts
+    projected = {}
+    for sig, tally in hist.items():
+        tail = sig[-start:]
+        projected[tail] = projected.get(tail, 0) + tally
+    return Tails(list(projected), list(projected.values()))
+
+
+def _record_columns(kind, hist):
+    """For each size and record position of `hist`, the set of the
+    records there."""
     start, width = kind.ncounts, kind.width
-    keyed = getattr(weight, "factors", False)
-    tail = bytes(start) if keyed else b""
-    one = Monomial()
+    for size in set(map(len, hist)):
+        group = [sig for sig in hist if len(sig) == size]
+        for i in range(0, size - start, width):
+            yield set(map(itemgetter(slice(i, i + width)), group))
 
-    def factor(key):
-        if isinstance(key, int):  # count field key >> 8 at value key & 255
-            sig = bytearray(start)
-            sig[key >> 8] = key & 255
-        else:  # a record, or a whole signature
-            sig = key + tail
-        profiles, totals = decode(kind, sig)
-        m = weight(profiles, totals)
-        if not isinstance(m, Monomial):
-            raise TypeError("weight map %s returned %r, not a Monomial"
-                            % (getattr(weight, "__name__", weight), m))
-        return m * zeta_cc_weight(profiles, totals) if zeta else m
 
-    if not keyed:  # the whole signature is the one key
-        return sum_of_products(((0, (sig,), count)
-                                for sig, count in hist.items()), factor)
-    counts = set(map(itemgetter(slice(-start, None)), hist))
-    fields = [i for i in range(start) if any(
-        factor(i << 8 | v) != one for v in {c[i] for c in counts})]
-    sizes = set(map(len, hist))
-    groups = dict.fromkeys(sizes, hist) if len(sizes) == 1 else {
-        size: [sig for sig in hist if len(sig) == size] for size in sizes}
-    cuts = {size: [slice(i, i + width) for i in range(0, size - start, width)]
-            for size in sizes}
-    # every distinct record weighs 1: project the histogram onto its counts
-    if not any(factor(record) != one for size, group in groups.items()
-               for cut in cuts[size]
-               for record in set(map(itemgetter(cut), group))):
-        projected = {}
-        for sig, count in hist.items():
-            c = sig[-start:]
-            projected[c] = projected.get(c, 0) + count
-        return sum_of_products(((0, [i << 8 | c[i] for i in fields], count)
-                                for c, count in projected.items()), factor)
+def _record_trie(kind, hist, tails):
+    """The Trie of `hist`, whose Tails are `tails`."""
+    start, width = kind.ncounts, kind.width
+    tail_id = dict(zip(tails.tails, count()))
+    # a record takes the next id when a row first has it
+    record_id = defaultdict(count(len(tail_id)).__next__)
+    shared_of, ends, ids, tallies = array("B"), array("I"), array("I"), []
+    for size in sorted(set(map(len, hist))):
+        cut = size - start
+        sigs = sorted(sig for sig in hist if len(sig) == size)
+        # the leading records that a row shares with the row before: the
+        # record part of the XOR of the two, read as ints, has its top bit
+        # past them; the first row shares none
+        ints = map(int.from_bytes, sigs, repeat("big"))
+        head = int.from_bytes(sigs[0], "big") ^ 1 << 8 * size - 1
+        top = map(int.bit_length, map(rshift, starmap(
+            xor, pairwise(chain([head], ints))), repeat(8 * start)))
+        by_top = [(8 * cut - b) // (8 * width) for b in range(8 * cut + 1)]
+        shared = array("B", map(by_top.__getitem__, top))
+        records = [slice(i, i + width) for i in range(0, cut, width)]
+        for sig, first in zip(sigs, shared):
+            ids.extend(map(record_id.__getitem__,
+                           map(sig.__getitem__, records[first:])))
+            ids.append(tail_id[sig[cut:]])
+            ends.append(len(ids))
+        shared_of.extend(shared)
+        tallies.extend(map(hist.__getitem__, sigs))
+    return Trie(list(record_id), shared_of, ends, ids, tallies)
 
-    def rows():
-        for size, group in groups.items():
-            cut, records = size - start, cuts[size]
-            nbits, cbits, rbits = 8 * cut, 8 * start, 8 * width
-            sigs = sorted(group)
-            ints = map(int.from_bytes, sigs, repeat("big"))
-            tallies = map(hist.__getitem__, sigs)
-            # the first row shares no record with the row before
-            prev = int.from_bytes(sigs[0], "big") ^ (1 << 8 * size - 1)
-            for sig, cur, count in zip(sigs, ints, tallies):
-                # the leading records that equal the row before's: the
-                # record part of the two ints' XOR has its top bit past them
-                shared = (nbits - ((prev ^ cur) >> cbits).bit_length()) \
-                    // rbits
-                prev = cur
-                keys = list(map(sig.__getitem__, records[shared:]))
-                if fields:
-                    keys += [i << 8 | sig[cut + i] for i in fields]
-                yield shared, keys, count
 
-    return sum_of_products(rows(), factor)
+class Layout:
+    """A signature histogram `hist` of `kind`, with the part of weighing
+    it that no weight map changes, built lazily and kept for the
+    histogram's life: its `tails` (a Tails) when a map marked by `factors`
+    first weighs it, and its record `trie` (a Trie) when such a map first
+    weighs some record other than 1.  `records`, the distinct records, are
+    None until the trie or a scan that finds every record weighing 1 has
+    met them all."""
+
+    def __init__(self, kind, hist):
+        self.kind = kind
+        self.hist = hist
+        self.records = None
+
+    @cached_property
+    def tails(self):
+        return _count_tails(self.kind, self.hist)
+
+    @cached_property
+    def trie(self):
+        trie = _record_trie(self.kind, self.hist, self.tails)
+        self.records = trie.records
+        return trie
+
+    def _weighs_1(self, weighed):
+        """Whether every distinct record weighs 1 by `weighed`, a map from
+        a record to its Monomial.  While the records are unknown, the
+        record positions are scanned in turn, each up to the first record
+        that does not weigh 1; a scan that finds none keeps the records."""
+        one = Monomial()
+        if self.records is None:
+            seen = set()
+            for column in _record_columns(self.kind, self.hist):
+                if any(weighed(record) != one for record in column - seen):
+                    return False
+                seen |= column
+            self.records = sorted(seen)
+        return all(weighed(record) == one for record in self.records)
+
+    def weigh(self, weight, zeta=False):
+        """The weighted sum of `weighted_sum`: the one enumeration loop.
+
+        The sum of count times weight(profiles, totals) in one pass of
+        packed-int sums.  Each signature is cut into keys, each distinct
+        key weighted once.  A map that is not marked by `factors` has the
+        whole signature as its one key.  A map marked by `factors` has as
+        keys the signature's `width`-byte records and its count tail, and
+        weighs each record and each count field value through its memo;
+        a tail weighs the product of its count fields.  When every
+        distinct record weighs 1, the records are not keys: each tail is
+        weighted once, times the summed count of its signatures.  Else the
+        rows of the trie are summed, each reusing the product of the
+        records it shares with the row before.
+        """
+        kind, hist = self.kind, self.hist
+        start = kind.ncounts
+        memo = getattr(weight, "factors", None)
+
+        def factor(key):
+            if isinstance(key, int):  # count field key >> 8 at value key & 255
+                sig = bytearray(start)
+                sig[key >> 8] = key & 255
+            else:  # a record, or a whole signature
+                sig = key if memo is None else key + bytes(start)
+            profiles, totals = decode(kind, sig)
+            m = weight(profiles, totals)
+            if not isinstance(m, Monomial):
+                raise TypeError("weight map %s returned %r, not a Monomial"
+                                % (getattr(weight, "__name__", weight), m))
+            return m * zeta_cc_weight(profiles, totals) if zeta else m
+
+        if memo is None:  # the whole signature is the one key
+            return sum_of_products(((0, (sig,), count)
+                                    for sig, count in hist.items()), factor)
+
+        def weighed(key):
+            m = memo.get((kind.name, zeta, key))
+            if m is None:
+                m = memo[kind.name, zeta, key] = factor(key)
+            return m
+
+        one = Monomial()
+        counts = self.tails
+        # each tail weighs the product of its count fields
+        tails = [one] * len(counts.tails)
+        for i in range(start):
+            column = list(map(itemgetter(i), counts.tails))
+            by_value = {v: weighed(i << 8 | v) for v in set(column)}
+            if any(m != one for m in by_value.values()):
+                tails = list(map(mul, tails,
+                                 map(by_value.__getitem__, column)))
+        if self._weighs_1(weighed):
+            # the records are no keys: weigh each tail once, and a tail
+            # that weighs 1 is no key either
+            return sum_of_products(
+                ((0, () if m == one else (i,), total) for i, (m, total)
+                 in enumerate(zip(tails, counts.projected))),
+                tails.__getitem__)
+        trie = self.trie
+        codes = tails + list(map(weighed, trie.records))
+        return sum_of_products(zip(trie.shared, map(
+            trie.ids.__getitem__, map(slice, chain([0], trie.ends),
+                                      trie.ends)), trie.tallies),
+            codes.__getitem__)
 
 
 @factors
@@ -298,8 +410,7 @@ def enumerate_polynomial(kind, n, family="all", weight="unit", zeta=False,
     weight-map id of `kind` or a callable (profiles, totals) -> Monomial,
     which `factors` may mark."""
     weight = lookup(kind.weights, weight)
-    return weighted_sum(histogram(kind, n, family, cache), kind, weight,
-                        zeta)
+    return _laid_out(kind, n, family, cache).weigh(weight, zeta)
 
 
 class Permutation:

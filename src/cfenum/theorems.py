@@ -146,8 +146,9 @@ KINDS = {"perm": PERM, "setpart": SETPART, "match": MATCH}
 
 
 def _enum(obj, n, family="all", weight="unit", zeta=False):
-    # _ENUM_CACHE keeps one signature histogram per (obj, n, family); the
-    # weight and zeta^cc are applied to it on every request
+    # _ENUM_CACHE keeps one signature histogram per (obj, n, family), with
+    # its layout (permstats.Layout); the weight and zeta^cc are applied to
+    # it on every request, each distinct key weighed once per weight map
     return enumerate_polynomial(KINDS[obj], n, family, weight, zeta,
                                 _ENUM_CACHE)
 

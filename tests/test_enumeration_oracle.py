@@ -85,6 +85,109 @@ def test_record_weight_range_checked_per_record():
             weighted_sum(hist, SETPART, huge)
 
 
+def _fresh(weight):
+    """`weight` under a new function marked by `factors`: an empty memo."""
+    return factors(lambda profiles, totals: weight(profiles, totals))
+
+
+def test_memo_keeps_kinds_and_zeta_apart():
+    # "unit" and "zeta-cc" are one function each for all three kinds, so
+    # one memo serves every kind and both zeta settings; weighed in two
+    # interleaved orders, each sum must still equal the oracle's
+    want = {}
+    for obj in ("perm", "setpart", "match"):
+        oracle = enum_oracle.KINDS[obj]
+        for n in range(N_MAX[obj] + 1):
+            stats = [oracle.stats(x) for x in oracle.objects(n)]
+            for wid in ("unit", "zeta-cc"):
+                for zeta in (False, True):
+                    want[obj, n, wid, zeta] = enum_oracle.weighted_sum(
+                        stats, lambda args: args, oracle.weights[wid], None,
+                        zeta)
+    orders = [sorted(want), sorted(want, key=lambda k: (-k[1], k[3], k[0]))]
+    for order in orders:
+        weights = {wid: _fresh(KINDS["perm"].weights[wid])
+                   for wid in ("unit", "zeta-cc")}
+        cache = {}
+        for obj, n, wid, zeta in order:
+            got = enumerate_polynomial(KINDS[obj], n, "all", weights[wid],
+                                       zeta, cache)
+            assert got == want[obj, n, wid, zeta], (obj, n, wid, zeta)
+
+
+@pytest.mark.parametrize("obj", ["perm", "setpart", "match"])
+def test_cached_layout_weighs_as_uncached(obj):
+    # two histograms in one cache, each weighed by every map of its kind,
+    # in forward and reversed map order, against a layout built per call
+    kind = KINDS[obj]
+    sizes = (N_MAX[obj], N_MAX[obj] - 1)
+    for wids in (list(kind.weights), list(kind.weights)[::-1]):
+        weights = {wid: _fresh(w) if hasattr(w, "factors") else w
+                   for wid, w in kind.weights.items()}
+        cache = {}
+        for wid in wids:
+            for n in sizes:
+                for zeta in (False, True):
+                    got = enumerate_polynomial(kind, n, "all", weights[wid],
+                                               zeta, cache)
+                    assert got == weighted_sum(
+                        kind.tally(n), kind, kind.weights[wid],
+                        zeta), (wid, n, zeta)
+
+
+def test_cached_overflow_raises_again():
+    # the second weighing reads the memo and the cached layout, and still
+    # checks the range after every addition
+    calls = []
+
+    @factors
+    def huge(profiles, totals):
+        calls.append(len(profiles))
+        return monomial([("x", 20000 * len(profiles))])
+    cache = {}
+    for weighing in (1, 2):
+        with pytest.raises(ExponentError, match="exponent 40000 of x"):
+            enumerate_polynomial(SETPART, 4, weight=huge, cache=cache)
+        if weighing == 1:
+            weighed = len(calls)
+    assert weighed and len(calls) == weighed
+
+
+def test_layout_is_built_once(monkeypatch):
+    # each cached histogram has its keys laid out once and its trie built
+    # once, and never a trie for a map under which every record weighs 1
+    built = Counter()
+
+    def spy(name):
+        build = getattr(permstats, name)
+
+        def counted(kind, hist, *args):
+            # the cache keeps every histogram, so no id is reused
+            built[name, kind.name, id(hist)] += 1
+            return build(kind, hist, *args)
+        monkeypatch.setattr(permstats, name, counted)
+    spy("_count_tails")
+    spy("_record_trie")
+    cache = {}
+    for obj in ("perm", "setpart", "match"):
+        kind = KINDS[obj]
+        for n in range(N_MAX[obj] + 1):
+            for wid in ("unit", "zeta-cc"):
+                for zeta in (False, True):
+                    enumerate_polynomial(kind, n, "all", wid, zeta, cache)
+    assert built and set(built.values()) == {1}
+    assert {name for name, _, _ in built} == {"_count_tails"}
+    for obj in ("perm", "setpart", "match"):
+        kind = KINDS[obj]
+        for n in range(N_MAX[obj] + 1):
+            for wid in kind.weights:
+                enumerate_polynomial(kind, n, "all", wid, False, cache)
+    assert set(built.values()) == {1}
+    assert {(name, obj) for name, obj, _ in built} == {
+        (name, obj) for name in ("_count_tails", "_record_trie")
+        for obj in ("perm", "setpart", "match")}
+
+
 @pytest.mark.parametrize("obj", ["perm", "setpart", "match"])
 def test_weighted_sum_ignores_histogram_order(obj):
     # the sum visits the signatures in its own order, so the histogram's
@@ -158,7 +261,7 @@ def test_factoring_weights_match_whole_signature(obj):
         weights.update(inv_sixstat=theorems._w_inv_sixstat,
                        q_inv=theorems._w_q_inv)
     assert {wid for wid, w in weights.items()
-            if not getattr(w, "factors", False)} == _UNMARKED[obj]
+            if not hasattr(w, "factors")} == _UNMARKED[obj]
     for n in range(N_MAX[obj] + 1):
         hist = histogram(kind, n)
         for wid, weight in weights.items():

@@ -6,18 +6,23 @@ in all (src_cfenum_lines) and per module (src_cfenum_module_lines).
     python3 tools/bench_json.py --base REV --seed SEED --out BENCH_6.json
 
 Run from the root of the source tree on an otherwise idle machine.  The
-base revision is exported with `git archive` into a temporary directory;
-the change is the working tree.  Pair i of the ten runs every workload of
-bench/run.py on both trees with seed SEED+i, the base first in even pairs
-and the change first in odd ones.  Choose a SEED whose ten seeds were not
-used while writing the change.  Tier-1 runs twice on each tree, in the
-order base, change, change, base, so that a drift of the machine's speed
-during the runs weighs on both trees alike.  Each run uses pytest's
---durations=8; tier1.runs (the change) and tier1_base.runs (the base)
-hold both runs of a tree, and tier1.slowest and tier1_base.slowest each
-slow test's minimum over the runs that list it.  The script exits 1,
-after writing the file, when a Tier-1 run of the change has failures or
-errors; a red base Tier-1 is only recorded.
+base revision is exported with `git archive` into a temporary directory,
+and the change is copied the same way: the working tree's tracked files
+(`git ls-files`, so stage new files first), as they are on disk, into a
+second temporary directory.  Neither copy has bytecode or untracked
+files, so a `__pycache__` left in the working tree cannot make the
+change's `setup_s` or `peak_rss_mb` read better.  Pair i of the ten runs
+every workload of bench/run.py on both trees with seed SEED+i, the base
+first in even pairs and the change first in odd ones.  Choose a SEED
+whose ten seeds were not used while writing the change.  Tier-1 runs
+twice on each tree, in the order base, change, change, base, so that a
+drift of the machine's speed during the runs weighs on both trees
+alike.  Each run uses pytest's --durations=8; tier1.runs (the change)
+and tier1_base.runs (the base) hold both runs of a tree, and
+tier1.slowest and tier1_base.slowest each slow test's minimum over the
+runs that list it.  The script exits 1, after writing the file, when a
+Tier-1 run of the change has failures or errors; a red base Tier-1 is
+only recorded.
 
 Per workload, better_pairs counts for each metric the pairs in which the
 change reads lower (ties count for neither side; every metric is lower-is-
@@ -38,6 +43,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -56,6 +62,16 @@ DURATION = re.compile(r"^(\d+\.\d+)s (\w+) +(\S+)$", re.M)
 def git(*args):
     return subprocess.run(["git", *args], check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def copy_tracked(dest):
+    """Copy each tracked file of the working tree, as it is on disk, into
+    `dest`; a tracked file deleted from the tree is left out."""
+    for path in git("ls-files", "-z").split("\0"):
+        if os.path.isfile(path):
+            os.makedirs(os.path.join(dest, os.path.dirname(path)),
+                        exist_ok=True)
+            shutil.copy2(path, os.path.join(dest, path))
 
 
 def module_lines(tree):
@@ -160,12 +176,13 @@ def main():
                     help="first of the ten seeds, one per pair")
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
-    change = os.getcwd()
     bound = bounds()
-    with tempfile.TemporaryDirectory() as base:
+    with tempfile.TemporaryDirectory() as base, \
+            tempfile.TemporaryDirectory() as change:
         archive = subprocess.run(["git", "archive", args.base],
                                  check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", base], input=archive, check=True)
+        copy_tracked(change)
         rows = {w: {"base": [], "change": []} for w in WORKLOADS}
         for i in range(PAIRS):
             order = [("base", base), ("change", change)]
@@ -187,7 +204,8 @@ def main():
                   "nproc": len(os.sched_getaffinity(0)),
                   "git_sha": git("rev-parse", "HEAD"),
                   "base_sha": git("rev-parse", args.base),
-                  "change": "working tree over git_sha",
+                  "change": "tracked files of the working tree over "
+                            "git_sha",
                   "date": datetime.datetime.now(
                       datetime.timezone.utc).isoformat(timespec="seconds")},
         "settings": {"pairs": PAIRS,
