@@ -163,7 +163,7 @@ def touchard_riordan(n):
             raise InexactDivision("division by (1-p)^%d is not exact" % n)
     p = Indeterminate("p")
     return sum_of_products(((0, (k,), c) for k, c in enumerate(coeffs)),
-                           lambda k: Monomial({p: k}))
+                           [Monomial({p: k}) for k in range(len(coeffs))])
 
 
 # ---------------------------------------------------------------------------

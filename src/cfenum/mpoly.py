@@ -229,26 +229,22 @@ def monomial(pairs):
                      for fam_idx, e in pairs if e])
 
 
-def sum_of_products(rows, factor):
+def sum_of_products(rows, codes):
     """The MultiPoly sum over (shared, keys, count) rows of count times the
-    product of the Monomials factor(key) over the row's keys: the first
+    product of the Monomials codes[key] over the row's keys: the first
     `shared` keys of the row before it, then `keys`.  The product of each
-    shared prefix is reused, not recomputed.  factor is called once per
-    distinct key; each product is a sum of packed ints, range-checked
-    after every addition (as in Monomial), so no exponent wraps, even in a
-    row whose count is 0 or cancels.  Zero coefficients are dropped once,
-    at the end."""
-    packed_of = {}
+    shared prefix is reused, not recomputed.  `codes` is the caller's
+    table, a list or a dict, read as each key is added; each product is a
+    sum of packed ints, range-checked after every addition (as in
+    Monomial), so no exponent wraps, even in a row whose count is 0 or
+    cancels.  Zero coefficients are dropped once, at the end."""
     acc = {}
     prefix = [0]  # prefix[i]: the product of the last row's first i keys
     for shared, keys, count in rows:
         del prefix[shared + 1:]
         packed = prefix[shared]
         for key in keys:
-            code = packed_of.get(key)
-            if code is None:
-                code = packed_of[key] = factor(key)._packed
-            packed += code
+            packed += codes[key]._packed
             if packed & _guard:
                 _checked(packed)
             prefix.append(packed)
@@ -530,16 +526,22 @@ def parse_factor(text):
     return family, indices, e
 
 
+class _FactorTexts(dict):
+    """The Monomial of each factor text, parsed when first looked up."""
+
+    def __missing__(self, fac):
+        family, indices, e = parse_factor(fac.strip())
+        m = self[fac] = Monomial(((Indeterminate(family, *indices),
+                                   1 if e is None else e),))
+        return m
+
+
 def from_text(text):
     """Parse the canonical text form back into a MultiPoly, through
     sum_of_products: repeated monomials add up, and each is range-checked
-    (ParseError) even where its coefficient is 0."""
+    (ParseError) even where its coefficient is 0.  A factor text is parsed
+    when a term first reaches it, after the factors before it are added."""
     text = text.strip()
-
-    def factor(fac):
-        family, indices, e = parse_factor(fac.strip())
-        return Monomial(((Indeterminate(family, *indices),
-                          1 if e is None else e),))
 
     def rows():
         for term in text.split("+"):
@@ -555,6 +557,6 @@ def from_text(text):
             yield 0, factors[1:], coeff
 
     try:
-        return sum_of_products(rows(), factor)
+        return sum_of_products(rows(), _FactorTexts())
     except ExponentError as exc:
         raise ParseError(str(exc)) from None

@@ -9,7 +9,7 @@ A permutation is stored in one-line notation.  Indices are 1-based.
 """
 
 from array import array
-from collections import Counter, defaultdict, namedtuple
+from collections import Counter, namedtuple
 from functools import cached_property, partial
 from itertools import chain, count, pairwise, permutations as _itperms, \
     repeat, starmap
@@ -192,7 +192,7 @@ def _laid_out(kind, n, family, cache):
 def factors(weight):
     """Mark the weight map `weight` as one that factors: its Monomial is
     the product of the map on each profile record alone (every count 0)
-    and on each count alone (no records).  `weighted_sum` then weights
+    and on each count alone (no records).  `Layout.weigh` then weighs
     each distinct record and count value once, straight from the
     signature bytes.  The mark, `weight.factors`, is the map's own memo:
     the Monomial of each key it has weighed, under (kind name, zeta, key),
@@ -212,27 +212,19 @@ def per_record(keep, prune):
     return keep
 
 
-def weighted_sum(hist, kind, weight, zeta=False):
-    """Exact weighted sum over a signature histogram of `kind`: the sum of
-    count times weight(profiles, totals), a Monomial, times zeta^cc with
-    `zeta`.  The histogram is laid out for this one call; see `Layout`."""
-    return Layout(kind, hist).weigh(weight, zeta)
-
-
 Tails = namedtuple("Tails", "tails projected")
 Tails.__doc__ = """The distinct count tails of a histogram (the `ncounts`
 bytes that end a signature), in the order the histogram first has them,
 and per tail the summed count of the signatures that end in it."""
 
-Trie = namedtuple("Trie", "records shared ends ids tallies")
+Trie = namedtuple("Trie", "shared ends ids tallies")
 Trie.__doc__ = """The record trie of a histogram.  The signatures of each
 size, in sorted order (that is, in the order of their records), are its
 rows.  Row r shares its first `shared[r]` records with the row before it;
 `ids[ends[r - 1]:ends[r]]` (from 0 for the first row) are the ids of its
 other records and then of its tail, and `tallies[r]` is its count.  A
 tail's id is its index in `Tails.tails`, and a record's is the number of
-tails plus its index in `records`, the distinct records in the order the
-rows first have them."""
+tails plus its index in `Layout.records`."""
 
 
 def _count_tails(kind, hist):
@@ -245,22 +237,24 @@ def _count_tails(kind, hist):
     return Tails(list(projected), list(projected.values()))
 
 
-def _record_columns(kind, hist):
-    """For each size and record position of `hist`, the set of the
-    records there."""
+def _distinct_records(kind, hist):
+    """The distinct records of `hist`, sorted: one scan of every record
+    position of every size."""
     start, width = kind.ncounts, kind.width
+    records = set()
     for size in set(map(len, hist)):
         group = [sig for sig in hist if len(sig) == size]
         for i in range(0, size - start, width):
-            yield set(map(itemgetter(slice(i, i + width)), group))
+            records.update(map(itemgetter(slice(i, i + width)), group))
+    return sorted(records)
 
 
-def _record_trie(kind, hist, tails):
-    """The Trie of `hist`, whose Tails are `tails`."""
+def _record_trie(kind, hist, tails, records):
+    """The Trie of `hist`, whose Tails are `tails` and whose distinct
+    records are `records`."""
     start, width = kind.ncounts, kind.width
     tail_id = dict(zip(tails.tails, count()))
-    # a record takes the next id when a row first has it
-    record_id = defaultdict(count(len(tail_id)).__next__)
+    record_id = dict(zip(records, count(len(tail_id))))
     shared_of, ends, ids, tallies = array("B"), array("I"), array("I"), []
     for size in sorted(set(map(len, hist))):
         cut = size - start
@@ -274,81 +268,63 @@ def _record_trie(kind, hist, tails):
             xor, pairwise(chain([head], ints))), repeat(8 * start)))
         by_top = [(8 * cut - b) // (8 * width) for b in range(8 * cut + 1)]
         shared = array("B", map(by_top.__getitem__, top))
-        records = [slice(i, i + width) for i in range(0, cut, width)]
+        slices = [slice(i, i + width) for i in range(0, cut, width)]
         for sig, first in zip(sigs, shared):
             ids.extend(map(record_id.__getitem__,
-                           map(sig.__getitem__, records[first:])))
+                           map(sig.__getitem__, slices[first:])))
             ids.append(tail_id[sig[cut:]])
             ends.append(len(ids))
         shared_of.extend(shared)
         tallies.extend(map(hist.__getitem__, sigs))
-    return Trie(list(record_id), shared_of, ends, ids, tallies)
+    return Trie(shared_of, ends, ids, tallies)
 
 
 class Layout:
     """A signature histogram `hist` of `kind`, with the part of weighing
     it that no weight map changes, built lazily and kept for the
-    histogram's life: its `tails` (a Tails) when a map marked by `factors`
-    first weighs it, and its record `trie` (a Trie) when such a map first
-    weighs some record other than 1.  `records`, the distinct records, are
-    None until the trie or a scan that finds every record weighing 1 has
-    met them all."""
+    histogram's life: its `tails` (a Tails) and its distinct `records`
+    when a map marked by `factors` first weighs it, and its record `trie`
+    (a Trie) when such a map first weighs some record other than 1."""
 
     def __init__(self, kind, hist):
         self.kind = kind
         self.hist = hist
-        self.records = None
 
     @cached_property
     def tails(self):
         return _count_tails(self.kind, self.hist)
 
     @cached_property
-    def trie(self):
-        trie = _record_trie(self.kind, self.hist, self.tails)
-        self.records = trie.records
-        return trie
+    def records(self):
+        return _distinct_records(self.kind, self.hist)
 
-    def _weighs_1(self, weighed):
-        """Whether every distinct record weighs 1 by `weighed`, a map from
-        a record to its Monomial.  While the records are unknown, the
-        record positions are scanned in turn, each up to the first record
-        that does not weigh 1; a scan that finds none keeps the records."""
-        one = Monomial()
-        if self.records is None:
-            seen = set()
-            for column in _record_columns(self.kind, self.hist):
-                if any(weighed(record) != one for record in column - seen):
-                    return False
-                seen |= column
-            self.records = sorted(seen)
-        return all(weighed(record) == one for record in self.records)
+    @cached_property
+    def trie(self):
+        return _record_trie(self.kind, self.hist, self.tails, self.records)
 
     def weigh(self, weight, zeta=False):
-        """The weighted sum of `weighted_sum`: the one enumeration loop.
+        """Exact weighted sum over the histogram: the sum of count times
+        weight(profiles, totals), a Monomial, times zeta^cc with `zeta`.
+        The one enumeration loop.
 
-        The sum of count times weight(profiles, totals) in one pass of
-        packed-int sums.  Each signature is cut into keys, each distinct
-        key weighted once.  A map that is not marked by `factors` has the
-        whole signature as its one key.  A map marked by `factors` has as
-        keys the signature's `width`-byte records and its count tail, and
-        weighs each record and each count field value through its memo;
-        a tail weighs the product of its count fields.  When every
-        distinct record weighs 1, the records are not keys: each tail is
-        weighted once, times the summed count of its signatures.  Else the
-        rows of the trie are summed, each reusing the product of the
-        records it shares with the row before.
+        Each signature is cut into keys, each distinct key weighed once,
+        and the products are summed as packed ints in one pass.  Every key
+        is the signature it stands for, weighed through `decode`.  A map
+        that is not marked by `factors` has the whole signature as its one
+        key.  A map marked by `factors` has as keys each of the
+        signature's `width`-byte records followed by zero counts, and each
+        of its count fields alone, with no records; it weighs each through
+        its memo, and a tail weighs the product of its count fields.  When
+        every distinct record weighs 1, the records are not keys: each
+        tail is weighed once, times the summed count of its signatures.
+        Else the rows of the trie are summed, each reusing the product of
+        the records it shares with the row before.
         """
         kind, hist = self.kind, self.hist
         start = kind.ncounts
         memo = getattr(weight, "factors", None)
 
-        def factor(key):
-            if isinstance(key, int):  # count field key >> 8 at value key & 255
-                sig = bytearray(start)
-                sig[key >> 8] = key & 255
-            else:  # a record, or a whole signature
-                sig = key if memo is None else key + bytes(start)
+        def factor(sig):
             profiles, totals = decode(kind, sig)
             m = weight(profiles, totals)
             if not isinstance(m, Monomial):
@@ -357,38 +333,39 @@ class Layout:
             return m * zeta_cc_weight(profiles, totals) if zeta else m
 
         if memo is None:  # the whole signature is the one key
-            return sum_of_products(((0, (sig,), count)
-                                    for sig, count in hist.items()), factor)
+            return sum_of_products(((0, (i,), count) for i, count
+                                    in enumerate(hist.values())),
+                                   list(map(factor, hist)))
 
-        def weighed(key):
-            m = memo.get((kind.name, zeta, key))
+        def weighed(sig):
+            m = memo.get((kind.name, zeta, sig))
             if m is None:
-                m = memo[kind.name, zeta, key] = factor(key)
+                m = memo[kind.name, zeta, sig] = factor(sig)
             return m
 
         one = Monomial()
         counts = self.tails
         # each tail weighs the product of its count fields
         tails = [one] * len(counts.tails)
+        zeros = bytes(start)
         for i in range(start):
             column = list(map(itemgetter(i), counts.tails))
-            by_value = {v: weighed(i << 8 | v) for v in set(column)}
+            by_value = {v: weighed(zeros[:i] + bytes((v,)) + zeros[i + 1:])
+                        for v in set(column)}
             if any(m != one for m in by_value.values()):
                 tails = list(map(mul, tails,
                                  map(by_value.__getitem__, column)))
-        if self._weighs_1(weighed):
+        if all(weighed(record + zeros) == one for record in self.records):
             # the records are no keys: weigh each tail once, and a tail
             # that weighs 1 is no key either
             return sum_of_products(
                 ((0, () if m == one else (i,), total) for i, (m, total)
-                 in enumerate(zip(tails, counts.projected))),
-                tails.__getitem__)
+                 in enumerate(zip(tails, counts.projected))), tails)
         trie = self.trie
-        codes = tails + list(map(weighed, trie.records))
+        codes = tails + [weighed(record + zeros) for record in self.records]
         return sum_of_products(zip(trie.shared, map(
             trie.ids.__getitem__, map(slice, chain([0], trie.ends),
-                                      trie.ends)), trie.tallies),
-            codes.__getitem__)
+                                      trie.ends)), trie.tallies), codes)
 
 
 @factors
@@ -406,7 +383,7 @@ def zeta_cc_weight(profiles, totals):
 def enumerate_polynomial(kind, n, family="all", weight="unit", zeta=False,
                          cache=None):
     """Exact weighted sum over the objects of size n in `family`: the
-    histogram of `histogram`, weighted by `weighted_sum`.  `weight` is a
+    histogram of `histogram`, weighted by `Layout.weigh`.  `weight` is a
     weight-map id of `kind` or a callable (profiles, totals) -> Monomial,
     which `factors` may mark."""
     weight = lookup(kind.weights, weight)

@@ -195,8 +195,9 @@ def _w_block_count(profiles, t):
 
 
 def _w_three_var(profiles, t):
+    # nerecop + nerecin is n - blocks - erec: one closer per block of 2+
     return monomial([("x", t.blocks), ("y", t.erec),
-                     ("v", t.n - t.blocks - t.erec)])
+                     ("v", t.nerecop + t.nerecin)])
 
 
 def _six_var_pairs(t):
@@ -282,7 +283,7 @@ def _w_x_iota_prime(profiles, t):
 SP_WEIGHTS = {
     "unit": unit_weight,
     "block-count": factors(_w_block_count),
-    "three-var": _w_three_var,  # v^(n - blocks - erec) does not factor
+    "three-var": factors(_w_three_var),
     "six-var": factors(_w_six_var),
     "pq-eleven": factors(_w_pq_eleven),
     "ovcov-eleven": factors(_w_ovcov_eleven),
@@ -294,7 +295,7 @@ SP_WEIGHTS = {
     "master4": _sp_master(4),
     "x-lb": factors(_w_x_lb),
     "x-ls": factors(_w_x_ls),
-    "x-lsprime": _w_x_lsprime,  # nor does ls - blocks(blocks - 1)/2
+    "x-lsprime": _w_x_lsprime,  # ls - blocks(blocks - 1)/2 does not factor
     "x-rb": factors(_w_x_rb),
     "x-rs": factors(_w_x_rs),
     "lb-ls": factors(_w_lb_ls),

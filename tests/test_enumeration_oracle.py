@@ -13,10 +13,9 @@ import pytest
 import cfenum
 from cfenum import permstats, theorems
 from cfenum.mpoly import ExponentError, as_poly, monomial, sum_of_products
-from cfenum.permstats import (PERM, IndexProfile, decode,
+from cfenum.permstats import (PERM, IndexProfile, Layout, decode,
                               enumerate_polynomial, factors, histogram,
-                              iter_permutations, signature, stat_totals,
-                              weighted_sum)
+                              iter_permutations, signature, stat_totals)
 from cfenum.matchstats import MATCH, iter_matchings
 from cfenum.setpartstats import SETPART, SPIndexProfile, iter_set_partitions
 from cfenum.theorems import KINDS
@@ -82,7 +81,7 @@ def test_record_weight_range_checked_per_record():
                 if a[:head] == b[:head])
     for hist in (Counter({a: 1, b: 1}), Counter(dict.fromkeys(sigs, 0))):
         with pytest.raises(ExponentError, match="exponent 40000 of x"):
-            weighted_sum(hist, SETPART, huge)
+            Layout(SETPART, hist).weigh(huge)
 
 
 def _fresh(weight):
@@ -130,9 +129,8 @@ def test_cached_layout_weighs_as_uncached(obj):
                 for zeta in (False, True):
                     got = enumerate_polynomial(kind, n, "all", weights[wid],
                                                zeta, cache)
-                    assert got == weighted_sum(
-                        kind.tally(n), kind, kind.weights[wid],
-                        zeta), (wid, n, zeta)
+                    assert got == Layout(kind, kind.tally(n)).weigh(
+                        kind.weights[wid], zeta), (wid, n, zeta)
 
 
 def test_cached_overflow_raises_again():
@@ -154,8 +152,9 @@ def test_cached_overflow_raises_again():
 
 
 def test_layout_is_built_once(monkeypatch):
-    # each cached histogram has its keys laid out once and its trie built
-    # once, and never a trie for a map under which every record weighs 1
+    # each cached histogram has its tails and its records found once and
+    # its trie built once, and never a trie for a map under which every
+    # record weighs 1
     built = Counter()
 
     def spy(name):
@@ -167,6 +166,7 @@ def test_layout_is_built_once(monkeypatch):
             return build(kind, hist, *args)
         monkeypatch.setattr(permstats, name, counted)
     spy("_count_tails")
+    spy("_distinct_records")
     spy("_record_trie")
     cache = {}
     for obj in ("perm", "setpart", "match"):
@@ -176,7 +176,8 @@ def test_layout_is_built_once(monkeypatch):
                 for zeta in (False, True):
                     enumerate_polynomial(kind, n, "all", wid, zeta, cache)
     assert built and set(built.values()) == {1}
-    assert {name for name, _, _ in built} == {"_count_tails"}
+    assert {name for name, _, _ in built} \
+        == {"_count_tails", "_distinct_records"}
     for obj in ("perm", "setpart", "match"):
         kind = KINDS[obj]
         for n in range(N_MAX[obj] + 1):
@@ -184,7 +185,8 @@ def test_layout_is_built_once(monkeypatch):
                 enumerate_polynomial(kind, n, "all", wid, False, cache)
     assert set(built.values()) == {1}
     assert {(name, obj) for name, obj, _ in built} == {
-        (name, obj) for name in ("_count_tails", "_record_trie")
+        (name, obj)
+        for name in ("_count_tails", "_distinct_records", "_record_trie")
         for obj in ("perm", "setpart", "match")}
 
 
@@ -203,11 +205,11 @@ def test_weighted_sum_ignores_histogram_order(obj):
         items, sorted(items), sorted(items, reverse=True))]
     for wid, weight in kind.weights.items():
         for zeta in (False, True):
-            want = weighted_sum(hist, kind, weight, zeta)
+            want = Layout(kind, hist).weigh(weight, zeta)
             for order in orders:
-                assert weighted_sum(order, kind, weight, zeta) == want, wid
-            assert weighted_sum(Counter(dict(mixed)), kind, weight, zeta) \
-                == want + weighted_sum(smaller, kind, weight, zeta), wid
+                assert Layout(kind, order).weigh(weight, zeta) == want, wid
+            assert Layout(kind, Counter(dict(mixed))).weigh(weight, zeta) \
+                == want + Layout(kind, smaller).weigh(weight, zeta), wid
 
 
 @pytest.mark.parametrize("obj", ["perm", "setpart", "match"])
@@ -247,7 +249,7 @@ def test_records_that_weigh_1_are_not_keys(obj, monkeypatch):
 
 
 _UNMARKED = {"perm": {"four-var-cyc"},
-             "setpart": {"three-var", "x-lsprime", "x-iota-prime"},
+             "setpart": {"x-lsprime", "x-iota-prime"},
              "match": set()}
 
 
@@ -269,8 +271,8 @@ def test_factoring_weights_match_whole_signature(obj):
                 continue
             whole = partial(_call, weight)
             for zeta in (False, True):
-                assert weighted_sum(hist, kind, weight, zeta) \
-                    == weighted_sum(hist, kind, whole, zeta), (wid, n, zeta)
+                assert Layout(kind, hist).weigh(weight, zeta) \
+                    == Layout(kind, hist).weigh(whole, zeta), (wid, n, zeta)
 
 
 def _call(weight, profiles, totals):

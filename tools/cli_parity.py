@@ -23,7 +23,14 @@ from that tree's registry and weight tables:
   `enumerate` of unknown weights and families and of sizes past a
   signature's field (perm and setpart only: a matching of [48] would be
   enumerated), `verify` and `expand` of unknown ids, `expand` of an
-  identity, and `decode` of malformed paths.
+  identity, and `decode` of malformed paths;
+- `enumerate --subst` of small enumerations with each file of
+  `_SUBST_FILES`: valid values (repeated and cancelling monomials, an
+  indexed key, a 5,000-digit coefficient) and malformed ones (an exponent
+  past the range before a bad factor or an empty term, a bare factor, a
+  key with `^e`, a file that is not a JSON object, a missing file).  The
+  files are written once, to one directory that both trees read, so the
+  paths in the messages agree.
 
 `wall_time` and `total_wall_time` are masked.  The script prints each
 argument list whose exit code, stdout or stderr differs (or that only one
@@ -99,6 +106,38 @@ _BAD_PATHS = [
 ]
 
 
+# substitution files by name: their JSON text, or None for a missing file
+_SUBST_FILES = {
+    "repeated.json": '{"x": "2*q*q + 3*q^2", "y": "1*q + -1*q"}',
+    "indexed.json": '{"w[3]": "2*q", "w[0]": "1*q^2 + -1", "u": "3*w[3]"}',
+    "long.json": '{"x": "%s*q + 1"}' % ("7" * 5000),
+    "overflow-then-bad.json": '{"x": "1*x^20000*x^20000*!"}',
+    "overflow-then-empty.json": '{"x": "1*x^20000*x^20000 + "}',
+    "bare.json": '{"x": "x"}',
+    "too-high.json": '{"x": "1*x^40000"}',
+    "image-too-high.json": '{"x": "1*q^20000"}',
+    "key-power.json": '{"x^2": "1"}',
+    "list.json": '[1, 2]',
+    "missing.json": None,
+}
+
+
+def _write_subst_files(directory):
+    """Write each file of _SUBST_FILES that is not missing to
+    `directory`."""
+    for name, text in _SUBST_FILES.items():
+        if text is not None:
+            with open(os.path.join(directory, name), "w") as fh:
+                fh.write(text)
+
+
+def _subst_runs(directory):
+    for name in _SUBST_FILES:
+        for weight in ("four-var-arec", "ten-var"):
+            yield ["enumerate", "--object", "perm", "--n", "3", "--weight",
+                   weight, "--subst", os.path.join(directory, name)]
+
+
 def _malformed_runs():
     for obj, option, text in _BAD_OBJECTS:
         yield ["stats", "--object", obj, option, text], None
@@ -115,9 +154,10 @@ def _malformed_runs():
         yield ["decode", "--bijection", "FZ", "--path", "-"], text
 
 
-def run_tree():
+def run_tree(subst_dir):
     """Every run of the matrix in this interpreter's cfenum, as
-    {json of the argument list: [exit code, stdout, stderr]}."""
+    {json of the argument list: [exit code, stdout, stderr]}; the
+    substitution files are in `subst_dir`."""
     from click.testing import CliRunner
     from cfenum import theorems as thm
     from cfenum.cli import main
@@ -165,34 +205,40 @@ def run_tree():
             run(["decode", "--bijection", name, "--path", "-"], stdin=path)
     for args, stdin in _malformed_runs():
         run(args, stdin)
+    for args in _subst_runs(subst_dir):
+        run(args)
     return results
 
 
-def tree_results(tree):
+def tree_results(tree, subst_dir):
     """Start run_tree in a fresh interpreter on `tree`'s source."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
                PYTHONHASHSEED="0")
     return subprocess.Popen(
-        [sys.executable, os.path.abspath(__file__), "--run"], cwd=tree,
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        [sys.executable, os.path.abspath(__file__), "--run", subst_dir],
+        cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True)
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     group = ap.add_mutually_exclusive_group(required=True)
     group.add_argument("--base", help="base git revision")
-    group.add_argument("--run", action="store_true",
-                       help="run the matrix here and print it as JSON")
+    group.add_argument("--run", metavar="SUBST_DIR",
+                       help="run the matrix here, with the substitution "
+                       "files in SUBST_DIR, and print it as JSON")
     args = ap.parse_args()
     if args.run:
-        json.dump(run_tree(), sys.stdout)
+        json.dump(run_tree(args.run), sys.stdout)
         return
-    with tempfile.TemporaryDirectory() as base:
+    with tempfile.TemporaryDirectory() as base, \
+            tempfile.TemporaryDirectory() as subst_dir:
         archive = subprocess.run(["git", "archive", args.base],
                                  check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", base], input=archive, check=True)
-        procs = {"base": tree_results(base),
-                 "change": tree_results(os.getcwd())}
+        _write_subst_files(subst_dir)
+        procs = {"base": tree_results(base, subst_dir),
+                 "change": tree_results(os.getcwd(), subst_dir)}
         results = {}
         for side, proc in procs.items():
             out, err = proc.communicate()
